@@ -69,10 +69,6 @@ class AlmostCliqueDecomposition:
             clique_masks=tuple(mask_of(c) for c in cliques),
         )
 
-    def clique_of(self, v: int) -> frozenset[int] | None:
-        idx = self.membership[v]
-        return None if idx < 0 else self.cliques[idx]
-
     def to_json(self) -> str:
         payload = {
             "epsilon": str(self.epsilon),

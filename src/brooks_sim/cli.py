@@ -9,8 +9,7 @@ Usage:
     brooks-sim experiment --families all --deltas 16,27,64 --seeds 100 --out sweep.csv
 
 Single runs emit JSON, sweeps emit CSV; both carry a schema_version field.
-Identical flags (and seed) produce byte-identical outputs. BROOKS_SIM_THREADS
-caps experiment parallelism (default 1, sequential).
+Identical flags (and seed) produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -222,19 +219,12 @@ def cmd_experiment(args) -> int:
         if family not in FAMILIES:
             raise BrooksSimError(f"unknown family {family!r}")
     deltas = tuple(int(d) for d in args.deltas.split(","))
-    seeds = range(args.seeds)
-    jobs = [(f, d, s) for f in families for d in deltas for s in seeds]
-    threads = max(1, int(os.environ.get("BROOKS_SIM_THREADS", "1")))
-
-    def work(job):
-        family, delta, seed = job
-        return experiment_row(family, delta, seed, pg=args.pg, max_retries=args.max_retries)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, jobs))
-    else:
-        rows = [work(job) for job in jobs]
+    rows = [
+        experiment_row(family, delta, seed, pg=args.pg, max_retries=args.max_retries)
+        for family in families
+        for delta in deltas
+        for seed in range(args.seeds)
+    ]
     rows.sort(key=lambda r: (r["family"], r["delta"], r["seed"]))
 
     if args.format == "json":

@@ -5,7 +5,6 @@ from .generators import (
     DEFAULT_EPSILON,
     FAMILIES,
     GeneratedGraph,
-    admissible_epsilon,
     generate,
     generate_instance,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "Graph",
     "PartialColoring",
     "StructuralMeasures",
-    "admissible_epsilon",
     "anti_degree",
     "complete_graph",
     "contains_delta_plus_one_clique",

@@ -72,22 +72,11 @@ class PartialColoring:
     def colored_nodes(self) -> list[int]:
         return [v for v in range(self.graph.n) if self.color[v] is not None]
 
-    def uncolored_nodes(self) -> list[int]:
-        return [v for v in range(self.graph.n) if self.color[v] is None]
-
     def uncolored_in(self, nodes: Iterable[int]) -> list[int]:
         return sorted(v for v in nodes if self.color[v] is None)
 
     def is_total(self) -> bool:
         return self.uncolored_mask == 0
-
-    def copy(self) -> PartialColoring:
-        dup = PartialColoring(self.graph, self.delta)
-        dup.color = list(self.color)
-        dup.uncolored_mask = self.uncolored_mask
-        dup._nbr_colors = [dict(d) for d in self._nbr_colors]
-        dup._colored_nbrs = list(self._colored_nbrs)
-        return dup
 
     def as_list(self) -> list[int | None]:
         return list(self.color)

@@ -89,10 +89,6 @@ def generate_instance(family: str, delta: int, seed: int = 0, **params) -> Gener
     return out
 
 
-def admissible_epsilon(family: str, delta: int) -> Fraction:
-    return generate_instance(family, delta, 0).epsilon
-
-
 def _clique_minus_edge(delta: int, seed: int) -> GeneratedGraph:
     n = delta + 1
     rng = random.Random(seed)

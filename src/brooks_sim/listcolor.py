@@ -10,24 +10,24 @@ endpoints' palettes).
 The distributed solver is a plain synchronous trial loop (activate w.p. 1/2,
 try a uniform available color, keep on no conflict) standing in for the
 cited list-coloring algorithms; it reports rounds but makes no round-
-complexity claim. The engine is behind one interface so a faster algorithm
-could be swapped in.
+complexity claim. The same TrialProgram, limited to one trial, is the slack-
+generation step, so a faster algorithm could be swapped in behind
+solve_distributed without touching the simulator.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import BrooksSimError, DegPlusOneViolation, InstanceInfeasible
 from .graph_core import Graph, PartialColoring
-from .sim_engine import Message, RoundMetrics, StreamRng, color_value_bits, run_protocol
+from .sim_engine import TAG_KEEP, TAG_TRY, Message, RoundMetrics, StreamRng
+from .sim_engine import color_value_bits, run_protocol
 
 Unit = tuple[int, ...]
-
-TAG_TRY = 1
-TAG_KEEP = 2
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,18 @@ class ListInstance:
     edges: tuple[tuple[int, int], ...]
     palettes: tuple[frozenset[int], ...]
 
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Unit adjacency, worked out once from `edges`."""
+        nbrs: list[list[int]] = [[] for _ in self.units]
+        for i, j in self.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        return tuple(tuple(a) for a in nbrs)
+
     @property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * len(self.units)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
+        return tuple(len(a) for a in self.adj)
 
     @property
     def min_palette(self) -> int | None:
@@ -114,50 +119,55 @@ def build_instance(
         edges=tuple(sorted(edges)),
         palettes=tuple(palettes),
     )
-    for idx, unit in enumerate(units):
-        if len(instance.palettes[idx]) < instance.degrees[idx] + 1:
-            raise DegPlusOneViolation(
-                name, unit, len(instance.palettes[idx]), instance.degrees[idx]
-            )
+    for unit, palette, nbrs in zip(units, instance.palettes, instance.adj):
+        if len(palette) < len(nbrs) + 1:
+            raise DegPlusOneViolation(name, unit, len(palette), len(nbrs))
     return instance
 
 
 class TrialProgram:
-    """Per-unit trial loop: even rounds try, odd rounds resolve."""
+    """Per-node trial loop: even rounds try, odd rounds resolve.
 
-    __slots__ = ("idx", "neighbors", "available", "candidate", "color", "halted")
+    In a try round the node drops the colors its neighbors just kept, then
+    with probability p broadcasts a uniform available color; in the resolve
+    round it keeps that color if no neighbor tried the same one, announces
+    it and halts. `trials` caps the try rounds (None: until colored); a node
+    out of trials halts at its next try round.
+    """
 
-    def __init__(self, idx: int, neighbors: tuple[int, ...], palette: frozenset[int]):
-        self.idx = idx
-        self.neighbors = neighbors
+    __slots__ = ("available", "p", "trials", "candidate", "color", "halted")
+
+    def __init__(self, palette: Iterable[int], p: float = 0.5, trials: int | None = None):
         self.available = sorted(palette)
+        self.p = p
+        self.trials = trials
         self.candidate: int | None = None
         self.color: int | None = None
         self.halted = False
 
     def step(
-        self, round_no: int, inbox: Mapping[int, Message], rng: StreamRng
-    ) -> tuple[dict[int, Message], bool]:
+        self, round_no: int, inbox: list[Message], rng: StreamRng
+    ) -> tuple[Message | None, bool]:
         if round_no % 2 == 0:
             # neighbors fixed in the previous resolve round shrink the palette
-            for msg in inbox.values():
-                if msg[0] == TAG_KEEP and msg[1] in self.available:
-                    self.available.remove(msg[1])
+            for tag, value in inbox:
+                if tag == TAG_KEEP and value in self.available:
+                    self.available.remove(value)
+            if self.trials == 0:
+                return None, True
             if not self.available:
                 raise AssertionError("palette exhausted despite deg+1 invariant")
+            if self.trials is not None:
+                self.trials -= 1
             self.candidate = None
-            if rng.uniform() < 0.5:
+            if rng.uniform() < self.p:  # activation draw precedes color draw
                 self.candidate = self.available[rng.randrange(len(self.available))]
-                return {u: (TAG_TRY, self.candidate) for u in self.neighbors}, False
-            return {}, False
-        if self.candidate is not None:
-            conflict = any(
-                msg[0] == TAG_TRY and msg[1] == self.candidate for msg in inbox.values()
-            )
-            if not conflict:
-                self.color = self.candidate
-                return {u: (TAG_KEEP, self.color) for u in self.neighbors}, True
-        return {}, False
+                return (TAG_TRY, self.candidate), False
+            return None, False
+        if self.candidate is not None and (TAG_TRY, self.candidate) not in inbox:
+            self.color = self.candidate
+            return (TAG_KEEP, self.color), True
+        return None, False
 
 
 def default_trial_rounds(unit_count: int) -> int:
@@ -179,13 +189,9 @@ def solve_distributed(
         return {}, RoundMetrics()
     if max_rounds is None:
         max_rounds = default_trial_rounds(k)
-    sim_graph = Graph(k, instance.edges)
-    programs = [
-        TrialProgram(i, sim_graph.adj[i], instance.palettes[i]) for i in range(k)
-    ]
     final, metrics = run_protocol(
-        sim_graph,
-        programs,
+        instance.adj,
+        [TrialProgram(palette) for palette in instance.palettes],
         seed,
         max_rounds=max_rounds,
         value_bits=color_value_bits(instance.delta),
@@ -201,13 +207,9 @@ def solve_distributed(
 def solve_greedy_oracle(instance: ListInstance) -> dict[Unit, int]:
     """Sequential greedy in unit order; the deg+1 property guarantees a free
     color at every step, so failure means the instance was malformed."""
-    adj: list[list[int]] = [[] for _ in instance.units]
-    for i, j in instance.edges:
-        adj[i].append(j)
-        adj[j].append(i)
     colors: list[int | None] = [None] * len(instance.units)
-    for idx in range(len(instance.units)):
-        taken = {colors[j] for j in adj[idx] if colors[j] is not None}
+    for idx, nbrs in enumerate(instance.adj):
+        taken = {colors[j] for j in nbrs if colors[j] is not None}
         free = sorted(instance.palettes[idx] - taken)
         if not free:
             raise InstanceInfeasible(

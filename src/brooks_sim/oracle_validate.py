@@ -16,12 +16,13 @@ ORACLE_NODE_LIMIT = 20
 
 
 def validate_coloring(g: Graph, colors: Sequence[int | None], k: int) -> bool:
-    """True iff the coloring is total, proper, and uses colors in [0, k)."""
+    """True iff the coloring is total, proper, and uses int colors in [0, k).
+
+    Anything but a plain int (None, a float, a bool) is rejected."""
     if len(colors) != g.n:
         return False
-    for v in range(g.n):
-        c = colors[v]
-        if c is None or not 0 <= c < k:
+    for c in colors:
+        if type(c) is not int or not 0 <= c < k:
             return False
     for u in range(g.n):
         cu = colors[u]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -30,6 +30,7 @@ from .classify import (
     RUNAWAY,
     classify_acs,
     fine_partition,
+    has_non_edge,
 )
 from .errors import (
     BrooksSimError,
@@ -98,9 +99,6 @@ class PipelineConfig:
     epsilon_prime: Fraction | None = None
     c_sparse: Fraction = DEFAULT_C_SPARSE
 
-    def with_(self, **kw) -> "PipelineConfig":
-        return replace(self, **kw)
-
     def to_json_dict(self) -> dict:
         return {
             "epsilon": str(self.epsilon),
@@ -111,6 +109,8 @@ class PipelineConfig:
             "seed": self.seed,
             "strict_congest": self.strict_congest,
             "congest_c": self.congest_c,
+            "epsilon_prime": None if self.epsilon_prime is None else str(self.epsilon_prime),
+            "c_sparse": str(self.c_sparse),
         }
 
     @staticmethod
@@ -120,6 +120,8 @@ class PipelineConfig:
             kw["epsilon"] = Fraction(kw["epsilon"])
         if "epsilon_prime" in kw and kw["epsilon_prime"] is not None:
             kw["epsilon_prime"] = Fraction(kw["epsilon_prime"])
+        if "c_sparse" in kw:
+            kw["c_sparse"] = Fraction(kw["c_sparse"])
         return PipelineConfig(**kw)
 
     @staticmethod
@@ -314,7 +316,7 @@ class PipelineSteps(_InstanceRunner):
             clique = self.acd.cliques[idx]
             if clique & pe:
                 sub_a.append(idx)
-            elif _has_non_edge(self.g, clique, self.acd.clique_masks[idx]):
+            elif has_non_edge(self.g, clique, self.acd.clique_masks[idx]):
                 sub_c.append(idx)
             else:
                 sub_b.append(idx)
@@ -436,10 +438,6 @@ class PipelineSteps(_InstanceRunner):
         self.step9_escape()
         if not self.coloring.is_total():
             raise PartitionViolationError("pipeline finished with uncolored nodes")
-
-
-def _has_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> bool:
-    return any((cmask & ~(g.masks[v] | (1 << v))) != 0 for v in clique)
 
 
 def _smallest_non_edge(g: Graph, clique: frozenset[int]) -> Unit:

@@ -1,14 +1,15 @@
 """Round-synchronous message-passing simulator with bit accounting.
 
-Execution model: in round r every non-halted node sees the messages sent to
-it in round r-1, its own state, and a private random stream, and produces at
-most one message per incident edge. The scheduler is sequential in node-id
-order, which (together with the keyed streams) makes a run a pure function
-of (graph, programs, seed).
+Execution model: in round r every non-halted node sees the messages its
+neighbors broadcast in round r-1, its own state, and a private random stream,
+and broadcasts at most one message to all of its neighbors. The scheduler is
+sequential in node-id order, which (together with the keyed streams) makes a
+run a pure function of (adjacency, programs, seed).
 
 Messages are (tag, value) pairs with value an int in [0, 2^value_bits) or
 None; their canonical encoding is 2 tag bits plus value_bits payload bits,
-and that encoding is what the budget accounting measures.
+and that encoding is what the budget accounting measures. Only the largest
+message per round is recorded: that is all the CONGEST bound needs.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .errors import MessageSizeViolation, RoundLimitExceeded
-from .graph_core import Graph
 
 TAG_BITS = 2
+TAG_TRY = 1
+TAG_KEEP = 2
 
 Message = tuple[int, int | None]
+Adjacency = Sequence[Sequence[int]]
 
 
 class StreamRng:
@@ -64,9 +67,11 @@ class NodeProgram(Protocol):
     halted: bool
 
     def step(
-        self, round_no: int, inbox: Mapping[int, Message], rng: StreamRng
-    ) -> tuple[dict[int, Message], bool]:
-        """Return (outbox keyed by neighbor id, halted)."""
+        self, round_no: int, inbox: list[Message], rng: StreamRng
+    ) -> tuple[Message | None, bool]:
+        """Return (message broadcast to every neighbor or None, halted).
+
+        The inbox holds last round's neighbor broadcasts in sender order."""
         ...
 
 
@@ -86,13 +91,8 @@ class RoundMetrics:
         self.per_round_max_bits.extend(other.per_round_max_bits)
 
 
-def message_bits(msg: Message, value_bits: int) -> int:
-    tag, value = msg
-    return TAG_BITS + (value_bits if value is not None else 0)
-
-
 def run_protocol(
-    g: Graph,
+    adj: Adjacency,
     programs: Sequence[NodeProgram],
     seed: int,
     max_rounds: int,
@@ -103,49 +103,50 @@ def run_protocol(
 ) -> tuple[list[NodeProgram], RoundMetrics]:
     """Run lockstep rounds until every program halts or max_rounds is hit.
 
-    Returns the (mutated) programs as final states plus metrics. Raises
+    `adj[v]` lists v's neighbors (`Graph.adj` or `ListInstance.adj`). Returns
+    the (mutated) programs as final states plus metrics. Raises
     RoundLimitExceeded naming the nodes that had not halted, and
     MessageSizeViolation in strict mode when a message overflows the budget.
     """
-    if len(programs) != g.n:
-        raise ValueError(f"need one program per node: {len(programs)} != {g.n}")
+    n = len(adj)
+    if len(programs) != n:
+        raise ValueError(f"need one program per node: {len(programs)} != {n}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     metrics = RoundMetrics()
     halted = [bool(getattr(p, "halted", False)) for p in programs]
-    inboxes: list[dict[int, Message]] = [{} for _ in range(g.n)]
+    inboxes: list[list[Message]] = [[] for _ in range(n)]
+    value_limit = 1 << value_bits
     for round_no in range(max_rounds):
         if all(halted):
             return list(programs), metrics
-        next_inboxes: list[dict[int, Message]] = [{} for _ in range(g.n)]
+        next_inboxes: list[list[Message]] = [[] for _ in range(n)]
         round_max_bits = 0
-        for v in range(g.n):
+        for v in range(n):
             if halted[v]:
                 continue
-            rng = StreamRng(seed, v, round_no)
-            outbox, node_halted = programs[v].step(round_no, inboxes[v], rng)
-            halted[v] = node_halted
-            if not outbox:
+            msg, halted[v] = programs[v].step(round_no, inboxes[v], StreamRng(seed, v, round_no))
+            nbrs = adj[v]
+            if msg is None or not nbrs:
                 continue
-            nbrs = g.neighbor_set(v)
-            for target, msg in outbox.items():
-                if target not in nbrs:
-                    raise ValueError(f"node {v} sent to non-neighbor {target}")
-                value = msg[1]
-                if value is not None and not 0 <= value < (1 << value_bits):
+            value = msg[1]
+            bits = TAG_BITS
+            if value is not None:
+                if not 0 <= value < value_limit:
                     raise ValueError(f"node {v}: value {value} overflows {value_bits} bits")
-                bits = message_bits(msg, value_bits)
-                if strict_bit_budget is not None and bits > strict_bit_budget:
-                    raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
-                if bits > round_max_bits:
-                    round_max_bits = bits
-                metrics.messages_sent += 1
-                next_inboxes[target][v] = msg
+                bits += value_bits
+            if strict_bit_budget is not None and bits > strict_bit_budget:
+                raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
+            if bits > round_max_bits:
+                round_max_bits = bits
+            metrics.messages_sent += len(nbrs)
+            for u in nbrs:
+                next_inboxes[u].append(msg)
         metrics.rounds_elapsed += 1
         metrics.per_round_max_bits.append(round_max_bits)
         inboxes = next_inboxes
     if not all(halted):
-        pending = tuple(v for v in range(g.n) if not halted[v])
+        pending = tuple(v for v in range(n) if not halted[v])
         raise RoundLimitExceeded(
             f"{len(pending)} nodes had not halted after {max_rounds} rounds",
             pending,

@@ -2,9 +2,10 @@
 
 Participants activate independently with probability p_g, activated nodes try
 a uniform color from [delta] and keep it exactly when no neighbor tried the
-same color. Runs as node programs inside the simulator: a try round, a
-resolve round (keep/discard + keep announcements), and a final delivery
-round so neighbors observe every kept color.
+same color. This is one trial of the list-coloring TrialProgram with palette
+[delta]; non-participants run it with activation 0. It takes a try round, a
+resolve round (keep/discard + keep announcements), and a final round in
+which the nodes that kept nothing observe the kept colors and halt.
 """
 
 from __future__ import annotations
@@ -12,74 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .acd import AlmostCliqueDecomposition
 from .classify import ACClassification, FinePartition, ORDINARY
-from .errors import SlackMeasureError
+from .errors import BrooksSimError, SlackMeasureError
 from .graph_core import Graph, PartialColoring
-from .sim_engine import Message, RoundMetrics, StreamRng, color_value_bits, run_protocol
-
-TAG_TRY = 1
-TAG_KEEP = 2
-
-# Classical activation probability for the one-round trial.
-P_G_DEFAULT = 0.05
-
-
-class SlackGenerationProgram:
-    """Node program for one slack-generation trial."""
-
-    __slots__ = (
-        "node",
-        "participant",
-        "delta",
-        "p_g",
-        "neighbors",
-        "tried",
-        "kept",
-        "neighbor_keeps",
-        "halted",
-    )
-
-    def __init__(
-        self, node: int, neighbors: tuple[int, ...], participant: bool, delta: int, p_g: float
-    ):
-        self.node = node
-        self.neighbors = neighbors
-        self.participant = participant
-        self.delta = delta
-        self.p_g = p_g
-        self.tried: int | None = None
-        self.kept: int | None = None
-        self.neighbor_keeps: dict[int, int] = {}
-        self.halted = False
-
-    def step(
-        self, round_no: int, inbox: Mapping[int, Message], rng: StreamRng
-    ) -> tuple[dict[int, Message], bool]:
-        if round_no == 0:
-            if self.participant:
-                activated = rng.uniform() < self.p_g  # activation draw precedes color draw
-                color = rng.randrange(self.delta)
-                if activated:
-                    self.tried = color
-                    return {u: (TAG_TRY, color) for u in self.neighbors}, False
-            return {}, False
-        if round_no == 1:
-            if self.tried is not None:
-                conflict = any(
-                    msg[0] == TAG_TRY and msg[1] == self.tried for msg in inbox.values()
-                )
-                if not conflict:
-                    self.kept = self.tried
-                    return {u: (TAG_KEEP, self.kept) for u in self.neighbors}, False
-            return {}, False
-        # round 2: record keep announcements, then halt
-        for sender, msg in inbox.items():
-            if msg[0] == TAG_KEEP:
-                self.neighbor_keeps[sender] = msg[1]
-        return {}, True
+from .listcolor import TrialProgram
+from .sim_engine import RoundMetrics, color_value_bits, run_protocol
 
 
 def run_slack_generation_with_metrics(
@@ -90,12 +31,15 @@ def run_slack_generation_with_metrics(
     *,
     strict_bit_budget: int | None = None,
 ) -> tuple[PartialColoring, RoundMetrics]:
+    if not 0 <= p_g <= 1:
+        raise BrooksSimError(f"p_g must lie in [0, 1], got {p_g}", phase="config")
     pset = set(participants)
+    palette = range(g.delta)
     programs = [
-        SlackGenerationProgram(v, g.adj[v], v in pset, g.delta, p_g) for v in range(g.n)
+        TrialProgram(palette, p_g if v in pset else 0.0, trials=1) for v in range(g.n)
     ]
     final, metrics = run_protocol(
-        g,
+        g.adj,
         programs,
         seed,
         max_rounds=4,
@@ -104,16 +48,16 @@ def run_slack_generation_with_metrics(
         phase="slackgen",
     )
     coloring = PartialColoring(g)
-    for prog in final:
-        if prog.kept is not None:
-            if prog.node not in pset:
+    for v, prog in enumerate(final):
+        if prog.color is not None:
+            if v not in pset:
                 raise AssertionError("non-participant kept a color")
-            coloring.assign(prog.node, prog.kept)
+            coloring.assign(v, prog.color)
     return coloring, metrics
 
 
 def run_slack_generation(
-    g: Graph, participants: Iterable[int], p_g: float = P_G_DEFAULT, seed: int = 0
+    g: Graph, participants: Iterable[int], p_g: float, seed: int = 0
 ) -> PartialColoring:
     coloring, _ = run_slack_generation_with_metrics(g, participants, p_g, seed)
     return coloring

@@ -93,6 +93,16 @@ def test_error_object_on_failure(tmp_path, capsys):
     assert error["phase"] == "precondition"
 
 
+def test_color_rejects_pg_outside_unit_interval(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    code, _, err = run_cli(capsys, "color", "--graph", str(gpath), "--pg", "2")
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "BrooksSimError"
+    assert error["phase"] == "config"
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     gpath = tmp_path / "bad.txt"
     gpath.write_text("3 2\n0 1\n0 1\n")
@@ -144,17 +154,6 @@ def test_experiment_json_format(tmp_path, capsys):
     rows = json.loads(out)
     assert rows[0]["family"] == "clique_minus_edge"
     assert rows[0]["valid"] == 1
-
-
-def test_experiment_threads_env_same_output(tmp_path, capsys, monkeypatch):
-    argv = ["experiment", "--families", "matched_cliques", "--deltas", "16", "--seeds", "3"]
-    monkeypatch.setenv("BROOKS_SIM_THREADS", "1")
-    code, sequential, _ = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.setenv("BROOKS_SIM_THREADS", "4")
-    code, threaded, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert sequential == threaded
 
 
 def test_cli_determinism_same_flags(tmp_path, capsys):

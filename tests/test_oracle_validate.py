@@ -29,6 +29,12 @@ class TestValidateColoring:
     def test_wrong_length_rejected(self):
         assert not validate_coloring(path_graph(3), [0, 1], 2)
 
+    def test_float_colors_rejected(self):
+        assert not validate_coloring(path_graph(3), [0.5, 1, 0.5], 2)
+
+    def test_bool_colors_rejected(self):
+        assert not validate_coloring(path_graph(3), [True, False, True], 2)
+
 
 class TestIsKColorable:
     def test_odd_cycle_not_two_colorable(self):

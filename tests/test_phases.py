@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from fractions import Fraction
 
@@ -283,12 +285,17 @@ class TestPipelineContract:
         )
 
     def test_config_json_round_trip(self):
-        config = PipelineConfig(epsilon=Fraction(1, 8), p_g=0.25, seed=5, strict_congest=True)
+        config = PipelineConfig(
+            epsilon=Fraction(1, 8),
+            p_g=0.25,
+            seed=5,
+            strict_congest=True,
+            epsilon_prime=Fraction(1, 5),
+            c_sparse=Fraction(3, 7),
+        )
         again = PipelineConfig.from_json_dict(config.to_json_dict())
-        assert again.epsilon == Fraction(1, 8)
-        assert again.p_g == 0.25
-        assert again.seed == 5
-        assert again.strict_congest is True
+        assert again == config
+        assert PipelineConfig.from_json(json.dumps(config.to_json_dict())) == config
 
     def test_ledger_always_full_plan(self):
         for family in ("clique_minus_edge", "mixed", "random_gnd"):

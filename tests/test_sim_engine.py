@@ -1,7 +1,7 @@
 import pytest
 
 from brooks_sim.errors import MessageSizeViolation, RoundLimitExceeded
-from brooks_sim.graph_core import Graph, complete_graph
+from brooks_sim.graph_core import Graph, complete_graph, path_graph
 from brooks_sim.sim_engine import (
     RoundMetrics,
     StreamRng,
@@ -19,64 +19,77 @@ class HaltImmediately:
 
 
 class BroadcastId:
-    """Send own id once, record the inbox seen next round, halt."""
+    """Broadcast own id once, record the inbox seen next round, halt."""
 
-    def __init__(self, node, neighbors):
+    def __init__(self, node):
         self.node = node
-        self.neighbors = neighbors
         self.halted = False
         self.seen = None
 
     def step(self, round_no, inbox, rng):
         if round_no == 0:
-            return {u: (1, self.node) for u in self.neighbors}, False
-        self.seen = dict(inbox)
-        return {}, True
+            return (1, self.node), False
+        self.seen = list(inbox)
+        return None, True
 
 
 class NeverHalts:
     halted = False
 
     def step(self, round_no, inbox, rng):
-        return {}, False
+        return None, False
 
 
 class TooChatty:
     halted = False
 
-    def __init__(self, neighbors, value):
-        self.neighbors = neighbors
+    def __init__(self, value):
         self.value = value
 
     def step(self, round_no, inbox, rng):
-        return {u: (1, self.value) for u in self.neighbors}, True
+        return (1, self.value), True
 
 
 def test_all_halt_immediately_zero_rounds():
     g = complete_graph(3)
-    _, metrics = run_protocol(g, [HaltImmediately() for _ in range(3)], seed=0, max_rounds=5)
+    _, metrics = run_protocol(g.adj, [HaltImmediately() for _ in range(3)], seed=0, max_rounds=5)
     assert metrics.rounds_elapsed == 0
     assert metrics.messages_sent == 0
 
 
 def test_broadcast_on_k4():
     g = complete_graph(4)
-    programs = [BroadcastId(v, g.adj[v]) for v in range(4)]
-    final, metrics = run_protocol(g, programs, seed=0, max_rounds=4, value_bits=2)
+    programs = [BroadcastId(v) for v in range(4)]
+    final, metrics = run_protocol(g.adj, programs, seed=0, max_rounds=4, value_bits=2)
     for v in range(4):
-        inbox = final[v].seen
-        assert len(inbox) == 3
-        assert {msg[1] for msg in inbox.values()} == set(range(4)) - {v}
+        # one message per neighbor, in sender order
+        assert final[v].seen == [(1, u) for u in range(4) if u != v]
     assert metrics.messages_sent == 12
     assert metrics.max_message_bits == 2 + 2  # tag + id width
+
+
+def test_broadcast_reaches_only_neighbors():
+    g = path_graph(3)  # 0 - 1 - 2
+    programs = [BroadcastId(v) for v in range(3)]
+    final, metrics = run_protocol(g.adj, programs, seed=0, max_rounds=4, value_bits=2)
+    assert [p.seen for p in final] == [[(1, 1)], [(1, 0), (1, 2)], [(1, 1)]]
+    assert metrics.messages_sent == 4  # sum of the senders' degrees
+
+
+def test_isolated_sender_sends_nothing():
+    g = Graph(2, [])
+    programs = [BroadcastId(0), BroadcastId(1)]
+    _, metrics = run_protocol(g.adj, programs, seed=0, max_rounds=4, value_bits=2)
+    assert metrics.messages_sent == 0
+    assert metrics.max_message_bits == 0
 
 
 def test_determinism_bit_identical():
     g = complete_graph(4)
 
     def run():
-        programs = [BroadcastId(v, g.adj[v]) for v in range(4)]
-        final, metrics = run_protocol(g, programs, seed=9, max_rounds=4, value_bits=2)
+        programs = [BroadcastId(v) for v in range(4)]
+        final, metrics = run_protocol(g.adj, programs, seed=9, max_rounds=4, value_bits=2)
         return [p.seen for p in final], metrics
 
     states_a, metrics_a = run()
@@ -89,30 +102,16 @@ def test_determinism_bit_identical():
 def test_round_limit_reports_pending():
     g = complete_graph(2)
     with pytest.raises(RoundLimitExceeded) as err:
-        run_protocol(g, [NeverHalts(), NeverHalts()], seed=0, max_rounds=3)
+        run_protocol(g.adj, [NeverHalts(), NeverHalts()], seed=0, max_rounds=3)
     assert err.value.pending == (0, 1)
-
-
-def test_message_to_non_neighbor_rejected():
-    g = Graph(3, [(0, 1)])  # 2 is isolated
-
-    class SendsWrong:
-        halted = False
-
-        def step(self, round_no, inbox, rng):
-            return {2: (1, None)}, True
-
-    programs = [SendsWrong(), HaltImmediately(), HaltImmediately()]
-    with pytest.raises(ValueError):
-        run_protocol(g, programs, seed=0, max_rounds=2)
 
 
 def test_strict_bit_budget_violation():
     g = complete_graph(2)
-    programs = [TooChatty(g.adj[0], value=200), HaltImmediately()]
+    programs = [TooChatty(value=200), HaltImmediately()]
     with pytest.raises(MessageSizeViolation) as err:
         run_protocol(
-            g, programs, seed=0, max_rounds=2, value_bits=8, strict_bit_budget=4
+            g.adj, programs, seed=0, max_rounds=2, value_bits=8, strict_bit_budget=4
         )
     assert err.value.bits == 10
     assert err.value.budget == 4
@@ -120,9 +119,9 @@ def test_strict_bit_budget_violation():
 
 def test_value_overflow_rejected():
     g = complete_graph(2)
-    programs = [TooChatty(g.adj[0], value=200), HaltImmediately()]
+    programs = [TooChatty(value=200), HaltImmediately()]
     with pytest.raises(ValueError):
-        run_protocol(g, programs, seed=0, max_rounds=2, value_bits=4)
+        run_protocol(g.adj, programs, seed=0, max_rounds=2, value_bits=4)
 
 
 class TestCongestBudget:

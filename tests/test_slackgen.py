@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from brooks_sim.acd import compute_acd
 from brooks_sim.classify import classify_acs, fine_partition
-from brooks_sim.errors import SlackMeasureError
+from brooks_sim.errors import BrooksSimError, SlackMeasureError
 from brooks_sim.graph_core import Graph, PartialColoring, complete_graph, generate_instance
 from brooks_sim.sim_engine import StreamRng
 from brooks_sim.slackgen import (
@@ -40,6 +40,13 @@ def test_adjacent_equal_draws_both_discarded():
     g = complete_graph(2)
     coloring = run_slack_generation(g, [0, 1], p_g=1.0, seed=7)
     assert coloring.colored_nodes() == []
+
+
+@pytest.mark.parametrize("p_g", [-0.1, 1.5, 2.0, float("nan")])
+def test_pg_outside_unit_interval_rejected(p_g):
+    with pytest.raises(BrooksSimError) as err:
+        run_slack_generation(complete_graph(4), range(4), p_g=p_g, seed=0)
+    assert err.value.phase == "config"
 
 
 def test_colored_subset_of_participants():
