@@ -3,7 +3,7 @@
 The construction is a stand-in for the cited distributed algorithm; what the
 rest of the pipeline relies on are the four verified properties:
 
-  (1) sparse nodes have sparsity >= c_sparse * eps^2 * delta,
+  (1) sparse nodes have sparsity >= C_SPARSE * eps^2 * delta,
   (2) (1-eps)*delta <= |C_i| <= (1+3eps)*delta,
   (3) members have >= (1-4eps)*delta neighbors inside their own AC,
   (4) outsiders have <= (1-2eps)*delta neighbors inside any AC.
@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import AcdVerificationError, BrooksSimError
 from .graph_core import Graph, anti_degree, mask_of, outside_degree, sparsity
 
 # (1/4) * (1/108)^2, from the proof constant eta = eps/108 and sparsity (eta^2/4)*delta.
-DEFAULT_C_SPARSE = Fraction(1, 4) * Fraction(1, 108) ** 2
+C_SPARSE = Fraction(1, 4) * Fraction(1, 108) ** 2
 
 # Desk-scale ceiling; the classical analysis assumes < 1/20, but small-delta
 # instances only decompose at larger values (up to 1/4 stays workable).
@@ -37,11 +38,10 @@ class AlmostCliqueDecomposition:
     sparse: frozenset[int]
     cliques: tuple[frozenset[int], ...]
     membership: tuple[int, ...]  # -1 for sparse, else clique index
-    clique_masks: tuple[int, ...] = field(default=(), compare=False)
 
-    def __post_init__(self):
-        if len(self.clique_masks) != len(self.cliques):
-            object.__setattr__(self, "clique_masks", tuple(mask_of(c) for c in self.cliques))
+    @cached_property
+    def clique_masks(self) -> tuple[int, ...]:
+        return tuple(mask_of(c) for c in self.cliques)
 
     @staticmethod
     def build(
@@ -66,7 +66,6 @@ class AlmostCliqueDecomposition:
             sparse=sparse,
             cliques=cliques,
             membership=tuple(membership),
-            clique_masks=tuple(mask_of(c) for c in cliques),
         )
 
     def to_json(self) -> str:
@@ -109,27 +108,20 @@ class PropertyReport:
         return "; ".join(f"{k}: {len(v)} violations" for k, v in sorted(self.violations.items()))
 
 
-def default_similarity(epsilon: Fraction, delta: int) -> Fraction:
+def similarity_epsilon(epsilon: Fraction, delta: int) -> Fraction:
     """eps' = max(3*eps, 3/delta); the floor keeps near-complete cliques similar
     at tiny delta where 3*eps alone would split them."""
     return max(3 * epsilon, Fraction(3, max(delta, 1)))
 
 
-def compute_acd(
-    g: Graph,
-    epsilon: Fraction | str,
-    *,
-    similarity: Fraction | None = None,
-    c_sparse: Fraction = DEFAULT_C_SPARSE,
-    verify: bool = True,
-) -> AlmostCliqueDecomposition:
+def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= EPSILON_CEILING:
         raise BrooksSimError(f"epsilon {epsilon} outside (0, {EPSILON_CEILING}]")
     delta = g.delta
     if delta < 3:
         raise BrooksSimError(f"compute_acd needs delta >= 3, got {delta}")
-    eps_prime = default_similarity(epsilon, delta) if similarity is None else similarity
+    eps_prime = similarity_epsilon(epsilon, delta)
 
     similar_threshold = (1 - eps_prime) * delta
     dense_threshold = similar_threshold
@@ -188,25 +180,22 @@ def compute_acd(
 
     cliques = tuple(frozenset(c) | frozenset(e) for c, e in zip(base, extras))
     acd = AlmostCliqueDecomposition.build(epsilon, frozenset(sparse_nodes), cliques, g.n)
-    if verify:
-        report = verify_acd(g, acd, c_sparse=c_sparse)
-        if not report.ok:
-            raise AcdVerificationError(
-                f"ACD verification failed at eps={epsilon}: {report.summary()}",
-                report,
-                phase="acd",
-            )
+    report = verify_acd(g, acd)
+    if not report.ok:
+        raise AcdVerificationError(
+            f"ACD verification failed at eps={epsilon}: {report.summary()}",
+            report,
+            phase="acd",
+        )
     return acd
 
 
-def verify_acd(
-    g: Graph, acd: AlmostCliqueDecomposition, *, c_sparse: Fraction = DEFAULT_C_SPARSE
-) -> PropertyReport:
+def verify_acd(g: Graph, acd: AlmostCliqueDecomposition) -> PropertyReport:
     eps = acd.epsilon
     delta = g.delta
     report = PropertyReport(epsilon=eps)
 
-    sparse_floor = c_sparse * eps * eps * delta
+    sparse_floor = C_SPARSE * eps * eps * delta
     measured_sparsity = {}
     for v in sorted(acd.sparse):
         zeta = sparsity(g, v)

@@ -19,7 +19,9 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Callable, Iterator, TypeVar
 
 from . import __version__
 from .acd import compute_acd, obs22_check, verify_acd
@@ -39,6 +41,8 @@ SCHEMA_VERSION = 1
 # Desk-scale default; the classical 1/172 assumes delta far above log^2 n.
 CLI_DEFAULT_EPSILON = "1/8"
 
+T = TypeVar("T")
+
 
 def _dump_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -48,15 +52,33 @@ def _dump_json(payload: dict, out: str | None) -> None:
     sys.stdout.write(text)
 
 
+@contextmanager
+def _reading(path: str) -> Iterator[None]:
+    """Turn an unreadable or undecodable input file into a BrooksSimError."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BrooksSimError(f"cannot read {path}: {exc}", phase="input") from None
+
+
+def _parse(convert: Callable[[str], T], text: str, what: str) -> T:
+    """convert(text), or a BrooksSimError naming the bad value."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise BrooksSimError(f"{what}: cannot parse {text!r}", phase="config") from None
+
+
 def _load(path: str):
-    return load_graph_with_header(path)
+    with _reading(path):
+        return load_graph_with_header(path)
 
 
 def _epsilon_from(args, header: dict[str, str]) -> Fraction:
     if args.epsilon is not None:
-        return Fraction(args.epsilon)
+        return _parse(Fraction, args.epsilon, "--epsilon")
     if "epsilon" in header:
-        return Fraction(header["epsilon"])
+        return _parse(Fraction, header["epsilon"], "epsilon header")
     return Fraction(CLI_DEFAULT_EPSILON)
 
 
@@ -163,9 +185,11 @@ def cmd_color(args) -> int:
 
 def cmd_validate(args) -> int:
     g, _ = _load(args.graph)
-    with open(args.coloring, "r", encoding="utf-8") as fh:
+    with _reading(args.coloring), open(args.coloring, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    colors = payload["coloring"] if isinstance(payload, dict) else payload
+    colors = payload.get("coloring") if isinstance(payload, dict) else payload
+    if not isinstance(colors, list):
+        raise BrooksSimError(f"{args.coloring}: no coloring list", phase="input")
     ok = validate_coloring(g, colors, args.k)
     _dump_json({"schema_version": SCHEMA_VERSION, "valid": ok, "k": args.k}, args.out)
     return 0 if ok else 1
@@ -218,7 +242,7 @@ def cmd_experiment(args) -> int:
     for family in families:
         if family not in FAMILIES:
             raise BrooksSimError(f"unknown family {family!r}")
-    deltas = tuple(int(d) for d in args.deltas.split(","))
+    deltas = tuple(_parse(int, d, "--deltas") for d in args.deltas.split(","))
     rows = [
         experiment_row(family, delta, seed, pg=args.pg, max_retries=args.max_retries)
         for family in families

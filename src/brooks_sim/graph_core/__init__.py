@@ -11,13 +11,11 @@ from .generators import (
 from .graph import Graph, complete_graph, cycle_graph, mask_of, path_graph
 from .io import load_graph, load_graph_with_header, save_graph
 from .measures import (
-    StructuralMeasures,
     anti_degree,
     contains_delta_plus_one_clique,
     edges_inside,
     outside_degree,
     sparsity,
-    structural_measures,
 )
 
 __all__ = [
@@ -26,7 +24,6 @@ __all__ = [
     "GeneratedGraph",
     "Graph",
     "PartialColoring",
-    "StructuralMeasures",
     "anti_degree",
     "complete_graph",
     "contains_delta_plus_one_clique",
@@ -41,5 +38,4 @@ __all__ = [
     "path_graph",
     "save_graph",
     "sparsity",
-    "structural_measures",
 ]

@@ -10,12 +10,12 @@ from ..errors import GraphInvariantError
 class Graph:
     """Simple undirected graph on nodes 0..n-1.
 
-    Adjacency is kept three ways: sorted tuples (deterministic iteration),
-    sets (membership), and int bitmasks (fast intersection counting).
+    Adjacency is kept two ways: sorted tuples (deterministic iteration) and
+    int bitmasks (membership and fast intersection counting).
     Immutable after construction; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "m", "delta", "adj", "_adj_sets", "masks")
+    __slots__ = ("n", "m", "delta", "adj", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -36,39 +36,20 @@ class Graph:
             adj[v].append(u)
         self.m = len(seen)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self._adj_sets: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in self.adj)
-        masks = []
-        for a in self.adj:
-            mask = 0
-            for u in a:
-                mask |= 1 << u
-            masks.append(mask)
-        self.masks: tuple[int, ...] = tuple(masks)
+        self.masks: tuple[int, ...] = tuple(mask_of(a) for a in self.adj)
         self.delta = max((len(a) for a in self.adj), default=0)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._adj_sets[v]
-
-    def mask(self, v: int) -> int:
-        return self.masks[v]
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return bool((self.masks[u] >> v) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in self.adj[u]:
                 if u < v:
                     yield (u, v)
-
-    def nodes(self) -> range:
-        return range(self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

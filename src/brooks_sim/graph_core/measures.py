@@ -6,7 +6,6 @@ and friends) never go through floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -15,15 +14,6 @@ from .graph import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..acd import AlmostCliqueDecomposition
-
-
-@dataclass(frozen=True)
-class StructuralMeasures:
-    """Per-node zeta for everyone; outside/anti degree for AC members only."""
-
-    zeta: dict[int, Fraction]
-    e: dict[int, int]
-    a: dict[int, int]
 
 
 def edges_inside(g: Graph, nodes_mask: int) -> int:
@@ -65,17 +55,6 @@ def _own_clique_mask(acd: "AlmostCliqueDecomposition", v: int) -> int:
     if idx < 0:
         raise BrooksSimError(f"node {v} is sparse, outside/anti degree undefined")
     return acd.clique_masks[idx]
-
-
-def structural_measures(g: Graph, acd: "AlmostCliqueDecomposition") -> StructuralMeasures:
-    zeta = {v: sparsity(g, v) for v in range(g.n)}
-    e = {}
-    a = {}
-    for clique in acd.cliques:
-        for v in clique:
-            e[v] = outside_degree(g, acd, v)
-            a[v] = anti_degree(g, acd, v)
-    return StructuralMeasures(zeta=zeta, e=e, a=a)
 
 
 def contains_delta_plus_one_clique(g: Graph) -> bool:

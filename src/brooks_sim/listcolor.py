@@ -170,30 +170,24 @@ class TrialProgram:
         return None, False
 
 
-def default_trial_rounds(unit_count: int) -> int:
+def trial_round_limit(unit_count: int) -> int:
     n = max(2, unit_count)
     return 64 * max(1, (n - 1).bit_length()) + 64
 
 
 def solve_distributed(
-    instance: ListInstance,
-    seed: int,
-    max_rounds: int | None = None,
-    *,
-    strict_bit_budget: int | None = None,
+    instance: ListInstance, seed: int, *, strict_bit_budget: int | None = None
 ) -> tuple[dict[Unit, int], RoundMetrics]:
     """Color all units by repeated synchronous trials; empty assignment for
     an empty instance."""
     k = len(instance.units)
     if k == 0:
         return {}, RoundMetrics()
-    if max_rounds is None:
-        max_rounds = default_trial_rounds(k)
     final, metrics = run_protocol(
         instance.adj,
         [TrialProgram(palette) for palette in instance.palettes],
         seed,
-        max_rounds=max_rounds,
+        max_rounds=trial_round_limit(k),
         value_bits=color_value_bits(instance.delta),
         strict_bit_budget=strict_bit_budget,
         phase=instance.name,

@@ -14,13 +14,12 @@ the run re-seeds slack generation, up to max_retries.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .acd import DEFAULT_C_SPARSE, AlmostCliqueDecomposition, compute_acd
+from .acd import AlmostCliqueDecomposition, compute_acd
 from .classify import (
     ACClassification,
     FinePartition,
@@ -51,8 +50,14 @@ from .listcolor import (
     make_unit,
     solve_distributed,
 )
-from .sim_engine import RoundMetrics
-from .slackgen import SlackReport, check_lemma33, participant_set, run_slack_generation_with_metrics
+from .sim_engine import RoundMetrics, congest_budget
+from .slackgen import (
+    SlackReport,
+    check_lemma33,
+    check_p_g,
+    participant_set,
+    run_slack_generation_with_metrics,
+)
 from .thresholds import Thresholds
 
 
@@ -92,41 +97,20 @@ class PipelineConfig:
     p_g: float = 0.5
     max_retries: int = 16
     delta_min: int = 8
-    max_trial_rounds: int | None = None
     seed: int = 0
     strict_congest: bool = False
     congest_c: int = 4
-    epsilon_prime: Fraction | None = None
-    c_sparse: Fraction = DEFAULT_C_SPARSE
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "p_g": self.p_g,
-            "max_retries": self.max_retries,
-            "delta_min": self.delta_min,
-            "max_trial_rounds": self.max_trial_rounds,
-            "seed": self.seed,
-            "strict_congest": self.strict_congest,
-            "congest_c": self.congest_c,
-            "epsilon_prime": None if self.epsilon_prime is None else str(self.epsilon_prime),
-            "c_sparse": str(self.c_sparse),
-        }
+    def __post_init__(self):
+        check_p_g(self.p_g)
+        if self.max_retries < 1:
+            raise BrooksSimError(
+                f"max_retries must be >= 1, got {self.max_retries}", phase="config"
+            )
 
-    @staticmethod
-    def from_json_dict(payload: dict) -> "PipelineConfig":
-        kw = dict(payload)
-        if "epsilon" in kw:
-            kw["epsilon"] = Fraction(kw["epsilon"])
-        if "epsilon_prime" in kw and kw["epsilon_prime"] is not None:
-            kw["epsilon_prime"] = Fraction(kw["epsilon_prime"])
-        if "c_sparse" in kw:
-            kw["c_sparse"] = Fraction(kw["c_sparse"])
-        return PipelineConfig(**kw)
-
-    @staticmethod
-    def from_json(text: str) -> "PipelineConfig":
-        return PipelineConfig.from_json_dict(json.loads(text))
+    def bit_budget(self, n: int) -> int | None:
+        """The enforced per-message budget on an n-node graph; None if not strict."""
+        return congest_budget(n, self.congest_c) if self.strict_congest else None
 
 
 @dataclass
@@ -193,9 +177,7 @@ class _InstanceRunner:
         self.attempt_seed = attempt_seed
         self.ledger = InstanceLedger()
         self.full_mask = (1 << g.n) - 1
-        self.bit_budget = (
-            config.congest_c * max(1, (g.n - 1).bit_length()) if config.strict_congest else None
-        )
+        self.bit_budget = config.bit_budget(g.n)
 
     def record_empty(self, kind: str) -> None:
         spec = PIPELINE_PLAN[_PLAN_INDEX[kind]]
@@ -214,7 +196,6 @@ class _InstanceRunner:
         assignment, metrics = solve_distributed(
             instance,
             _mix(self.attempt_seed, _PLAN_INDEX[kind]),
-            self.config.max_trial_rounds,
             strict_bit_budget=self.bit_budget if spec.tag == DISTRIBUTED else None,
         )
         for unit in instance.units:
@@ -330,10 +311,9 @@ class PipelineSteps(_InstanceRunner):
             clique = self.acd.cliques[idx]
             anchors = clique & pe
             stall |= mask_of(anchors)
-            anchor = min(anchors)
-            w_set = (self.g.neighbor_set(anchor) & clique) - pe
+            anchor_mask = self.g.masks[min(anchors)]
             for v in self.uncolored(clique - pe):
-                (white if v in w_set else gray).append(v)
+                (white if (anchor_mask >> v) & 1 else gray).append(v)
         split = WhiteGraySplit(
             tuple(white), tuple(gray), stall_mask=stall, slack_mask=self.full_mask & ~stall
         )
@@ -369,7 +349,7 @@ class PipelineSteps(_InstanceRunner):
         pairs: list[Unit] = []
         pair_of: dict[int, Unit] = {}
         for idx in sub_c:
-            pair = _smallest_non_edge(self.g, self.acd.cliques[idx])
+            pair = _smallest_non_edge(self.g, self.acd.cliques[idx], self.acd.clique_masks[idx])
             pairs.append(pair)
             pair_of[idx] = pair
         self.solve_units("nice_c_pairs", pairs)
@@ -377,10 +357,9 @@ class PipelineSteps(_InstanceRunner):
         gray_c: list[int] = []
         for idx in sub_c:
             u, w = pair_of[idx]
-            clique = self.acd.cliques[idx]
-            common = self.g.neighbor_set(u) & self.g.neighbor_set(w) & clique
-            for v in self.uncolored(clique):
-                (white_c if v in common else gray_c).append(v)
+            common = self.g.masks[u] & self.g.masks[w]
+            for v in self.uncolored(self.acd.cliques[idx]):
+                (white_c if (common >> v) & 1 else gray_c).append(v)
         split_c = WhiteGraySplit(
             tuple(white_c), tuple(gray_c), stall_mask=0, slack_mask=self.full_mask
         )
@@ -393,8 +372,8 @@ class PipelineSteps(_InstanceRunner):
             protector = self.cls.picked_special(idx)
             if self.coloring.is_colored(protector):
                 raise PartitionViolationError(f"protector {protector} colored before step 8")
-            clique = self.acd.cliques[idx]
-            non_nbrs = self.uncolored(clique - self.g.neighbor_set(protector))
+            pmask = self.g.masks[protector]
+            non_nbrs = self.uncolored(v for v in self.acd.cliques[idx] if not (pmask >> v) & 1)
             if not non_nbrs:
                 raise PartitionViolationError(
                     f"guarded AC {idx}: protector {protector} has no uncolored non-neighbor"
@@ -407,10 +386,9 @@ class PipelineSteps(_InstanceRunner):
         white: list[int] = []
         gray: list[int] = []
         for idx, protector, pair in info:
-            clique = self.acd.cliques[idx]
-            ncs = self.g.neighbor_set(protector) & clique
-            for v in self.uncolored(clique):
-                (white if v in ncs else gray).append(v)
+            pmask = self.g.masks[protector]
+            for v in self.uncolored(self.acd.cliques[idx]):
+                (white if (pmask >> v) & 1 else gray).append(v)
         split = WhiteGraySplit(tuple(white), tuple(gray), stall_mask=0, slack_mask=self.full_mask)
         self.gray_then_white(split, "guarded_gray", "guarded_white")
         for v in self.part.P:
@@ -440,11 +418,11 @@ class PipelineSteps(_InstanceRunner):
             raise PartitionViolationError("pipeline finished with uncolored nodes")
 
 
-def _smallest_non_edge(g: Graph, clique: frozenset[int]) -> Unit:
+def _smallest_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> Unit:
     for u in sorted(clique):
-        missing = clique - g.neighbor_set(u) - {u}
+        missing = cmask & ~(g.masks[u] | (1 << u))
         if missing:
-            return make_unit(u, min(missing))
+            return make_unit(u, (missing & -missing).bit_length() - 1)
     raise PartitionViolationError("no non-edge in supposedly non-complete clique")
 
 
@@ -474,15 +452,13 @@ def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
         raise DeltaPlusOneCliquePresent(
             f"graph contains a K_{g.delta + 1}", phase="precondition"
         )
-    acd = compute_acd(
-        g, config.epsilon, similarity=config.epsilon_prime, c_sparse=config.c_sparse
-    )
+    acd = compute_acd(g, config.epsilon)
     thresholds = Thresholds(g.delta)
     cls = classify_acs(g, acd, thresholds)
     part = fine_partition(g, acd, cls)
     participants = sorted(participant_set(part))
 
-    last_failure = "no attempts made"
+    last_failure = ""
     for attempt in range(config.max_retries):
         attempt_seed = _mix(config.seed, attempt)
         coloring, metrics = run_slack_generation_with_metrics(
@@ -490,11 +466,7 @@ def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
             participants,
             config.p_g,
             attempt_seed,
-            strict_bit_budget=(
-                config.congest_c * max(1, (g.n - 1).bit_length())
-                if config.strict_congest
-                else None
-            ),
+            strict_bit_budget=config.bit_budget(g.n),
         )
         report = check_lemma33(g, acd, cls, part, coloring)
         if not report.gate_ok:

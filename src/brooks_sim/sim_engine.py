@@ -155,15 +155,16 @@ def run_protocol(
     return list(programs), metrics
 
 
+def congest_budget(n: int, c: int) -> int:
+    """The CONGEST message budget c * ceil(log2 n) bits, at least c."""
+    return c * max(1, (n - 1).bit_length())
+
+
 def check_congest_budget(metrics: RoundMetrics, n: int, c: int) -> bool:
     """True iff every recorded message fits in c * ceil(log2 n) bits."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    return metrics.max_message_bits <= c * _ceil_log2(n)
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
+    return metrics.max_message_bits <= congest_budget(n, c)
 
 
 def color_value_bits(delta: int) -> int:

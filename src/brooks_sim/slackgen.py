@@ -23,6 +23,12 @@ from .listcolor import TrialProgram
 from .sim_engine import RoundMetrics, color_value_bits, run_protocol
 
 
+def check_p_g(p_g: float) -> None:
+    """Reject an activation probability outside [0, 1]."""
+    if not 0 <= p_g <= 1:
+        raise BrooksSimError(f"p_g must lie in [0, 1], got {p_g}", phase="config")
+
+
 def run_slack_generation_with_metrics(
     g: Graph,
     participants: Iterable[int],
@@ -31,8 +37,7 @@ def run_slack_generation_with_metrics(
     *,
     strict_bit_budget: int | None = None,
 ) -> tuple[PartialColoring, RoundMetrics]:
-    if not 0 <= p_g <= 1:
-        raise BrooksSimError(f"p_g must lie in [0, 1], got {p_g}", phase="config")
+    check_p_g(p_g)
     pset = set(participants)
     palette = range(g.delta)
     programs = [

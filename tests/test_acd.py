@@ -158,17 +158,6 @@ def test_outside_and_anti_degree():
     assert outside_degree(inst2.graph, acd2, a) == 0
 
 
-def test_structural_measures_bundle():
-    from brooks_sim.graph_core import structural_measures, sparsity
-
-    inst = generate_instance("matched_cliques", 8, seed=0)
-    acd = compute_acd(inst.graph, Fraction(1, 8))
-    sm = structural_measures(inst.graph, acd)
-    assert set(sm.zeta) == set(range(inst.graph.n))
-    assert sm.zeta[0] == sparsity(inst.graph, 0)
-    assert all(sm.e[v] == 1 and sm.a[v] == 0 for v in range(inst.graph.n))
-
-
 def test_outside_degree_errors_on_sparse_node():
     inst = generate_instance("guarded_pair", 16, seed=0)
     acd = compute_acd(inst.graph, inst.epsilon)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from brooks_sim.cli import main
 
 
@@ -9,6 +11,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _error_for(capsys, *argv):
+    """The error object of a CLI call that must fail with exit 1 and no output."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    return json.loads(err)["error"]
 
 
 def test_gen_then_color_smoke(tmp_path, capsys):
@@ -101,6 +111,66 @@ def test_color_rejects_pg_outside_unit_interval(tmp_path, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "BrooksSimError"
     assert error["phase"] == "config"
+
+
+def test_color_rejects_max_retries_below_one(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    code, _, err = run_cli(capsys, "color", "--graph", str(gpath), "--max-retries", "0")
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["phase"] == "config"
+    assert "max_retries" in error["message"]
+
+
+def test_experiment_rejects_pg_outside_unit_interval(capsys):
+    error = _error_for(
+        capsys, "experiment", "--families", "clique_minus_edge", "--deltas", "16", "--pg", "2"
+    )
+    assert error["phase"] == "config"
+
+
+def test_missing_graph_file_is_an_error_object(tmp_path, capsys):
+    error = _error_for(capsys, "color", "--graph", str(tmp_path / "absent.txt"))
+    assert error["type"] == "BrooksSimError"
+    assert error["phase"] == "input"
+
+
+def test_non_json_coloring_is_an_error_object(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.json"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    cpath.write_text("not json")
+    error = _error_for(
+        capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath), "--k", "4"
+    )
+    assert error["phase"] == "input"
+
+
+def test_coloring_without_list_is_an_error_object(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    cpath = tmp_path / "c.json"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    cpath.write_text(json.dumps({"colors": [0, 1]}))
+    error = _error_for(
+        capsys, "validate", "--graph", str(gpath), "--coloring", str(cpath), "--k", "4"
+    )
+    assert error["phase"] == "input"
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0"])
+def test_unparsable_epsilon_is_an_error_object(tmp_path, capsys, bad):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    error = _error_for(capsys, "color", "--graph", str(gpath), "--epsilon", bad)
+    assert error["phase"] == "config"
+    assert bad in error["message"]
+
+
+def test_unparsable_deltas_is_an_error_object(capsys):
+    error = _error_for(capsys, "experiment", "--deltas", "1x", "--seeds", "1")
+    assert error["phase"] == "config"
+    assert "1x" in error["message"]
 
 
 def test_parse_error_reports_line(tmp_path, capsys):

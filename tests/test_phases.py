@@ -1,9 +1,8 @@
-import json
-
 import pytest
 from fractions import Fraction
 
 from brooks_sim.errors import (
+    BrooksSimError,
     DeltaPlusOneCliquePresent,
     PartitionViolationError,
     RetryExhausted,
@@ -284,18 +283,24 @@ class TestPipelineContract:
             "escape",
         )
 
-    def test_config_json_round_trip(self):
-        config = PipelineConfig(
-            epsilon=Fraction(1, 8),
-            p_g=0.25,
-            seed=5,
-            strict_congest=True,
-            epsilon_prime=Fraction(1, 5),
-            c_sparse=Fraction(3, 7),
-        )
-        again = PipelineConfig.from_json_dict(config.to_json_dict())
-        assert again == config
-        assert PipelineConfig.from_json(json.dumps(config.to_json_dict())) == config
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_g", -0.25),
+            ("p_g", 2.0),
+            ("p_g", float("nan")),
+            ("max_retries", 0),
+            ("max_retries", -1),
+        ],
+    )
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(BrooksSimError) as err:
+            PipelineConfig(**{field: value})
+        assert err.value.phase == "config"
+
+    def test_config_accepts_boundary_values(self):
+        PipelineConfig(p_g=0.0, max_retries=1)
+        PipelineConfig(p_g=1.0)
 
     def test_ledger_always_full_plan(self):
         for family in ("clique_minus_edge", "mixed", "random_gnd"):
@@ -367,10 +372,10 @@ class TestPipelineContract:
 
         captured = {}
 
-        def wrapped(instance, seed, max_rounds=None, **kw):
+        def wrapped(instance, seed, **kw):
             if instance.name == "guarded_pairs":
                 captured["instance"] = instance
-            return real_solve(instance, seed, max_rounds, **kw)
+            return real_solve(instance, seed, **kw)
 
         monkeypatch.setattr(phases, "solve_distributed", wrapped)
         result = run_pipeline(g, PipelineConfig(epsilon=left.epsilon, seed=0))
@@ -391,8 +396,8 @@ class TestPipelineContract:
 
         seen = []
 
-        def wrapped(instance, seed, max_rounds=None, **kw):
-            assignment, metrics = real_solve(instance, seed, max_rounds, **kw)
+        def wrapped(instance, seed, **kw):
+            assignment, metrics = real_solve(instance, seed, **kw)
             assert validate_assignment(instance, assignment)
             oracle = solve_greedy_oracle(instance)
             assert validate_assignment(instance, oracle)

@@ -28,6 +28,14 @@ def test_save_load_round_trip(tmp_path_factory, g):
     assert load_graph(path) == g
 
 
+@given(graphs(max_n=14))
+@settings(max_examples=60, deadline=None)
+def test_has_edge_matches_adjacency(g):
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) == (v in g.adj[u])
+
+
 @given(graphs())
 @settings(max_examples=60, deadline=None)
 def test_sparsity_matches_definition(g):

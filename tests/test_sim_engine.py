@@ -7,6 +7,7 @@ from brooks_sim.sim_engine import (
     StreamRng,
     check_congest_budget,
     color_value_bits,
+    congest_budget,
     run_protocol,
 )
 
@@ -136,6 +137,11 @@ class TestCongestBudget:
     def test_requires_two_nodes(self):
         with pytest.raises(ValueError):
             check_congest_budget(RoundMetrics(), n=1, c=1)
+
+    def test_budget_is_c_ceil_log2_n_and_at_least_c(self):
+        assert congest_budget(1025, 3) == 3 * 11
+        assert congest_budget(1024, 3) == 3 * 10
+        assert congest_budget(2, 4) == congest_budget(1, 4) == 4
 
 
 class TestStreamRng:
