@@ -35,7 +35,6 @@ from .phases import (
     PipelineConfig,
     PipelineResult,
     WhiteGraySplit,
-    color_gray_then_white,
     run_pipeline,
 )
 from .sim_engine import RoundMetrics, check_congest_budget, run_protocol
@@ -58,7 +57,6 @@ __all__ = [
     "RoundMetrics",
     "Thresholds",
     "WhiteGraySplit",
-    "color_gray_then_white",
     "anti_degree",
     "build_instance",
     "check_congest_budget",

@@ -50,17 +50,17 @@ class AlmostCliqueDecomposition:
         membership = [-1] * n
         for idx, clique in enumerate(cliques):
             if not clique:
-                raise BrooksSimError(f"empty almost-clique at index {idx}")
+                raise BrooksSimError(f"empty almost-clique at index {idx}", phase="acd")
             for v in clique:
                 if membership[v] != -1:
-                    raise BrooksSimError(f"node {v} in two almost-cliques")
+                    raise BrooksSimError(f"node {v} in two almost-cliques", phase="acd")
                 membership[v] = idx
         for v in sparse:
             if membership[v] != -1:
-                raise BrooksSimError(f"node {v} both sparse and dense")
+                raise BrooksSimError(f"node {v} both sparse and dense", phase="acd")
         covered = len(sparse) + sum(len(c) for c in cliques)
         if covered != n or any(m == -1 and v not in sparse for v, m in enumerate(membership)):
-            raise BrooksSimError("sparse set and almost-cliques do not partition V")
+            raise BrooksSimError("sparse set and almost-cliques do not partition V", phase="acd")
         return AlmostCliqueDecomposition(
             epsilon=epsilon,
             sparse=sparse,
@@ -117,14 +117,13 @@ def similarity_epsilon(epsilon: Fraction, delta: int) -> Fraction:
 def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= EPSILON_CEILING:
-        raise BrooksSimError(f"epsilon {epsilon} outside (0, {EPSILON_CEILING}]")
+        raise BrooksSimError(f"epsilon {epsilon} outside (0, {EPSILON_CEILING}]", phase="config")
     delta = g.delta
     if delta < 3:
-        raise BrooksSimError(f"compute_acd needs delta >= 3, got {delta}")
+        raise BrooksSimError(f"compute_acd needs delta >= 3, got {delta}", phase="precondition")
     eps_prime = similarity_epsilon(epsilon, delta)
 
     similar_threshold = (1 - eps_prime) * delta
-    dense_threshold = similar_threshold
 
     similar: list[list[int]] = [[] for _ in range(g.n)]
     for u in range(g.n):
@@ -135,7 +134,7 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
             if (mu & g.masks[v]).bit_count() >= similar_threshold:
                 similar[u].append(v)
                 similar[v].append(u)
-    dense = [len(similar[v]) >= dense_threshold for v in range(g.n)]
+    dense = [len(similar[v]) >= similar_threshold for v in range(g.n)]
 
     # base cliques = similarity components over dense nodes, size-filtered
     base: list[list[int]] = []

@@ -36,7 +36,9 @@ class ACClassification:
     def picked_special(self, idx: int) -> int:
         node = self.picked[idx]
         if node is None:
-            raise PartitionViolationError(f"AC {idx} is not difficult, no picked special")
+            raise PartitionViolationError(
+                f"AC {idx} is not difficult, no picked special", phase="classify"
+            )
         return node
 
     def to_json(self) -> str:
@@ -170,7 +172,8 @@ def fine_partition(
     pe = cls.protectors | cls.escapes
     if cls.protectors & cls.escapes:
         raise PartitionViolationError(
-            f"node {min(cls.protectors & cls.escapes)} is both protector and escape"
+            f"node {min(cls.protectors & cls.escapes)} is both protector and escape",
+            phase="classify",
         )
 
     buckets: dict[str, set[int]] = {k: set() for k in ("O", "R", "N", "G")}
@@ -179,12 +182,15 @@ def fine_partition(
         if label in (GUARDED, RUNAWAY, ORDINARY):
             # Obs: difficult and ordinary ACs are cliques without P/E members
             if has_non_edge(g, clique, acd.clique_masks[idx]):
-                raise PartitionViolationError(f"{label} AC {idx} is not a clique")
+                raise PartitionViolationError(
+                    f"{label} AC {idx} is not a clique", phase="classify"
+                )
             inside_pe = clique & pe
             if inside_pe:
                 raise PartitionViolationError(
                     f"{label} AC {idx} contains picked special {min(inside_pe)}",
                     node=min(inside_pe),
+                    phase="classify",
                 )
         if label == ORDINARY:
             buckets["O"].update(clique)
@@ -212,6 +218,6 @@ def fine_partition(
     for v, c in enumerate(counts):
         if c != 1:
             raise PartitionViolationError(
-                f"node {v} appears in {c} partition sets", node=v
+                f"node {v} appears in {c} partition sets", node=v, phase="classify"
             )
     return part

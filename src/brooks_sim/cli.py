@@ -241,7 +241,7 @@ def cmd_experiment(args) -> int:
     families = FAMILIES if args.families == "all" else tuple(args.families.split(","))
     for family in families:
         if family not in FAMILIES:
-            raise BrooksSimError(f"unknown family {family!r}")
+            raise BrooksSimError(f"unknown family {family!r}", phase="config")
     deltas = tuple(_parse(int, d, "--deltas") for d in args.deltas.split(","))
     rows = [
         experiment_row(family, delta, seed, pg=args.pg, max_retries=args.max_retries)

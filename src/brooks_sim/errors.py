@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-Every error carries an optional `phase` so pipeline failures can name the
-step they came from; the CLI serializes that into its error object.
+Every error that the pipeline or the CLI raises names its `phase`: `config`,
+`input`, `precondition`, `acd`, `classify`, `slackgen`, or the instance kind
+being built. The CLI serializes it into its error object. Helpers called on
+their own (`PartialColoring.assign`, the oracles) may leave it None.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ class GraphFormatError(BrooksSimError):
     """Unparseable or non-simple graph file; carries the 1-based line number."""
 
     def __init__(self, message: str, *, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}", phase="input")
         self.line = line
 
 
@@ -27,6 +29,9 @@ class GraphInvariantError(BrooksSimError):
 
 class UnsupportedFamilyError(BrooksSimError):
     """Unknown generator family or unsupported (family, delta) combination."""
+
+    def __init__(self, message: str):
+        super().__init__(message, phase="config")
 
 
 class ImproperColoringError(BrooksSimError):

@@ -12,12 +12,13 @@ class PartialColoring:
     """Proper partial coloring; colors are ints in [0, delta).
 
     Besides the assignment itself this maintains, per node, the multiset of
-    colors of its colored neighbors. That gives O(1) palette sizes and
-    repetition counts; `slackgen.measure_slack` recomputes the same numbers
-    from scratch so the incremental bookkeeping can be cross-checked.
+    colors of its colored neighbors, which gives O(1) palette sizes; colored
+    neighbor and repetition counts read the uncolored mask.
+    `slackgen.measure_slack` recomputes the same numbers from scratch so the
+    incremental bookkeeping can be cross-checked.
     """
 
-    __slots__ = ("graph", "delta", "color", "uncolored_mask", "_nbr_colors", "_colored_nbrs")
+    __slots__ = ("graph", "delta", "color", "uncolored_mask", "_nbr_colors")
 
     def __init__(self, graph: Graph, delta: int | None = None):
         self.graph = graph
@@ -25,7 +26,6 @@ class PartialColoring:
         self.color: list[int | None] = [None] * graph.n
         self.uncolored_mask: int = (1 << graph.n) - 1
         self._nbr_colors: list[dict[int, int]] = [{} for _ in range(graph.n)]
-        self._colored_nbrs: list[int] = [0] * graph.n
 
     def is_colored(self, v: int) -> bool:
         return self.color[v] is not None
@@ -43,7 +43,6 @@ class PartialColoring:
         for u in self.graph.adj[v]:
             counts = self._nbr_colors[u]
             counts[c] = counts.get(c, 0) + 1
-            self._colored_nbrs[u] += 1
 
     def palette_size(self, v: int) -> int:
         return self.delta - len(self._nbr_colors[v])
@@ -53,10 +52,10 @@ class PartialColoring:
 
     def repetitions(self, v: int) -> int:
         """Colored neighbors minus distinct colors among them (permanent slack source)."""
-        return self._colored_nbrs[v] - len(self._nbr_colors[v])
+        return self.colored_neighbor_count(v) - len(self._nbr_colors[v])
 
     def colored_neighbor_count(self, v: int) -> int:
-        return self._colored_nbrs[v]
+        return (self.graph.masks[v] & ~self.uncolored_mask).bit_count()
 
     def uncolored_degree_in(self, v: int, subgraph_mask: int) -> int:
         return (self.graph.masks[v] & subgraph_mask & self.uncolored_mask).bit_count()

@@ -90,9 +90,9 @@ def build_instance(
     for idx, unit in enumerate(units):
         for v in unit:
             if coloring.is_colored(v):
-                raise BrooksSimError(f"{name}: unit member {v} is already colored")
+                raise BrooksSimError(f"{name}: unit member {v} is already colored", phase=name)
             if v in node_to_unit:
-                raise BrooksSimError(f"{name}: node {v} appears in two units")
+                raise BrooksSimError(f"{name}: node {v} appears in two units", phase=name)
             node_to_unit[v] = idx
 
     palettes = []
@@ -110,7 +110,7 @@ def build_instance(
                 if j is not None and j != idx:
                     edges.add((idx, j) if idx < j else (j, idx))
         if len(unit) == 2 and g.has_edge(unit[0], unit[1]):
-            raise BrooksSimError(f"{name}: pair {unit} is an edge of G")
+            raise BrooksSimError(f"{name}: pair {unit} is an edge of G", phase=name)
 
     instance = ListInstance(
         name=name,

@@ -6,6 +6,14 @@ nice sub-phases a, b, c; guarded pairs/gray/white; escapes) and every run
 records all 16 kinds in the ledger, executed or empty, so the reduction's
 instance count is structurally constant.
 
+Steps 5-8 share one white/gray split (`PipelineSteps.gray_then_white`): each
+step names groups of nodes and, per group, the mask of nodes that are white
+(unit slack in G[V* u O]; N(escape); N(min anchor); the deferred node;
+N(u) & N(w); N(protector)). The uncolored rest is gray and is colored first:
+each gray has an uncolored white neighbor, each white has unit slack or an
+uncolored stalled neighbor (a node colored in a later step). A split that
+breaks this raises PartitionViolationError with the gray kind as its phase.
+
 Slack generation is retryable: if the measured slack report violates a
 property a later phase needs, or an instance build hits a deg+1 violation,
 the run re-seeds slack generation, up to max_retries.
@@ -44,7 +52,6 @@ from .listcolor import (
     DISTRIBUTED,
     InstanceLedger,
     InstanceRecord,
-    ListInstance,
     Unit,
     build_instance,
     make_unit,
@@ -58,7 +65,6 @@ from .slackgen import (
     participant_set,
     run_slack_generation_with_metrics,
 )
-from .thresholds import Thresholds
 
 
 @dataclass(frozen=True)
@@ -135,23 +141,25 @@ class WhiteGraySplit:
     stall_mask: int  # uncolored nodes colored in a strictly later step
     slack_mask: int  # subgraph in which white unit-slack is measured
 
-    def validate(self, g: Graph, coloring: PartialColoring) -> None:
-        white_mask = mask_of(self.white)
-        for v in self.white:
+    def validate(self, g: Graph, coloring: PartialColoring, phase: str | None = None) -> None:
+        for v in self.white + self.gray:
             if coloring.is_colored(v):
-                raise PartitionViolationError(f"white node {v} already colored", node=v)
+                raise PartitionViolationError(f"node {v} already colored", node=v, phase=phase)
+        for v in self.white:
             if coloring.slack_in(v, self.slack_mask) >= 1:
                 continue
-            stalled = g.masks[v] & self.stall_mask & coloring.uncolored_mask
-            if stalled == 0:
+            if g.masks[v] & self.stall_mask & coloring.uncolored_mask == 0:
                 raise PartitionViolationError(
-                    f"white node {v} has neither unit slack nor a stalled neighbor", node=v
+                    f"white node {v} has neither unit slack nor a stalled neighbor",
+                    node=v,
+                    phase=phase,
                 )
+        white_mask = mask_of(self.white)
         for v in self.gray:
-            if coloring.is_colored(v):
-                raise PartitionViolationError(f"gray node {v} already colored", node=v)
             if g.masks[v] & white_mask & coloring.uncolored_mask == 0:
-                raise PartitionViolationError(f"gray node {v} has no white neighbor", node=v)
+                raise PartitionViolationError(
+                    f"gray node {v} has no white neighbor", node=v, phase=phase
+                )
 
 
 def _mix(*parts: int) -> int:
@@ -159,73 +167,9 @@ def _mix(*parts: int) -> int:
     return int.from_bytes(raw, "little") >> 2
 
 
-class _InstanceRunner:
-    """Builds, solves, applies, and records list instances over one coloring."""
-
-    def __init__(
-        self,
-        g: Graph,
-        config: PipelineConfig,
-        coloring: PartialColoring,
-        metrics: RoundMetrics,
-        attempt_seed: int,
-    ):
-        self.g = g
-        self.config = config
-        self.coloring = coloring
-        self.metrics = metrics
-        self.attempt_seed = attempt_seed
-        self.ledger = InstanceLedger()
-        self.full_mask = (1 << g.n) - 1
-        self.bit_budget = config.bit_budget(g.n)
-
-    def record_empty(self, kind: str) -> None:
-        spec = PIPELINE_PLAN[_PLAN_INDEX[kind]]
-        self.ledger.append(
-            InstanceRecord(kind, 0, None, None, 0, spec.tag, spec.declared_min)
-        )
-
-    def solve_units(self, kind: str, units: Iterable[Unit]) -> ListInstance | None:
-        """Build, solve, apply, and record one instance kind."""
-        units = tuple(units)
-        if not units:
-            self.record_empty(kind)
-            return None
-        spec = PIPELINE_PLAN[_PLAN_INDEX[kind]]
-        instance = build_instance(self.g, self.coloring, units, name=kind)
-        assignment, metrics = solve_distributed(
-            instance,
-            _mix(self.attempt_seed, _PLAN_INDEX[kind]),
-            strict_bit_budget=self.bit_budget if spec.tag == DISTRIBUTED else None,
-        )
-        for unit in instance.units:
-            for v in unit:
-                self.coloring.assign(v, assignment[unit])
-        self.metrics.merge(metrics)
-        self.ledger.append(
-            InstanceRecord(
-                kind,
-                len(instance.units),
-                instance.min_palette,
-                instance.max_degree,
-                metrics.rounds_elapsed,
-                spec.tag,
-                spec.declared_min,
-            )
-        )
-        return instance
-
-    def gray_then_white(self, split: WhiteGraySplit, gray_kind: str, white_kind: str) -> None:
-        split.validate(self.g, self.coloring)
-        self.solve_units(gray_kind, (make_unit(v) for v in split.gray))
-        self.solve_units(white_kind, (make_unit(v) for v in split.white))
-
-    def uncolored(self, nodes: Iterable[int]) -> list[int]:
-        return self.coloring.uncolored_in(nodes)
-
-
-class PipelineSteps(_InstanceRunner):
-    """Steps 4-9 over one slack-generation attempt's coloring state."""
+class PipelineSteps:
+    """Steps 4-9 over one slack-generation attempt's coloring state: builds,
+    solves, applies, and records the 16 instance kinds in plan order."""
 
     def __init__(
         self,
@@ -238,172 +182,182 @@ class PipelineSteps(_InstanceRunner):
         metrics: RoundMetrics,
         attempt_seed: int,
     ):
-        super().__init__(g, config, coloring, metrics, attempt_seed)
+        self.g = g
         self.acd = acd
         self.cls = cls
         self.part = part
-        self.vo_mask = part.mask("Vstar", "O")
+        self.coloring = coloring
+        self.metrics = metrics
+        self.attempt_seed = attempt_seed
+        self.ledger = InstanceLedger()
+        self.full_mask = (1 << g.n) - 1
+        self.bit_budget = config.bit_budget(g.n)
+
+    def solve_units(self, kind: str, units: Iterable[Unit]) -> None:
+        """Build, solve, apply, and record one instance kind; with no units
+        only an empty record is kept."""
+        units = tuple(units)
+        spec = PIPELINE_PLAN[_PLAN_INDEX[kind]]
+        shape: tuple = (0, None, None, 0)  # units, min palette, max degree, rounds
+        if units:
+            instance = build_instance(self.g, self.coloring, units, name=kind)
+            assignment, metrics = solve_distributed(
+                instance,
+                _mix(self.attempt_seed, _PLAN_INDEX[kind]),
+                strict_bit_budget=self.bit_budget if spec.tag == DISTRIBUTED else None,
+            )
+            for unit in instance.units:
+                for v in unit:
+                    self.coloring.assign(v, assignment[unit])
+            self.metrics.merge(metrics)
+            shape = (len(units), instance.min_palette, instance.max_degree, metrics.rounds_elapsed)
+        self.ledger.append(InstanceRecord(kind, *shape, spec.tag, spec.declared_min))
+
+    def gray_then_white(
+        self,
+        gray_kind: str,
+        white_kind: str,
+        groups: Iterable[tuple[Iterable[int], int]],
+        stall_mask: int = 0,
+        slack_mask: int | None = None,
+    ) -> None:
+        """Split the uncolored nodes of each (nodes, white_mask) group into
+        white (bit set in the mask) and gray, validate the split, then color
+        the grays before the whites. Whites need unit slack in slack_mask
+        (default: V minus the stalled nodes) or a stalled neighbor."""
+        white: list[int] = []
+        gray: list[int] = []
+        for nodes, white_mask in groups:
+            for v in self.coloring.uncolored_in(nodes):
+                (white if (white_mask >> v) & 1 else gray).append(v)
+        if slack_mask is None:
+            slack_mask = self.full_mask & ~stall_mask
+        split = WhiteGraySplit(tuple(white), tuple(gray), stall_mask, slack_mask)
+        split.validate(self.g, self.coloring, phase=gray_kind)
+        self.solve_units(gray_kind, (make_unit(v) for v in gray))
+        self.solve_units(white_kind, (make_unit(v) for v in white))
 
     def cliques_with_label(self, label: str) -> list[int]:
         return [i for i, lab in enumerate(self.cls.labels) if lab == label]
+
+    def uncolored_special(self, idx: int, kind: str) -> int:
+        """The picked special of difficult AC idx, still uncolored when the
+        step building `kind` starts."""
+        node = self.cls.picked_special(idx)
+        if self.coloring.is_colored(node):
+            raise PartitionViolationError(
+                f"picked special {node} colored before {kind}", node=node, phase=kind
+            )
+        return node
 
     # -- steps 4..9 -----------------------------------------------------------
 
     def step4_sparse(self) -> None:
         # all white: the slack gate already enforced unit slack for these
-        units = [make_unit(v) for v in self.uncolored(self.part.Vstar)]
+        units = [make_unit(v) for v in self.coloring.uncolored_in(self.part.Vstar)]
         self.solve_units("sparse", units)
 
     def step5_ordinary(self) -> None:
-        white: list[int] = []
-        gray: list[int] = []
+        # white: unit slack in G[V* u O]
+        vo_mask = self.part.mask("Vstar", "O")
+        slack = self.coloring.slack_in
+        groups = []
         for idx in self.cliques_with_label(ORDINARY):
-            for v in self.uncolored(self.acd.cliques[idx]):
-                if self.coloring.slack_in(v, self.vo_mask) >= 1:
-                    white.append(v)
-                else:
-                    gray.append(v)
-        split = WhiteGraySplit(tuple(white), tuple(gray), stall_mask=0, slack_mask=self.vo_mask)
-        self.gray_then_white(split, "ordinary_gray", "ordinary_white")
+            clique = self.acd.cliques[idx]
+            groups.append((clique, mask_of(v for v in clique if slack(v, vo_mask) >= 1)))
+        self.gray_then_white("ordinary_gray", "ordinary_white", groups, slack_mask=vo_mask)
 
     def step6_runaway(self) -> None:
-        white: list[int] = []
-        gray: list[int] = []
+        # white: N(escape); the escape is stalled until step 9
+        groups = []
         stall = 0
         for idx in self.cliques_with_label(RUNAWAY):
-            escape = self.cls.picked_special(idx)
-            if self.coloring.is_colored(escape):
-                raise PartitionViolationError(f"escape {escape} colored before step 6")
+            escape = self.uncolored_special(idx, "runaway_gray")
             stall |= 1 << escape
-            cmask = self.acd.clique_masks[idx]
-            ncs = self.g.masks[escape] & cmask
-            for v in self.uncolored(self.acd.cliques[idx]):
-                if (ncs >> v) & 1:
-                    white.append(v)
-                else:
-                    gray.append(v)
-        split = WhiteGraySplit(
-            tuple(white), tuple(gray), stall_mask=stall, slack_mask=self.full_mask & ~stall
-        )
-        self.gray_then_white(split, "runaway_gray", "runaway_white")
+            groups.append((self.acd.cliques[idx], self.g.masks[escape]))
+        self.gray_then_white("runaway_gray", "runaway_white", groups, stall)
 
     def step7_nice(self) -> None:
         pe = self.part.P | self.part.E
-        pe_mask = mask_of(pe)
-        sub_a: list[int] = []
+        sub_a: list[frozenset[int]] = []
         sub_b: list[int] = []
         sub_c: list[int] = []
         for idx in self.cliques_with_label(NICE):
             clique = self.acd.cliques[idx]
             if clique & pe:
-                sub_a.append(idx)
+                sub_a.append(clique)
             elif has_non_edge(self.g, clique, self.acd.clique_masks[idx]):
                 sub_c.append(idx)
             else:
                 sub_b.append(idx)
 
-        # a) ACs containing an escape or protector: its in-AC neighbors are
-        # white (the anchor is stalled), the rest gray.
-        white: list[int] = []
-        gray: list[int] = []
+        # a) ACs containing an escape or protector: N(min anchor) is white,
+        # the anchors are stalled.
+        groups = [(clique - pe, self.g.masks[min(clique & pe)]) for clique in sub_a]
+        stall = mask_of(v for clique in sub_a for v in clique & pe)
+        self.gray_then_white("nice_a_gray", "nice_a_white", groups, stall)
+
+        # b) no non-edge, no P/E member: a zero-outside-degree simplicial node
+        # is deferred (white, stalled), the rest of the AC is gray.
+        groups = []
         stall = 0
-        for idx in sub_a:
-            clique = self.acd.cliques[idx]
-            anchors = clique & pe
-            stall |= mask_of(anchors)
-            anchor_mask = self.g.masks[min(anchors)]
-            for v in self.uncolored(clique - pe):
-                (white if (anchor_mask >> v) & 1 else gray).append(v)
-        split = WhiteGraySplit(
-            tuple(white), tuple(gray), stall_mask=stall, slack_mask=self.full_mask & ~stall
-        )
-        self.gray_then_white(split, "nice_a_gray", "nice_a_white")
-
-        # b) no non-edge, no P/E member: defer a zero-outside-degree simplicial
-        # node, color the rest as gray, then the deferred nodes.
-        deferred: list[int] = []
-        gray_b: list[int] = []
         for idx in sub_b:
-            clique = self.acd.cliques[idx]
             cmask = self.acd.clique_masks[idx]
-            isolated = [v for v in sorted(clique) if self.g.masks[v] & ~cmask == 0]
-            if not isolated:
+            clique = sorted(self.acd.cliques[idx])
+            u = next((v for v in clique if self.g.masks[v] & ~cmask == 0), None)
+            if u is None:
                 raise PartitionViolationError(
-                    f"nice AC {idx} has no non-edge but no zero-outside-degree node"
+                    f"nice AC {idx} has no non-edge but no zero-outside-degree node",
+                    phase="nice_b_gray",
                 )
-            u = isolated[0]
-            deferred.append(u)
-            gray_b.extend(v for v in self.uncolored(clique) if v != u)
-        split_b = WhiteGraySplit(
-            tuple(deferred),
-            tuple(gray_b),
-            stall_mask=mask_of(deferred),
-            slack_mask=self.full_mask & ~mask_of(deferred),
-        )
-        split_b.validate(self.g, self.coloring)
-        self.solve_units("nice_b_gray", (make_unit(v) for v in gray_b))
-        self.solve_units("nice_b_deferred", (make_unit(v) for v in deferred))
+            stall |= 1 << u
+            groups.append((clique, 1 << u))
+        self.gray_then_white("nice_b_gray", "nice_b_deferred", groups, stall)
 
-        # c) non-edge toeholds: same-color the pair, then its common neighbors
-        # are white with permanent slack.
-        pairs: list[Unit] = []
-        pair_of: dict[int, Unit] = {}
-        for idx in sub_c:
-            pair = _smallest_non_edge(self.g, self.acd.cliques[idx], self.acd.clique_masks[idx])
-            pairs.append(pair)
-            pair_of[idx] = pair
+        # c) non-edge toeholds: same-color the pair u, w first; then
+        # N(u) & N(w) is white with permanent slack.
+        pairs = [
+            _smallest_non_edge(self.g, self.acd.cliques[idx], self.acd.clique_masks[idx])
+            for idx in sub_c
+        ]
         self.solve_units("nice_c_pairs", pairs)
-        white_c: list[int] = []
-        gray_c: list[int] = []
-        for idx in sub_c:
-            u, w = pair_of[idx]
-            common = self.g.masks[u] & self.g.masks[w]
-            for v in self.uncolored(self.acd.cliques[idx]):
-                (white_c if (common >> v) & 1 else gray_c).append(v)
-        split_c = WhiteGraySplit(
-            tuple(white_c), tuple(gray_c), stall_mask=0, slack_mask=self.full_mask
-        )
-        self.gray_then_white(split_c, "nice_c_gray", "nice_c_white")
+        masks = self.g.masks
+        groups = [(self.acd.cliques[i], masks[u] & masks[w]) for i, (u, w) in zip(sub_c, pairs)]
+        self.gray_then_white("nice_c_gray", "nice_c_white", groups)
 
     def step8_guarded(self) -> None:
+        # the protector is same-colored with its smallest uncolored non-neighbor
+        # in the AC; then N(protector) is white.
         pairs: list[Unit] = []
-        info: list[tuple[int, int, Unit]] = []
+        groups = []
         for idx in self.cliques_with_label(GUARDED):
-            protector = self.cls.picked_special(idx)
-            if self.coloring.is_colored(protector):
-                raise PartitionViolationError(f"protector {protector} colored before step 8")
+            clique = self.acd.cliques[idx]
+            protector = self.uncolored_special(idx, "guarded_pairs")
             pmask = self.g.masks[protector]
-            non_nbrs = self.uncolored(v for v in self.acd.cliques[idx] if not (pmask >> v) & 1)
+            non_nbrs = self.coloring.uncolored_in(v for v in clique if not (pmask >> v) & 1)
             if not non_nbrs:
                 raise PartitionViolationError(
-                    f"guarded AC {idx}: protector {protector} has no uncolored non-neighbor"
+                    f"guarded AC {idx}: protector {protector} has no uncolored non-neighbor",
+                    phase="guarded_pairs",
                 )
-            toehold = non_nbrs[0]
-            pair = make_unit(toehold, protector)
-            pairs.append(pair)
-            info.append((idx, protector, pair))
+            pairs.append(make_unit(non_nbrs[0], protector))
+            groups.append((clique, pmask))
         self.solve_units("guarded_pairs", pairs)
-        white: list[int] = []
-        gray: list[int] = []
-        for idx, protector, pair in info:
-            pmask = self.g.masks[protector]
-            for v in self.uncolored(self.acd.cliques[idx]):
-                (white if (pmask >> v) & 1 else gray).append(v)
-        split = WhiteGraySplit(tuple(white), tuple(gray), stall_mask=0, slack_mask=self.full_mask)
-        self.gray_then_white(split, "guarded_gray", "guarded_white")
+        self.gray_then_white("guarded_gray", "guarded_white", groups)
         for v in self.part.P:
             if not self.coloring.is_colored(v):
-                raise PartitionViolationError(f"protector {v} left uncolored after step 8")
+                raise PartitionViolationError(
+                    f"protector {v} left uncolored after step 8", node=v, phase="guarded_white"
+                )
 
     def step9_escape(self) -> None:
         uncolored_non_escape = [
-            v
-            for v in range(self.g.n)
-            if not self.coloring.is_colored(v) and v not in self.part.E
+            v for v in self.coloring.uncolored_in(range(self.g.n)) if v not in self.part.E
         ]
         if uncolored_non_escape:
             raise PartitionViolationError(
-                f"step 9 reached with non-escape nodes uncolored: {uncolored_non_escape[:4]}"
+                f"step 9 reached with non-escape nodes uncolored: {uncolored_non_escape[:4]}",
+                phase="escape",
             )
         self.solve_units("escape", [make_unit(v) for v in sorted(self.part.E)])
 
@@ -415,7 +369,7 @@ class PipelineSteps(_InstanceRunner):
         self.step8_guarded()
         self.step9_escape()
         if not self.coloring.is_total():
-            raise PartitionViolationError("pipeline finished with uncolored nodes")
+            raise PartitionViolationError("pipeline finished with uncolored nodes", phase="escape")
 
 
 def _smallest_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> Unit:
@@ -423,24 +377,9 @@ def _smallest_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> Unit:
         missing = cmask & ~(g.masks[u] | (1 << u))
         if missing:
             return make_unit(u, (missing & -missing).bit_length() - 1)
-    raise PartitionViolationError("no non-edge in supposedly non-complete clique")
-
-
-def color_gray_then_white(
-    g: Graph,
-    coloring: PartialColoring,
-    split: WhiteGraySplit,
-    *,
-    config: PipelineConfig | None = None,
-    gray_kind: str = "ordinary_gray",
-    white_kind: str = "ordinary_white",
-    seed: int = 0,
-) -> tuple[PartialColoring, InstanceLedger]:
-    """Standalone two-instance coloring of a white/gray split: one (deg+1)
-    instance for the gray nodes, then one for the white nodes."""
-    runner = _InstanceRunner(g, config or PipelineConfig(), coloring, RoundMetrics(), seed)
-    runner.gray_then_white(split, gray_kind, white_kind)
-    return runner.coloring, runner.ledger
+    raise PartitionViolationError(
+        "no non-edge in supposedly non-complete clique", phase="nice_c_pairs"
+    )
 
 
 def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
@@ -453,8 +392,7 @@ def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
             f"graph contains a K_{g.delta + 1}", phase="precondition"
         )
     acd = compute_acd(g, config.epsilon)
-    thresholds = Thresholds(g.delta)
-    cls = classify_acs(g, acd, thresholds)
+    cls = classify_acs(g, acd)
     part = fine_partition(g, acd, cls)
     participants = sorted(participant_set(part))
 

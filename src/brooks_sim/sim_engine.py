@@ -9,14 +9,14 @@ run a pure function of (adjacency, programs, seed).
 Messages are (tag, value) pairs with value an int in [0, 2^value_bits) or
 None; their canonical encoding is 2 tag bits plus value_bits payload bits,
 and that encoding is what the budget accounting measures. Only the largest
-message per round is recorded: that is all the CONGEST bound needs.
+message of the whole run is recorded: that is all the CONGEST bound needs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 from .errors import MessageSizeViolation, RoundLimitExceeded
@@ -79,16 +79,12 @@ class NodeProgram(Protocol):
 class RoundMetrics:
     rounds_elapsed: int = 0
     messages_sent: int = 0
-    per_round_max_bits: list[int] = field(default_factory=list)
-
-    @property
-    def max_message_bits(self) -> int:
-        return max(self.per_round_max_bits, default=0)
+    max_message_bits: int = 0
 
     def merge(self, other: "RoundMetrics") -> None:
         self.rounds_elapsed += other.rounds_elapsed
         self.messages_sent += other.messages_sent
-        self.per_round_max_bits.extend(other.per_round_max_bits)
+        self.max_message_bits = max(self.max_message_bits, other.max_message_bits)
 
 
 def run_protocol(
@@ -121,7 +117,6 @@ def run_protocol(
         if all(halted):
             return list(programs), metrics
         next_inboxes: list[list[Message]] = [[] for _ in range(n)]
-        round_max_bits = 0
         for v in range(n):
             if halted[v]:
                 continue
@@ -137,13 +132,12 @@ def run_protocol(
                 bits += value_bits
             if strict_bit_budget is not None and bits > strict_bit_budget:
                 raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
-            if bits > round_max_bits:
-                round_max_bits = bits
+            if bits > metrics.max_message_bits:
+                metrics.max_message_bits = bits
             metrics.messages_sent += len(nbrs)
             for u in nbrs:
                 next_inboxes[u].append(msg)
         metrics.rounds_elapsed += 1
-        metrics.per_round_max_bits.append(round_max_bits)
         inboxes = next_inboxes
     if not all(halted):
         pending = tuple(v for v in range(n) if not halted[v])

@@ -200,8 +200,22 @@ def test_json_round_trip():
 def test_epsilon_out_of_range_rejected():
     g = generate("matched_cliques", 8, seed=0)
     for eps in (Fraction(0), Fraction(1, 2), Fraction(-1, 8)):
-        with pytest.raises(BrooksSimError):
+        with pytest.raises(BrooksSimError) as err:
             compute_acd(g, eps)
+        assert err.value.phase == "config"
+
+
+def test_small_delta_is_a_precondition_error():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])  # C_4, delta 2
+    with pytest.raises(BrooksSimError) as err:
+        compute_acd(g, Fraction(1, 8))
+    assert err.value.phase == "precondition"
+
+
+def test_bad_decomposition_names_acd_phase():
+    with pytest.raises(BrooksSimError) as err:
+        AlmostCliqueDecomposition.build(Fraction(1, 8), frozenset({0}), (frozenset({0, 1}),), 2)
+    assert err.value.phase == "acd"
 
 
 def test_verification_failure_raises_with_report():

@@ -203,8 +203,9 @@ class TestFinePartition:
             protectors=frozenset({3}),
             escapes=cls.escapes,
         )
-        with pytest.raises(PartitionViolationError):
+        with pytest.raises(PartitionViolationError) as err:
             fine_partition(inst.graph, acd, bad)
+        assert err.value.phase == "classify"
 
     def test_difficult_acs_are_cliques_without_picked_specials(self):
         # difficult ACs must be cliques without picked specials inside

@@ -178,7 +178,30 @@ def test_parse_error_reports_line(tmp_path, capsys):
     gpath.write_text("3 2\n0 1\n0 1\n")
     code, out, err = run_cli(capsys, "color", "--graph", str(gpath), "--seed", "0")
     assert code == 1
-    assert json.loads(err)["error"]["type"] == "GraphFormatError"
+    error = json.loads(err)["error"]
+    assert error["type"] == "GraphFormatError"
+    assert error["phase"] == "input"
+
+
+def test_epsilon_outside_range_names_config(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    error = _error_for(capsys, "color", "--graph", str(gpath), "--epsilon", "1/2")
+    assert error["phase"] == "config"
+    assert "1/2" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("--families", "mixed", "--deltas", "2"), "UnsupportedFamilyError"),
+        (("--families", "foo"), "BrooksSimError"),
+    ],
+)
+def test_experiment_bad_family_names_config(capsys, argv, kind):
+    error = _error_for(capsys, "experiment", *argv, "--seeds", "1")
+    assert error["type"] == kind
+    assert error["phase"] == "config"
 
 
 def test_experiment_csv_schema(tmp_path, capsys):

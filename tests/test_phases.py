@@ -17,10 +17,11 @@ from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import (
     PIPELINE_PLAN,
     PipelineConfig,
+    PipelineSteps,
     WhiteGraySplit,
-    color_gray_then_white,
     run_pipeline,
 )
+from brooks_sim.sim_engine import RoundMetrics
 from brooks_sim.thresholds import ceil_phi
 
 ALL_KINDS = tuple(spec.kind for spec in PIPELINE_PLAN)
@@ -92,6 +93,12 @@ def protected_nice_graph() -> tuple[Graph, dict]:
 # -- gray/white machinery ----------------------------------------------------
 
 
+def bare_steps(g: Graph, coloring: PartialColoring) -> PipelineSteps:
+    """Steps over a hand-made coloring; gray_then_white reads only g and the
+    coloring, so the decomposition arguments stay unset."""
+    return PipelineSteps(g, PipelineConfig(), None, None, None, coloring, RoundMetrics(), 0)
+
+
 class TestColorGrayThenWhite:
     def test_empty_gray_single_white_instance(self):
         # a node with permanent slack from two same-colored neighbors
@@ -99,12 +106,10 @@ class TestColorGrayThenWhite:
         coloring = PartialColoring(g)
         coloring.assign(1, 2)
         coloring.assign(2, 2)
-        split = WhiteGraySplit(
-            white=(0,), gray=(), stall_mask=0, slack_mask=(1 << g.n) - 1
-        )
-        coloring, ledger = color_gray_then_white(g, coloring, split)
+        steps = bare_steps(g, coloring)
+        steps.gray_then_white("ordinary_gray", "ordinary_white", [((0, 1, 2), 1 << 0)])
         assert coloring.is_colored(0)
-        assert [(r.kind, r.units) for r in ledger] == [
+        assert [(r.kind, r.units) for r in steps.ledger] == [
             ("ordinary_gray", 0),
             ("ordinary_white", 1),
         ]
@@ -115,29 +120,41 @@ class TestColorGrayThenWhite:
         split = WhiteGraySplit(
             white=(), gray=(0,), stall_mask=0, slack_mask=(1 << g.n) - 1
         )
-        with pytest.raises(PartitionViolationError):
-            color_gray_then_white(g, coloring, split)
+        with pytest.raises(PartitionViolationError) as err:
+            split.validate(g, coloring, phase="nice_c_gray")
+        assert err.value.phase == "nice_c_gray"
+        assert err.value.node == 0
 
     def test_white_without_justification_rejected(self):
         g = complete_graph(3)  # delta 2, no slack anywhere
         coloring = PartialColoring(g)
-        split = WhiteGraySplit(
-            white=(0, 1, 2), gray=(), stall_mask=0, slack_mask=(1 << g.n) - 1
-        )
-        with pytest.raises(PartitionViolationError):
-            color_gray_then_white(g, coloring, split)
+        steps = bare_steps(g, coloring)
+        with pytest.raises(PartitionViolationError) as err:
+            steps.gray_then_white("runaway_gray", "runaway_white", [((0, 1, 2), 0b111)])
+        assert err.value.phase == "runaway_gray"
+        assert len(steps.ledger) == 0 and not coloring.colored_nodes()
 
     def test_gray_colored_before_white(self):
         # grays get their instance first; whites stay uncolored meanwhile
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
         coloring = PartialColoring(g, delta=4)
-        split = WhiteGraySplit(
-            white=(0,), gray=(1, 2, 3), stall_mask=0, slack_mask=(1 << g.n) - 1
-        )
-        coloring, ledger = color_gray_then_white(g, coloring, split)
-        assert ledger.records[0].kind == "ordinary_gray"
-        assert ledger.records[0].units == 3
+        steps = bare_steps(g, coloring)
+        steps.gray_then_white("ordinary_gray", "ordinary_white", [(range(4), 1 << 0)])
+        assert [(r.kind, r.units) for r in steps.ledger] == [
+            ("ordinary_gray", 3),
+            ("ordinary_white", 1),
+        ]
         assert coloring.is_total()
+
+    def test_stalled_neighbor_justifies_white(self):
+        # K_3 at delta 2: node 2 is stalled (colored in a later step), so the
+        # default slack subgraph leaves it out and node 0 has unit slack there.
+        g = complete_graph(3)
+        coloring = PartialColoring(g)
+        steps = bare_steps(g, coloring)
+        steps.gray_then_white("nice_b_gray", "nice_b_deferred", [((0, 1), 1 << 0)], 1 << 2)
+        assert coloring.is_colored(0) and coloring.is_colored(1)
+        assert not coloring.is_colored(2)
 
 
 # -- per-family pipeline behavior ---------------------------------------------

@@ -96,7 +96,7 @@ def test_determinism_bit_identical():
     states_a, metrics_a = run()
     states_b, metrics_b = run()
     assert states_a == states_b
-    assert metrics_a.per_round_max_bits == metrics_b.per_round_max_bits
+    assert metrics_a.max_message_bits == metrics_b.max_message_bits
     assert metrics_a.messages_sent == metrics_b.messages_sent
 
 
@@ -127,11 +127,11 @@ def test_value_overflow_rejected():
 
 class TestCongestBudget:
     def test_within_budget(self):
-        metrics = RoundMetrics(rounds_elapsed=1, messages_sent=1, per_round_max_bits=[10])
+        metrics = RoundMetrics(rounds_elapsed=1, messages_sent=1, max_message_bits=10)
         assert check_congest_budget(metrics, n=1024, c=1)
 
     def test_over_budget(self):
-        metrics = RoundMetrics(rounds_elapsed=1, messages_sent=1, per_round_max_bits=[11])
+        metrics = RoundMetrics(rounds_elapsed=1, messages_sent=1, max_message_bits=11)
         assert not check_congest_budget(metrics, n=1024, c=1)
 
     def test_requires_two_nodes(self):
