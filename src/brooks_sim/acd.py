@@ -12,20 +12,21 @@ compute_acd builds a candidate via a similarity graph (two adjacent nodes are
 similar when they share (1-eps')*delta neighbors), then augments: any
 leftover node with (1-4eps)*delta neighbors in a base clique joins it. A
 failed verification raises rather than forcing a decomposition.
+
+Every bound above is read from `thresholds.Thresholds`, which settles each one
+as an exact integer, so the checks compare integer counts only; property (1)
+compares the integer `missing_pairs` = sparsity * delta.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import AcdVerificationError, BrooksSimError
-from .graph_core import Graph, anti_degree, mask_of, outside_degree, sparsity
-
-# (1/4) * (1/108)^2, from the proof constant eta = eps/108 and sparsity (eta^2/4)*delta.
-C_SPARSE = Fraction(1, 4) * Fraction(1, 108) ** 2
+from .graph_core import Graph, anti_degree, mask_of, missing_pairs, outside_degree
+from .thresholds import Thresholds
 
 # Desk-scale ceiling; the classical analysis assumes < 1/20, but small-delta
 # instances only decompose at larger values (up to 1/4 stays workable).
@@ -68,32 +69,19 @@ class AlmostCliqueDecomposition:
             membership=tuple(membership),
         )
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "epsilon": str(self.epsilon),
             "sparse": sorted(self.sparse),
             "cliques": [sorted(c) for c in self.cliques],
         }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str, n: int) -> "AlmostCliqueDecomposition":
-        payload = json.loads(text)
-        return AlmostCliqueDecomposition.build(
-            Fraction(payload["epsilon"]),
-            frozenset(payload["sparse"]),
-            tuple(frozenset(c) for c in payload["cliques"]),
-            n,
-        )
 
 
 @dataclass
 class PropertyReport:
     """Per-property violation lists; empty everywhere means the contract holds."""
 
-    epsilon: Fraction
     violations: dict[str, list[str]] = field(default_factory=dict)
-    measured: dict[str, object] = field(default_factory=dict)
 
     def add(self, prop: str, message: str) -> None:
         self.violations.setdefault(prop, []).append(message)
@@ -108,12 +96,6 @@ class PropertyReport:
         return "; ".join(f"{k}: {len(v)} violations" for k, v in sorted(self.violations.items()))
 
 
-def similarity_epsilon(epsilon: Fraction, delta: int) -> Fraction:
-    """eps' = max(3*eps, 3/delta); the floor keeps near-complete cliques similar
-    at tiny delta where 3*eps alone would split them."""
-    return max(3 * epsilon, Fraction(3, max(delta, 1)))
-
-
 def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
     epsilon = Fraction(epsilon)
     if not 0 < epsilon <= EPSILON_CEILING:
@@ -121,9 +103,7 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
     delta = g.delta
     if delta < 3:
         raise BrooksSimError(f"compute_acd needs delta >= 3, got {delta}", phase="precondition")
-    eps_prime = similarity_epsilon(epsilon, delta)
-
-    similar_threshold = (1 - eps_prime) * delta
+    t = Thresholds.of(epsilon, delta)
 
     similar: list[list[int]] = [[] for _ in range(g.n)]
     for u in range(g.n):
@@ -131,10 +111,10 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
         for v in g.adj[u]:
             if v < u:
                 continue
-            if (mu & g.masks[v]).bit_count() >= similar_threshold:
+            if (mu & g.masks[v]).bit_count() >= t.similar_min:
                 similar[u].append(v)
                 similar[v].append(u)
-    dense = [len(similar[v]) >= similar_threshold for v in range(g.n)]
+    dense = [len(similar[v]) >= t.similar_min for v in range(g.n)]
 
     # base cliques = similarity components over dense nodes, size-filtered
     base: list[list[int]] = []
@@ -152,7 +132,7 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
                 if dense[y] and not visited[y]:
                     visited[y] = True
                     stack.append(y)
-        if (1 - epsilon) * delta <= len(comp) <= (1 + 3 * epsilon) * delta:
+        if t.size_min <= len(comp) <= t.size_max:
             base.append(sorted(comp))
 
     base_masks = [mask_of(c) for c in base]
@@ -160,8 +140,7 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
     for mask in base_masks:
         in_base |= mask
 
-    # augmentation: leftover nodes with >= (1-4eps)*delta neighbors in some base
-    audit_threshold = (1 - 4 * epsilon) * delta
+    # augmentation: leftover nodes with >= inside_min neighbors in some base
     extras: list[list[int]] = [[] for _ in base]
     sparse_nodes: list[int] = []
     for v in range(g.n):
@@ -172,7 +151,7 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
             count = (g.masks[v] & mask).bit_count()
             if count > best_count:
                 best_idx, best_count = idx, count
-        if best_idx >= 0 and best_count >= max(audit_threshold, 1):
+        if best_idx >= 0 and best_count >= max(t.inside_min, 1):
             extras[best_idx].append(v)
         else:
             sparse_nodes.append(v)
@@ -189,65 +168,57 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
     return acd
 
 
+def outsider_counts(g: Graph, acd: AlmostCliqueDecomposition, idx: int) -> list[tuple[int, int]]:
+    """(u, |N(u) & C|) for every node u outside AC idx with a neighbor in it, by id."""
+    clique = acd.cliques[idx]
+    cmask = acd.clique_masks[idx]
+    around: set[int] = set()
+    for v in clique:
+        around.update(g.adj[v])
+    return [(u, (g.masks[u] & cmask).bit_count()) for u in sorted(around - clique)]
+
+
 def verify_acd(g: Graph, acd: AlmostCliqueDecomposition) -> PropertyReport:
-    eps = acd.epsilon
-    delta = g.delta
-    report = PropertyReport(epsilon=eps)
-
-    sparse_floor = C_SPARSE * eps * eps * delta
-    measured_sparsity = {}
+    t = Thresholds.of(acd.epsilon, g.delta)
+    report = PropertyReport()
     for v in sorted(acd.sparse):
-        zeta = sparsity(g, v)
-        measured_sparsity[v] = zeta
-        if zeta < sparse_floor:
-            report.add("1_sparse_nodes_sparse", f"node {v}: zeta={zeta} < {sparse_floor}")
-    report.measured["sparse_zeta"] = measured_sparsity
+        missing = missing_pairs(g, v)
+        if missing < t.missing_min:
+            report.add(
+                "1_sparse_nodes_sparse", f"node {v}: {missing} missing pairs < {t.missing_min}"
+            )
 
-    low, high = (1 - eps) * delta, (1 + 3 * eps) * delta
     for idx, clique in enumerate(acd.cliques):
-        if not low <= len(clique) <= high:
-            report.add("2_clique_size", f"AC {idx}: |C|={len(clique)} outside [{low},{high}]")
-
-    inside_floor = (1 - 4 * eps) * delta
-    for idx, clique in enumerate(acd.cliques):
+        if not t.size_min <= len(clique) <= t.size_max:
+            bounds = f"[{t.size_min},{t.size_max}]"
+            report.add("2_clique_size", f"AC {idx}: |C|={len(clique)} outside {bounds}")
         cmask = acd.clique_masks[idx]
         for v in sorted(clique):
             inside = (g.masks[v] & cmask).bit_count()
-            if inside < inside_floor:
+            if inside < t.inside_min:
                 report.add(
                     "3_member_inside_degree",
-                    f"AC {idx} node {v}: {inside} inside neighbors < {inside_floor}",
+                    f"AC {idx} node {v}: {inside} inside neighbors < {t.inside_min}",
                 )
-
-    outside_cap = (1 - 2 * eps) * delta
-    for idx, clique in enumerate(acd.cliques):
-        cmask = acd.clique_masks[idx]
-        outside = set()
-        for v in clique:
-            outside.update(g.adj[v])
-        for u in sorted(outside - set(clique)):
-            count = (g.masks[u] & cmask).bit_count()
-            if count > outside_cap:
+        for u, count in outsider_counts(g, acd, idx):
+            if count > t.outsider_max:
                 report.add(
                     "4_outsider_cap",
-                    f"node {u} has {count} neighbors in AC {idx} > {outside_cap}",
+                    f"node {u} has {count} neighbors in AC {idx} > {t.outsider_max}",
                 )
     return report
 
 
 def obs22_check(g: Graph, acd: AlmostCliqueDecomposition) -> PropertyReport:
     """Anti-degree <= 7*eps*delta and outside degree <= 4*eps*delta per AC member."""
-    eps = acd.epsilon
-    delta = g.delta
-    report = PropertyReport(epsilon=eps)
-    a_cap = 7 * eps * delta
-    e_cap = 4 * eps * delta
+    t = Thresholds.of(acd.epsilon, g.delta)
+    report = PropertyReport()
     for idx, clique in enumerate(acd.cliques):
         for v in sorted(clique):
             a = anti_degree(g, acd, v)
             e = outside_degree(g, acd, v)
-            if a > a_cap:
-                report.add("anti_degree", f"AC {idx} node {v}: a={a} > {a_cap}")
-            if e > e_cap:
-                report.add("outside_degree", f"AC {idx} node {v}: e={e} > {e_cap}")
+            if a > t.anti_max:
+                report.add("anti_degree", f"AC {idx} node {v}: a={a} > {t.anti_max}")
+            if e > t.outside_max:
+                report.add("outside_degree", f"AC {idx} node {v}: e={e} > {t.outside_max}")
     return report

@@ -2,19 +2,21 @@
 
 An AC is easy (simplicial node or non-edge), difficult (non-easy, has a
 special neighbor, size >= delta - psi), nice (easy or contains a picked
-special), or ordinary (none of the above). Each difficult AC picks its
-smallest-id special neighbor; specials picked twice become escapes (their
-ACs runaways), picked once become protectors (ACs guarded).
+special), or ordinary (none of the above). A special is an outside node with
+>= phi neighbors in the AC; both cuts are integers of `thresholds.Thresholds`.
+Each difficult AC picks its smallest-id special neighbor; specials picked
+twice become escapes (their ACs runaways), picked once become protectors (ACs
+guarded).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .acd import AlmostCliqueDecomposition
+from .acd import AlmostCliqueDecomposition, outsider_counts
 from .errors import PartitionViolationError
 from .graph_core import Graph, mask_of
+from .listcolor import Unit, make_unit
 from .thresholds import Thresholds
 
 NICE, ORDINARY, GUARDED, RUNAWAY = "nice", "ordinary", "guarded", "runaway"
@@ -22,7 +24,6 @@ NICE, ORDINARY, GUARDED, RUNAWAY = "nice", "ordinary", "guarded", "runaway"
 
 @dataclass(frozen=True)
 class ACClassification:
-    thresholds: Thresholds
     labels: tuple[str, ...]
     easy: tuple[bool, ...]
     special_sets: tuple[frozenset[int], ...]
@@ -41,18 +42,15 @@ class ACClassification:
             )
         return node
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": list(self.labels),
-                "easy": list(self.easy),
-                "specials": [sorted(s) for s in self.special_sets],
-                "picked": list(self.picked),
-                "protectors": sorted(self.protectors),
-                "escapes": sorted(self.escapes),
-            },
-            sort_keys=True,
-        )
+    def to_json_dict(self) -> dict:
+        return {
+            "labels": list(self.labels),
+            "easy": list(self.easy),
+            "specials": [sorted(s) for s in self.special_sets],
+            "picked": list(self.picked),
+            "protectors": sorted(self.protectors),
+            "escapes": sorted(self.escapes),
+        }
 
 
 @dataclass(frozen=True)
@@ -84,27 +82,23 @@ class FinePartition:
             total |= mask_of(self.sets()[name])
         return total
 
-    def to_json(self) -> str:
-        return json.dumps({k: sorted(v) for k, v in self.sets().items()}, sort_keys=True)
+    def to_json_dict(self) -> dict:
+        return {k: sorted(v) for k, v in self.sets().items()}
 
 
 def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> frozenset[int]:
     """Outside nodes with at least phi neighbors in the AC."""
-    thresholds = Thresholds(g.delta)
-    cmask = acd.clique_masks[clique_idx]
-    clique = acd.cliques[clique_idx]
-    candidates: set[int] = set()
-    for v in clique:
-        candidates.update(g.adj[v])
-    out = []
-    for u in sorted(candidates - set(clique)):
-        if thresholds.is_special_count((g.masks[u] & cmask).bit_count()):
-            out.append(u)
-    return frozenset(out)
+    special_min = Thresholds.of(acd.epsilon, g.delta).special_min
+    return frozenset(u for u, count in outsider_counts(g, acd, clique_idx) if count >= special_min)
 
 
-def has_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> bool:
-    return any((cmask & ~(g.masks[v] | (1 << v))) != 0 for v in clique)
+def smallest_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> Unit | None:
+    """The first non-adjacent pair of the clique in id order, or None for a clique."""
+    for u in sorted(clique):
+        missing = cmask & ~(g.masks[u] | (1 << u))
+        if missing:
+            return make_unit(u, (missing & -missing).bit_length() - 1)
+    return None
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
@@ -115,24 +109,19 @@ def is_simplicial(g: Graph, v: int) -> bool:
 
 def is_easy(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> bool:
     clique = acd.cliques[clique_idx]
-    cmask = acd.clique_masks[clique_idx]
-    if has_non_edge(g, clique, cmask):
-        return True
-    return any(is_simplicial(g, v) for v in clique)
+    has_non_edge = smallest_non_edge(g, clique, acd.clique_masks[clique_idx]) is not None
+    return has_non_edge or any(is_simplicial(g, v) for v in clique)
 
 
-def classify_acs(
-    g: Graph, acd: AlmostCliqueDecomposition, thresholds: Thresholds | None = None
-) -> ACClassification:
-    if thresholds is None:
-        thresholds = Thresholds(g.delta)
+def classify_acs(g: Graph, acd: AlmostCliqueDecomposition) -> ACClassification:
+    difficult_min = Thresholds.of(acd.epsilon, g.delta).difficult_min
     t = len(acd.cliques)
     easy = tuple(is_easy(g, acd, i) for i in range(t))
     specials = tuple(find_special(g, acd, i) for i in range(t))
 
     # pass 1: difficult ACs pick their smallest-id special
     difficult = [
-        not easy[i] and bool(specials[i]) and thresholds.difficult_size_ok(len(acd.cliques[i]))
+        not easy[i] and bool(specials[i]) and len(acd.cliques[i]) >= difficult_min
         for i in range(t)
     ]
     picked: list[int | None] = [min(specials[i]) if difficult[i] else None for i in range(t)]
@@ -155,7 +144,6 @@ def classify_acs(
         else:
             labels.append(ORDINARY)
     return ACClassification(
-        thresholds=thresholds,
         labels=tuple(labels),
         easy=easy,
         special_sets=specials,
@@ -181,7 +169,7 @@ def fine_partition(
         label = cls.labels[idx]
         if label in (GUARDED, RUNAWAY, ORDINARY):
             # Obs: difficult and ordinary ACs are cliques without P/E members
-            if has_non_edge(g, clique, acd.clique_masks[idx]):
+            if smallest_non_edge(g, clique, acd.clique_masks[idx]) is not None:
                 raise PartitionViolationError(
                     f"{label} AC {idx} is not a clique", phase="classify"
                 )

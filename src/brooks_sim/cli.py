@@ -44,12 +44,16 @@ CLI_DEFAULT_EPSILON = "1/8"
 T = TypeVar("T")
 
 
-def _dump_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the --out file, if any, and to stdout."""
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     sys.stdout.write(text)
+
+
+def _dump_json(payload: dict, out: str | None) -> None:
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 @contextmanager
@@ -59,6 +63,15 @@ def _reading(path: str) -> Iterator[None]:
         yield
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BrooksSimError(f"cannot read {path}: {exc}", phase="input") from None
+
+
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Turn an --out path that cannot be written into a BrooksSimError."""
+    try:
+        yield
+    except OSError as exc:
+        raise BrooksSimError(f"cannot write {path}: {exc}", phase="config") from None
 
 
 def _parse(convert: Callable[[str], T], text: str, what: str) -> T:
@@ -90,7 +103,8 @@ def cmd_gen(args) -> int:
         "seed": str(inst.seed),
         "epsilon": str(inst.epsilon),
     }
-    save_graph(inst.graph, args.out, header=header)
+    with _writing(args.out):
+        save_graph(inst.graph, args.out, header=header)
     _dump_json(
         {
             "schema_version": SCHEMA_VERSION,
@@ -115,10 +129,8 @@ def cmd_acd(args) -> int:
     obs22 = obs22_check(g, acd)
     _dump_json(
         {
+            **acd.to_json_dict(),
             "schema_version": SCHEMA_VERSION,
-            "epsilon": str(epsilon),
-            "sparse": sorted(acd.sparse),
-            "cliques": [sorted(c) for c in acd.cliques],
             "verify_ok": report.ok,
             "obs22_ok": obs22.ok,
             "obs22_violations": obs22.violations,
@@ -138,9 +150,9 @@ def cmd_classify(args) -> int:
         {
             "schema_version": SCHEMA_VERSION,
             "epsilon": str(epsilon),
-            "acd": json.loads(acd.to_json()),
-            "classification": json.loads(cls.to_json()),
-            "partition": json.loads(part.to_json()),
+            "acd": acd.to_json_dict(),
+            "classification": cls.to_json_dict(),
+            "partition": part.to_json_dict(),
         },
         args.out,
     )
@@ -260,10 +272,7 @@ def cmd_experiment(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit(text, args.out)
     return 0
 
 

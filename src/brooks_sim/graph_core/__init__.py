@@ -14,6 +14,7 @@ from .measures import (
     anti_degree,
     contains_delta_plus_one_clique,
     edges_inside,
+    missing_pairs,
     outside_degree,
     sparsity,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "load_graph",
     "load_graph_with_header",
     "mask_of",
+    "missing_pairs",
     "outside_degree",
     "path_graph",
     "save_graph",

@@ -1,7 +1,8 @@
 """Structural measures: sparsity, outside degree, anti-degree, K_{delta+1} test.
 
-Sparsity is kept as an exact Fraction so threshold comparisons (eps^2 * delta
-and friends) never go through floats.
+Sparsity is (binom(delta,2) - edges inside N(v)) / delta, an exact Fraction.
+Its numerator, `missing_pairs`, is an integer count; the ACD checks compare
+that count with the integer bounds of `thresholds.Thresholds`.
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ def edges_inside(g: Graph, nodes_mask: int) -> int:
     return total // 2
 
 
+def missing_pairs(g: Graph, v: int) -> int:
+    """binom(delta,2) - edges inside N(v): the pairs N(v) lacks to be a delta-clique."""
+    d = g.delta
+    return d * (d - 1) // 2 - edges_inside(g, g.masks[v])
+
+
 def sparsity(g: Graph, v: int) -> Fraction:
-    """Local sparsity: (binom(delta,2) - edges inside N(v)) / delta, exact."""
+    """Local sparsity: missing_pairs / delta, exact."""
     d = g.delta
     if d == 0:
         return Fraction(0)
-    inside = edges_inside(g, g.masks[v])
-    return Fraction(d * (d - 1) // 2 - inside, d)
+    return Fraction(missing_pairs(g, v), d)
 
 
 def outside_degree(g: Graph, acd: "AlmostCliqueDecomposition", v: int) -> int:

@@ -17,7 +17,6 @@ solve_distributed without touching the simulator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -58,18 +57,6 @@ class ListInstance:
     @property
     def max_degree(self) -> int | None:
         return max(self.degrees, default=None)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "delta": self.delta,
-                "units": [list(u) for u in self.units],
-                "edges": [list(e) for e in self.edges],
-                "palettes": [sorted(p) for p in self.palettes],
-            },
-            sort_keys=True,
-        )
 
 
 def make_unit(*nodes: int) -> Unit:

@@ -37,7 +37,7 @@ from .classify import (
     RUNAWAY,
     classify_acs,
     fine_partition,
-    has_non_edge,
+    smallest_non_edge,
 )
 from .errors import (
     BrooksSimError,
@@ -281,13 +281,13 @@ class PipelineSteps:
         pe = self.part.P | self.part.E
         sub_a: list[frozenset[int]] = []
         sub_b: list[int] = []
-        sub_c: list[int] = []
+        sub_c: list[tuple[int, Unit]] = []  # (AC, its smallest non-edge)
         for idx in self.cliques_with_label(NICE):
             clique = self.acd.cliques[idx]
             if clique & pe:
                 sub_a.append(clique)
-            elif has_non_edge(self.g, clique, self.acd.clique_masks[idx]):
-                sub_c.append(idx)
+            elif pair := smallest_non_edge(self.g, clique, self.acd.clique_masks[idx]):
+                sub_c.append((idx, pair))
             else:
                 sub_b.append(idx)
 
@@ -316,13 +316,9 @@ class PipelineSteps:
 
         # c) non-edge toeholds: same-color the pair u, w first; then
         # N(u) & N(w) is white with permanent slack.
-        pairs = [
-            _smallest_non_edge(self.g, self.acd.cliques[idx], self.acd.clique_masks[idx])
-            for idx in sub_c
-        ]
-        self.solve_units("nice_c_pairs", pairs)
+        self.solve_units("nice_c_pairs", [pair for _, pair in sub_c])
         masks = self.g.masks
-        groups = [(self.acd.cliques[i], masks[u] & masks[w]) for i, (u, w) in zip(sub_c, pairs)]
+        groups = [(self.acd.cliques[i], masks[u] & masks[w]) for i, (u, w) in sub_c]
         self.gray_then_white("nice_c_gray", "nice_c_white", groups)
 
     def step8_guarded(self) -> None:
@@ -370,16 +366,6 @@ class PipelineSteps:
         self.step9_escape()
         if not self.coloring.is_total():
             raise PartitionViolationError("pipeline finished with uncolored nodes", phase="escape")
-
-
-def _smallest_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> Unit:
-    for u in sorted(clique):
-        missing = cmask & ~(g.masks[u] | (1 << u))
-        if missing:
-            return make_unit(u, (missing & -missing).bit_length() - 1)
-    raise PartitionViolationError(
-        "no non-edge in supposedly non-complete clique", phase="nice_c_pairs"
-    )
 
 
 def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:

@@ -10,7 +10,6 @@ which the nodes that kept nothing observe the kept colors and halt.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -116,9 +115,6 @@ class SlackReport:
             },
             "violations": list(self.violations),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def check_lemma33(

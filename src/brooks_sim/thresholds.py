@@ -1,16 +1,27 @@
-"""Exact integer arithmetic for the psi/phi degree thresholds.
+"""Every degree and size bound of the ACD contract and the AC classification,
+as one exact integer.
 
-psi = delta^(1/3) and phi = delta^(2/3)/2 are irrational for most delta, so
-every decision comparison is done on cubed integers instead of floats:
+The bounds are real numbers (eps*delta multiples, C_SPARSE*eps^2*delta,
+psi = delta^(1/3), phi = delta^(2/3)/2), but every one is compared with an
+integer count, and for an integer c
 
-    count >= phi      <=>  (2*count)^3 >= delta^2
-    count >= phi/2    <=>  (4*count)^3 >= delta^2
-    size  >= delta - floor(psi)   with floor(psi) the integer cube root.
+    c >= r  <=>  c >= ceil(r)        c > r  <=>  c > floor(r).
+
+So `Thresholds` settles each bound once, in exact arithmetic, and every
+decision is an int comparison. psi and phi are settled on cubed integers:
+count >= phi <=> (2*count)^3 >= delta^2, and floor(psi) is the integer
+cube root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+# (1/4) * (1/108)^2, from the proof constant eta = eps/108 and sparsity (eta^2/4)*delta.
+C_SPARSE = Fraction(1, 4) * Fraction(1, 108) ** 2
 
 
 def icbrt(x: int) -> int:
@@ -34,11 +45,6 @@ def count_meets_phi(count: int, delta: int) -> bool:
     return (2 * count) ** 3 >= delta * delta
 
 
-def count_meets_half_phi(count: int, delta: int) -> bool:
-    """count >= delta^(2/3)/4, exactly."""
-    return (4 * count) ** 3 >= delta * delta
-
-
 def ceil_phi(delta: int) -> int:
     """Smallest integer count with count >= phi."""
     c = icbrt(delta * delta) // 2  # near delta^(2/3)/2
@@ -49,26 +55,39 @@ def ceil_phi(delta: int) -> int:
     return c
 
 
+def similarity_epsilon(epsilon: Fraction, delta: int) -> Fraction:
+    """eps' = max(3*eps, 3/delta); the floor keeps near-complete cliques similar
+    at tiny delta where 3*eps alone would split them."""
+    return max(3 * epsilon, Fraction(3, max(delta, 1)))
+
+
 @dataclass(frozen=True)
 class Thresholds:
-    """psi/phi for a given delta; float views for reports, exact tests for decisions."""
+    """The integer bounds for one (epsilon, delta); build with `Thresholds.of`."""
 
-    delta: int
+    similar_min: int  # (1-eps')*delta common nbrs make an edge similar, similar nbrs a node dense
+    size_min: int  # property (2): |C| >= (1-eps)*delta
+    size_max: int  # property (2): |C| <= (1+3eps)*delta
+    inside_min: int  # property (3) and augmentation: (1-4eps)*delta neighbours in C
+    outsider_max: int  # property (4): (1-2eps)*delta neighbours in C from outside
+    missing_min: int  # property (1): binom(delta,2) - edges in N(v) >= C_SPARSE*eps^2*delta^2
+    anti_max: int  # Observation 2.2: anti-degree <= 7*eps*delta
+    outside_max: int  # Observation 2.2: outside degree <= 4*eps*delta
+    special_min: int  # a special has >= phi neighbours in the AC
+    difficult_min: int  # a difficult AC has >= delta - psi members
 
-    @property
-    def psi(self) -> float:
-        return self.delta ** (1 / 3)
-
-    @property
-    def phi(self) -> float:
-        return self.delta ** (2 / 3) / 2
-
-    def is_special_count(self, count: int) -> bool:
-        return count_meets_phi(count, self.delta)
-
-    def meets_half_phi(self, count: int) -> bool:
-        return count_meets_half_phi(count, self.delta)
-
-    def difficult_size_ok(self, size: int) -> bool:
-        """size >= delta - floor(psi); psi rounded down keeps the criterion strict."""
-        return size >= self.delta - floor_psi(self.delta)
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def of(eps: Fraction, delta: int) -> "Thresholds":
+        return Thresholds(
+            similar_min=math.ceil((1 - similarity_epsilon(eps, delta)) * delta),
+            size_min=math.ceil((1 - eps) * delta),
+            size_max=math.floor((1 + 3 * eps) * delta),
+            inside_min=math.ceil((1 - 4 * eps) * delta),
+            outsider_max=math.floor((1 - 2 * eps) * delta),
+            missing_min=math.ceil(C_SPARSE * eps * eps * delta * delta),
+            anti_max=math.floor(7 * eps * delta),
+            outside_max=math.floor(4 * eps * delta),
+            special_min=ceil_phi(delta),
+            difficult_min=delta - floor_psi(delta),
+        )

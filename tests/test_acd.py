@@ -188,15 +188,6 @@ def test_partition_every_node_exactly_once():
     )
 
 
-def test_json_round_trip():
-    inst = generate_instance("runaway_pair", 16, seed=2)
-    acd = compute_acd(inst.graph, inst.epsilon)
-    again = AlmostCliqueDecomposition.from_json(acd.to_json(), inst.graph.n)
-    assert again.sparse == acd.sparse
-    assert set(again.cliques) == set(acd.cliques)
-    assert again.epsilon == acd.epsilon
-
-
 def test_epsilon_out_of_range_rejected():
     g = generate("matched_cliques", 8, seed=0)
     for eps in (Fraction(0), Fraction(1, 2), Fraction(-1, 8)):

@@ -1,5 +1,7 @@
-import pytest
+import operator
 from fractions import Fraction
+
+import pytest
 
 from brooks_sim.acd import compute_acd
 from brooks_sim.classify import (
@@ -12,53 +14,72 @@ from brooks_sim.classify import (
 )
 from brooks_sim.errors import PartitionViolationError
 from brooks_sim.graph_core import Graph, generate_instance
-from brooks_sim.thresholds import Thresholds, ceil_phi, floor_psi
+from brooks_sim.thresholds import C_SPARSE, Thresholds, ceil_phi, count_meets_phi, floor_psi
 
 
 class TestThresholds:
     def test_exact_values_at_cube_deltas(self):
-        t64 = Thresholds(64)
-        assert t64.psi == pytest.approx(4.0)
-        assert t64.phi == pytest.approx(8.0)
-        t27 = Thresholds(27)
-        assert t27.psi == pytest.approx(3.0)
-        assert t27.phi == pytest.approx(4.5)
+        # delta=64: psi=4, phi=8; delta=27: psi=3, phi=4.5
+        t64 = Thresholds.of(Fraction(1, 8), 64)
+        assert (t64.special_min, t64.difficult_min) == (8, 60)
+        t27 = Thresholds.of(Fraction(1, 8), 27)
+        assert (t27.special_min, t27.difficult_min) == (5, 24)
 
     def test_special_count_boundaries(self):
         # delta=64: phi=8, so 8 neighbors is special and 7 is not
-        t = Thresholds(64)
-        assert t.is_special_count(8)
-        assert not t.is_special_count(7)
+        assert count_meets_phi(8, 64)
+        assert not count_meets_phi(7, 64)
         # delta=27: phi=4.5, counts are integers so the cut is at 5
-        t = Thresholds(27)
-        assert t.is_special_count(5)
-        assert not t.is_special_count(4)
+        assert count_meets_phi(5, 27)
+        assert not count_meets_phi(4, 27)
 
     def test_phi_exceeds_psi_above_eight(self):
+        # a special needs more AC neighbors than a difficult AC may lack
         for delta in (9, 16, 27, 64, 100):
-            t = Thresholds(delta)
-            assert t.phi > t.psi
-        t8 = Thresholds(8)
-        assert t8.phi == pytest.approx(t8.psi)
+            t = Thresholds.of(Fraction(1, 8), delta)
+            assert t.special_min > delta - t.difficult_min
+        t8 = Thresholds.of(Fraction(1, 8), 8)
+        assert t8.special_min == 8 - t8.difficult_min == 2
 
     def test_difficult_size_uses_floor_psi(self):
         assert floor_psi(16) == 2
         assert floor_psi(27) == 3
         assert floor_psi(63) == 3
         assert floor_psi(64) == 4
-        t = Thresholds(16)
-        assert t.difficult_size_ok(14)
-        assert not t.difficult_size_ok(13)
+        assert Thresholds.of(Fraction(1, 8), 16).difficult_min == 14
 
     def test_ceil_phi(self):
         assert ceil_phi(16) == 4  # phi ~ 3.17
         assert ceil_phi(27) == 5  # phi = 4.5
         assert ceil_phi(64) == 8
 
-    def test_half_phi(self):
-        t = Thresholds(64)
-        assert t.meets_half_phi(4)
-        assert not t.meets_half_phi(3)
+    def test_integer_bounds_decide_like_exact_bounds(self):
+        # every count 0..2*delta+1 against the Fraction (or cubed-integer)
+        # comparison each integer bound replaces
+        ge, gt, le = operator.ge, operator.gt, operator.le
+        epsilons = (Fraction(1, 172), Fraction(1, 8), Fraction(15, 128), Fraction(1, 4))
+        for delta in range(3, 130):
+            for eps in epsilons + (Fraction(1, 3 * delta),):
+                t = Thresholds.of(eps, delta)
+                eps_prime = max(3 * eps, Fraction(3, delta))
+                checks = (
+                    (ge, (1 - eps_prime) * delta, t.similar_min),
+                    (ge, (1 - eps) * delta, t.size_min),
+                    (le, (1 + 3 * eps) * delta, t.size_max),
+                    (ge, (1 - 4 * eps) * delta, t.inside_min),
+                    (ge, max((1 - 4 * eps) * delta, 1), max(t.inside_min, 1)),
+                    (gt, (1 - 2 * eps) * delta, t.outsider_max),
+                    (gt, 7 * eps * delta, t.anti_max),
+                    (gt, 4 * eps * delta, t.outside_max),
+                )
+                sparse_floor = C_SPARSE * eps * eps * delta
+                for c in range(2 * delta + 2):
+                    for op, exact, bound in checks:
+                        assert op(c, exact) == op(c, bound), (delta, eps, c, exact)
+                    assert (Fraction(c, delta) < sparse_floor) == (c < t.missing_min)
+                    assert ((2 * c) ** 3 >= delta * delta) == (c >= t.special_min)
+                    meets_psi = c >= delta or (delta - c) ** 3 <= delta  # c >= delta - psi
+                    assert meets_psi == (c >= t.difficult_min), (delta, c)
 
 
 def _star_tail_edges(hub: int, delta: int) -> list[tuple[int, int]]:
@@ -86,12 +107,10 @@ class TestFindSpecial:
         inst = generate_instance("guarded_pair", 64, seed=0)
         g = inst.graph
         acd = compute_acd(g, inst.epsilon)
-        th = Thresholds(64)
+        special_min = Thresholds.of(inst.epsilon, 64).special_min
         for special, covered in inst.meta["coverage"].items():
-            count = len(covered)
-            assert th.is_special_count(count)
-        assert not th.is_special_count(7)
-        assert th.is_special_count(8)
+            assert len(covered) >= special_min
+        assert special_min == 8
 
 
 class TestIsEasy:
@@ -195,7 +214,6 @@ class TestFinePartition:
         cls = classify_acs(inst.graph, acd)
         # claim a protector that lives inside an ordinary AC
         bad = ACClassification(
-            thresholds=cls.thresholds,
             labels=cls.labels,
             easy=cls.easy,
             special_sets=cls.special_sets,

@@ -204,6 +204,24 @@ def test_experiment_bad_family_names_config(capsys, argv, kind):
     assert error["phase"] == "config"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "clique_minus_edge", "--delta", "4"),
+        ("color", "--graph", "g.txt"),
+        ("experiment", "--families", "clique_minus_edge", "--deltas", "4", "--seeds", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_names_config(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", "g.txt")
+    error = _error_for(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
+    assert error["type"] == "BrooksSimError"
+    assert error["phase"] == "config"
+    assert "missing" in error["message"]
+
+
 def test_experiment_csv_schema(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(

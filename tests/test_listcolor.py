@@ -237,15 +237,3 @@ class TestValidateAssignment:
 
     def test_rejects_partial(self):
         assert not validate_assignment(self._inst(), {(0,): 0})
-
-
-def test_instance_json_round_trip_fields():
-    import json
-
-    inst = ListInstance(
-        "dump", 4, (make_unit(0), make_unit(1, 2)), ((0, 1),), (frozenset({0}), frozenset({1, 2}))
-    )
-    payload = json.loads(inst.to_json())
-    assert payload["units"] == [[0], [1, 2]]
-    assert payload["edges"] == [[0, 1]]
-    assert payload["palettes"] == [[0], [1, 2]]
