@@ -17,19 +17,16 @@ from .graph_core import (
     contains_delta_plus_one_clique,
     generate,
     generate_instance,
-    load_graph,
     outside_degree,
     save_graph,
-    sparsity,
 )
 from .listcolor import (
     InstanceLedger,
     ListInstance,
     build_instance,
     solve_distributed,
-    solve_greedy_oracle,
 )
-from .oracle_validate import is_k_colorable, validate_coloring
+from .oracle_validate import validate_coloring
 from .phases import (
     PIPELINE_PLAN,
     PipelineConfig,
@@ -37,8 +34,8 @@ from .phases import (
     WhiteGraySplit,
     run_pipeline,
 )
-from .sim_engine import RoundMetrics, check_congest_budget, run_protocol
-from .slackgen import check_lemma33, measure_slack, run_slack_generation
+from .sim_engine import RoundMetrics, run_protocol
+from .slackgen import check_lemma33
 from .thresholds import Thresholds
 
 __version__ = "0.1.0"
@@ -59,7 +56,6 @@ __all__ = [
     "WhiteGraySplit",
     "anti_degree",
     "build_instance",
-    "check_congest_budget",
     "check_lemma33",
     "classify_acs",
     "compute_acd",
@@ -69,18 +65,12 @@ __all__ = [
     "generate",
     "generate_instance",
     "is_easy",
-    "is_k_colorable",
-    "load_graph",
-    "measure_slack",
     "obs22_check",
     "outside_degree",
     "run_pipeline",
     "run_protocol",
-    "run_slack_generation",
     "save_graph",
     "solve_distributed",
-    "solve_greedy_oracle",
-    "sparsity",
     "validate_coloring",
     "verify_acd",
 ]

@@ -214,9 +214,10 @@ def obs22_check(g: Graph, acd: AlmostCliqueDecomposition) -> PropertyReport:
     t = Thresholds.of(acd.epsilon, g.delta)
     report = PropertyReport()
     for idx, clique in enumerate(acd.cliques):
+        cmask = acd.clique_masks[idx]
         for v in sorted(clique):
-            a = anti_degree(g, acd, v)
-            e = outside_degree(g, acd, v)
+            a = anti_degree(g, cmask, v)
+            e = outside_degree(g, cmask, v)
             if a > t.anti_max:
                 report.add("anti_degree", f"AC {idx} node {v}: a={a} > {t.anti_max}")
             if e > t.outside_max:

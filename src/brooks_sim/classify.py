@@ -12,6 +12,7 @@ guarded).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .acd import AlmostCliqueDecomposition, outsider_counts
 from .errors import PartitionViolationError
@@ -92,13 +93,14 @@ def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> f
     return frozenset(u for u, count in outsider_counts(g, acd, clique_idx) if count >= special_min)
 
 
-def smallest_non_edge(g: Graph, clique: frozenset[int], cmask: int) -> Unit | None:
-    """The first non-adjacent pair of the clique in id order, or None for a clique."""
+def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[Unit]:
+    """The non-adjacent pairs (u, w), u < w, of the clique in id order."""
     for u in sorted(clique):
-        missing = cmask & ~(g.masks[u] | (1 << u))
-        if missing:
-            return make_unit(u, (missing & -missing).bit_length() - 1)
-    return None
+        missing = cmask & ~g.masks[u] & ~((2 << u) - 1)
+        while missing:
+            low = missing & -missing
+            yield make_unit(u, low.bit_length() - 1)
+            missing ^= low
 
 
 def is_simplicial(g: Graph, v: int) -> bool:
@@ -109,7 +111,7 @@ def is_simplicial(g: Graph, v: int) -> bool:
 
 def is_easy(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> bool:
     clique = acd.cliques[clique_idx]
-    has_non_edge = smallest_non_edge(g, clique, acd.clique_masks[clique_idx]) is not None
+    has_non_edge = any(non_edges(g, clique, acd.clique_masks[clique_idx]))
     return has_non_edge or any(is_simplicial(g, v) for v in clique)
 
 
@@ -169,7 +171,7 @@ def fine_partition(
         label = cls.labels[idx]
         if label in (GUARDED, RUNAWAY, ORDINARY):
             # Obs: difficult and ordinary ACs are cliques without P/E members
-            if smallest_non_edge(g, clique, acd.clique_masks[idx]) is not None:
+            if any(non_edges(g, clique, acd.clique_masks[idx])):
                 raise PartitionViolationError(
                     f"{label} AC {idx} is not a clique", phase="classify"
                 )

@@ -3,7 +3,8 @@
 Every error that the pipeline or the CLI raises names its `phase`: `config`,
 `input`, `precondition`, `acd`, `classify`, `slackgen`, or the instance kind
 being built. The CLI serializes it into its error object. Helpers called on
-their own (`PartialColoring.assign`, the oracles) may leave it None.
+their own (`Graph`, `PartialColoring.assign`, `run_protocol` without a phase)
+may leave it None.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class UnsupportedFamilyError(BrooksSimError):
 
 class ImproperColoringError(BrooksSimError):
     """Assignment would give two adjacent nodes the same color."""
-
-
-class SlackMeasureError(BrooksSimError):
-    """Slack was requested for an already-colored node."""
 
 
 class RoundLimitExceeded(BrooksSimError):
@@ -87,10 +84,6 @@ class DegPlusOneViolation(BrooksSimError):
         self.degree = degree
 
 
-class InstanceInfeasible(BrooksSimError):
-    """Greedy oracle ran out of colors; only reachable if deg+1 was violated."""
-
-
 class DeltaPlusOneCliquePresent(BrooksSimError):
     """Input contains a K_{delta+1}; no delta-coloring exists."""
 
@@ -99,7 +92,3 @@ class RetryExhausted(BrooksSimError):
     def __init__(self, message: str, attempts: int, *, phase: str | None = None):
         super().__init__(message, phase=phase)
         self.attempts = attempts
-
-
-class SizeLimitError(BrooksSimError):
-    """Exhaustive oracle asked to run beyond its size bound."""

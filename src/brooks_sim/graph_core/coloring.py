@@ -12,10 +12,9 @@ class PartialColoring:
     """Proper partial coloring; colors are ints in [0, delta).
 
     Besides the assignment itself this maintains, per node, the multiset of
-    colors of its colored neighbors, which gives O(1) palette sizes; colored
-    neighbor and repetition counts read the uncolored mask.
-    `slackgen.measure_slack` recomputes the same numbers from scratch so the
-    incremental bookkeeping can be cross-checked.
+    colors of its colored neighbors, which gives O(1) palette sizes; uncolored
+    degrees read the uncolored mask. The tests cross-check this bookkeeping
+    against a from-scratch slack recount.
     """
 
     __slots__ = ("graph", "delta", "color", "uncolored_mask", "_nbr_colors")
@@ -50,13 +49,6 @@ class PartialColoring:
     def palette(self, v: int) -> set[int]:
         return set(range(self.delta)) - self._nbr_colors[v].keys()
 
-    def repetitions(self, v: int) -> int:
-        """Colored neighbors minus distinct colors among them (permanent slack source)."""
-        return self.colored_neighbor_count(v) - len(self._nbr_colors[v])
-
-    def colored_neighbor_count(self, v: int) -> int:
-        return (self.graph.masks[v] & ~self.uncolored_mask).bit_count()
-
     def uncolored_degree_in(self, v: int, subgraph_mask: int) -> int:
         return (self.graph.masks[v] & subgraph_mask & self.uncolored_mask).bit_count()
 
@@ -67,9 +59,6 @@ class PartialColoring:
         uncolored for the value to mean anything, callers enforce that.
         """
         return self.palette_size(v) - self.uncolored_degree_in(v, subgraph_mask)
-
-    def colored_nodes(self) -> list[int]:
-        return [v for v in range(self.graph.n) if self.color[v] is not None]
 
     def uncolored_in(self, nodes: Iterable[int]) -> list[int]:
         return sorted(v for v in nodes if self.color[v] is None)

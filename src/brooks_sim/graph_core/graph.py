@@ -70,14 +70,3 @@ def mask_of(nodes: Iterable[int]) -> int:
         mask |= 1 << v
     return mask
 
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-
-
-def cycle_graph(k: int) -> Graph:
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def path_graph(k: int) -> Graph:
-    return Graph(k, [(i, i + 1) for i in range(k - 1)])

@@ -14,11 +14,6 @@ from ..errors import GraphFormatError
 from .graph import Graph
 
 
-def load_graph(path: str | os.PathLike) -> Graph:
-    graph, _ = load_graph_with_header(path)
-    return graph
-
-
 def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, str]]:
     """Load a graph plus any `# key=value` comment hints (family, delta, ...)."""
     header: dict[str, str] = {}

@@ -1,20 +1,13 @@
-"""Structural measures: sparsity, outside degree, anti-degree, K_{delta+1} test.
+"""Structural measures: missing pairs, outside degree, anti-degree, K_{delta+1} test.
 
-Sparsity is (binom(delta,2) - edges inside N(v)) / delta, an exact Fraction.
-Its numerator, `missing_pairs`, is an integer count; the ACD checks compare
-that count with the integer bounds of `thresholds.Thresholds`.
+`missing_pairs` is the integer numerator of local sparsity (its value times
+delta); the ACD checks compare that count with the integer bounds of
+`thresholds.Thresholds`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING
-
-from ..errors import BrooksSimError
 from .graph import Graph
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..acd import AlmostCliqueDecomposition
 
 
 def edges_inside(g: Graph, nodes_mask: int) -> int:
@@ -35,32 +28,14 @@ def missing_pairs(g: Graph, v: int) -> int:
     return d * (d - 1) // 2 - edges_inside(g, g.masks[v])
 
 
-def sparsity(g: Graph, v: int) -> Fraction:
-    """Local sparsity: missing_pairs / delta, exact."""
-    d = g.delta
-    if d == 0:
-        return Fraction(0)
-    return Fraction(missing_pairs(g, v), d)
-
-
-def outside_degree(g: Graph, acd: "AlmostCliqueDecomposition", v: int) -> int:
-    """Neighbors of v outside its own almost-clique. Errors on sparse nodes."""
-    clique_mask = _own_clique_mask(acd, v)
+def outside_degree(g: Graph, clique_mask: int, v: int) -> int:
+    """Neighbors of v outside its almost-clique, given as a node bitmask."""
     return (g.masks[v] & ~clique_mask).bit_count()
 
 
-def anti_degree(g: Graph, acd: "AlmostCliqueDecomposition", v: int) -> int:
-    """Non-neighbors of v inside its own almost-clique (v itself excluded)."""
-    clique_mask = _own_clique_mask(acd, v)
-    inside = clique_mask & ~(1 << v)
-    return (inside & ~g.masks[v]).bit_count()
-
-
-def _own_clique_mask(acd: "AlmostCliqueDecomposition", v: int) -> int:
-    idx = acd.membership[v]
-    if idx < 0:
-        raise BrooksSimError(f"node {v} is sparse, outside/anti degree undefined")
-    return acd.clique_masks[idx]
+def anti_degree(g: Graph, clique_mask: int, v: int) -> int:
+    """Non-neighbors of v inside its almost-clique (v itself excluded)."""
+    return (clique_mask & ~(1 << v) & ~g.masks[v]).bit_count()
 
 
 def contains_delta_plus_one_clique(g: Graph) -> bool:

@@ -1,5 +1,4 @@
-"""(deg+1)-list coloring: instances, the randomized trial engine, and the
-sequential greedy oracle.
+"""(deg+1)-list coloring: instances and the randomized trial engine.
 
 A unit is one real node or a pair of real nodes that must end up
 same-colored. Units are adjacent when they share a member or any two members
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import BrooksSimError, DegPlusOneViolation, InstanceInfeasible
+from .errors import BrooksSimError, DegPlusOneViolation
 from .graph_core import Graph, PartialColoring
 from .sim_engine import TAG_KEEP, TAG_TRY, Message, RoundMetrics, StreamRng
 from .sim_engine import color_value_bits, run_protocol
@@ -185,34 +184,6 @@ def solve_distributed(
     return assignment, metrics
 
 
-def solve_greedy_oracle(instance: ListInstance) -> dict[Unit, int]:
-    """Sequential greedy in unit order; the deg+1 property guarantees a free
-    color at every step, so failure means the instance was malformed."""
-    colors: list[int | None] = [None] * len(instance.units)
-    for idx, nbrs in enumerate(instance.adj):
-        taken = {colors[j] for j in nbrs if colors[j] is not None}
-        free = sorted(instance.palettes[idx] - taken)
-        if not free:
-            raise InstanceInfeasible(
-                f"{instance.name}: unit {instance.units[idx]} has no free color"
-            )
-        colors[idx] = free[0]
-    return {instance.units[i]: colors[i] for i in range(len(instance.units))}
-
-
-def validate_assignment(instance: ListInstance, assignment: dict[Unit, int]) -> bool:
-    """Total, in-palette, proper w.r.t. instance edges."""
-    if set(assignment) != set(instance.units):
-        return False
-    for idx, unit in enumerate(instance.units):
-        if assignment[unit] not in instance.palettes[idx]:
-            return False
-    for i, j in instance.edges:
-        if assignment[instance.units[i]] == assignment[instance.units[j]]:
-            return False
-    return True
-
-
 DISTRIBUTED = "distributed"
 CENTRALIZED = "centralized"
 
@@ -256,12 +227,6 @@ class InstanceLedger:
 
     def __iter__(self):
         return iter(self.records)
-
-    def get(self, kind: str) -> InstanceRecord:
-        for record in self.records:
-            if record.kind == kind:
-                return record
-        raise KeyError(kind)
 
     def to_json_list(self) -> list[dict]:
         return [r.to_json_dict() for r in self.records]

@@ -37,7 +37,7 @@ from .classify import (
     RUNAWAY,
     classify_acs,
     fine_partition,
-    smallest_non_edge,
+    non_edges,
 )
 from .errors import (
     BrooksSimError,
@@ -250,6 +250,31 @@ class PipelineSteps:
             )
         return node
 
+    def toehold_pair(self, idx: int) -> Unit | None:
+        """The first non-edge (u, w) of nice AC idx in id order whose common
+        neighborhood dominates the AC: every other member lies in, or has a
+        neighbor in, N(u) & N(w) & C. None if the AC is a clique.
+
+        All members are uncolored when sub-phase c starts, so each gray then
+        has an uncolored white neighbor."""
+        masks = self.g.masks
+        clique = self.acd.cliques[idx]
+        cmask = self.acd.clique_masks[idx]
+        tried = 0
+        for u, w in non_edges(self.g, clique, cmask):
+            common = masks[u] & masks[w] & cmask
+            rest = cmask & ~common & ~(1 << u) & ~(1 << w)
+            if all(masks[x] & common for x in clique if (rest >> x) & 1):
+                return (u, w)
+            tried += 1
+        if tried:
+            raise PartitionViolationError(
+                f"nice AC {idx}: none of its {tried} non-edges (u, w) has N(u) & N(w) "
+                "dominating the AC",
+                phase="nice_c_pairs",
+            )
+        return None
+
     # -- steps 4..9 -----------------------------------------------------------
 
     def step4_sparse(self) -> None:
@@ -281,12 +306,12 @@ class PipelineSteps:
         pe = self.part.P | self.part.E
         sub_a: list[frozenset[int]] = []
         sub_b: list[int] = []
-        sub_c: list[tuple[int, Unit]] = []  # (AC, its smallest non-edge)
+        sub_c: list[tuple[int, Unit]] = []  # (AC, its toehold pair)
         for idx in self.cliques_with_label(NICE):
             clique = self.acd.cliques[idx]
             if clique & pe:
                 sub_a.append(clique)
-            elif pair := smallest_non_edge(self.g, clique, self.acd.clique_masks[idx]):
+            elif pair := self.toehold_pair(idx):
                 sub_c.append((idx, pair))
             else:
                 sub_b.append(idx)

@@ -154,13 +154,6 @@ def congest_budget(n: int, c: int) -> int:
     return c * max(1, (n - 1).bit_length())
 
 
-def check_congest_budget(metrics: RoundMetrics, n: int, c: int) -> bool:
-    """True iff every recorded message fits in c * ceil(log2 n) bits."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return metrics.max_message_bits <= congest_budget(n, c)
-
-
 def color_value_bits(delta: int) -> int:
     """Bits for one color in [delta]."""
     return max(1, (delta - 1).bit_length())

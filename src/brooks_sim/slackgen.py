@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .acd import AlmostCliqueDecomposition
 from .classify import ACClassification, FinePartition, ORDINARY
-from .errors import BrooksSimError, SlackMeasureError
+from .errors import BrooksSimError
 from .graph_core import Graph, PartialColoring
 from .listcolor import TrialProgram
 from .sim_engine import RoundMetrics, color_value_bits, run_protocol
@@ -58,30 +58,6 @@ def run_slack_generation_with_metrics(
                 raise AssertionError("non-participant kept a color")
             coloring.assign(v, prog.color)
     return coloring, metrics
-
-
-def run_slack_generation(
-    g: Graph, participants: Iterable[int], p_g: float, seed: int = 0
-) -> PartialColoring:
-    coloring, _ = run_slack_generation_with_metrics(g, participants, p_g, seed)
-    return coloring
-
-
-def measure_slack(
-    g: Graph, coloring: PartialColoring, v: int, subgraph_nodes: Iterable[int]
-) -> int:
-    """From-scratch slack of an uncolored node in the induced subgraph.
-
-    Recounts palette and uncolored degree directly from the color array,
-    independently of the incrementally maintained counters.
-    """
-    if coloring.color[v] is not None:
-        raise SlackMeasureError(f"node {v} is colored, slack undefined")
-    sub = set(subgraph_nodes)
-    used = {coloring.color[u] for u in g.adj[v] if coloring.color[u] is not None}
-    palette = coloring.delta - len(used)
-    uncolored_deg = sum(1 for u in g.adj[v] if u in sub and coloring.color[u] is None)
-    return palette - uncolored_deg
 
 
 @dataclass

@@ -1,0 +1,159 @@
+"""Ground-truth reference code the tests compare the package against.
+
+Each oracle recomputes from scratch what the package keeps incrementally or
+decides by construction:
+
+- `is_k_colorable` is an exact k-colorability search (highest-degree-first
+  order, forward palette pruning, canonical new-color symmetry breaking) over
+  adjacency bitmasks, so a caller can check a graph without building a
+  `Graph`; `is_k_colorable_fast` tries a largest-first greedy coloring first;
+- `solve_greedy_oracle` and `validate_assignment` solve and check a
+  (deg+1)-list instance sequentially;
+- `measure_slack` recounts a node's slack from the color array alone.
+
+Bad arguments raise `ValueError`. Only the standard library and the package
+itself are imported.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from brooks_sim.graph_core import Graph
+
+ORACLE_NODE_LIMIT = 20
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _largest_first(masks: Sequence[int]) -> list[int]:
+    return sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
+
+
+def is_k_colorable(masks: Sequence[int], k: int) -> bool:
+    """Exact decision by exhaustive search on the graph whose node v has
+    neighbour bitmask masks[v]; limited to n <= ORACLE_NODE_LIMIT."""
+    n = len(masks)
+    if n > ORACLE_NODE_LIMIT:
+        raise ValueError(f"is_k_colorable limited to n <= {ORACLE_NODE_LIMIT}, got {n}")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if n == 0:
+        return True
+    if k == 0:
+        return False
+    if not any(masks):
+        return True
+    if k == 1:
+        return False
+
+    order = _largest_first(masks)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # positions of each node's neighbours that come later in the order
+    later = [
+        sorted(p for p in (pos[u] for u in _bits(masks[v])) if p > i)
+        for i, v in enumerate(order)
+    ]
+
+    avail = [(1 << k) - 1] * n  # avail[i]: colors not yet taken by earlier neighbors
+
+    def backtrack(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        # canonical symmetry breaking: at most one brand-new color is tried
+        trial_mask = avail[i] & ((1 << min(used + 1, k)) - 1)
+        while trial_mask:
+            low = trial_mask & -trial_mask
+            c = low.bit_length() - 1
+            trial_mask ^= low
+            touched = []
+            dead = False
+            for j in later[i]:
+                if avail[j] & low:
+                    avail[j] ^= low
+                    touched.append(j)
+                    if avail[j] == 0:
+                        dead = True
+                        break
+            if not dead and backtrack(i + 1, max(used, c + 1)):
+                return True
+            for j in touched:
+                avail[j] |= low
+        return False
+
+    return backtrack(0, 0)
+
+
+def greedy_upper_bound(masks: Sequence[int]) -> int:
+    """Colors used by largest-first greedy; a cheap certificate when <= k."""
+    classes: list[int] = []  # node bitmask of each color class
+    for v in _largest_first(masks):
+        for c, members in enumerate(classes):
+            if not members & masks[v]:
+                classes[c] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
+def is_k_colorable_fast(masks: Sequence[int], k: int) -> bool:
+    """Greedy fast path, falling back to the exact search."""
+    if k >= 2 and any(masks) and greedy_upper_bound(masks) <= k:
+        return True
+    return is_k_colorable(masks, k)
+
+
+def solve_greedy_oracle(instance) -> dict[tuple[int, ...], int]:
+    """Sequential greedy over a `ListInstance` in unit order; the deg+1
+    property guarantees a free color at every step."""
+    colors: list[int | None] = [None] * len(instance.units)
+    for idx, nbrs in enumerate(instance.adj):
+        taken = {colors[j] for j in nbrs if colors[j] is not None}
+        free = sorted(instance.palettes[idx] - taken)
+        if not free:
+            raise ValueError(f"{instance.name}: unit {instance.units[idx]} has no free color")
+        colors[idx] = free[0]
+    return dict(zip(instance.units, colors))
+
+
+def validate_assignment(instance, assignment: dict[tuple[int, ...], int]) -> bool:
+    """Total, in-palette and proper with respect to the instance edges."""
+    if set(assignment) != set(instance.units):
+        return False
+    for unit, palette in zip(instance.units, instance.palettes):
+        if assignment[unit] not in palette:
+            return False
+    return all(
+        assignment[instance.units[i]] != assignment[instance.units[j]] for i, j in instance.edges
+    )
+
+
+def measure_slack(g: Graph, coloring, v: int, subgraph_nodes: Iterable[int]) -> int:
+    """Slack of an uncolored node in the induced subgraph, recounted from the
+    color array independently of `PartialColoring`'s counters."""
+    if coloring.color[v] is not None:
+        raise ValueError(f"node {v} is colored, slack undefined")
+    sub = set(subgraph_nodes)
+    used = {coloring.color[u] for u in g.adj[v] if coloring.color[u] is not None}
+    uncolored_deg = sum(1 for u in g.adj[v] if u in sub and coloring.color[u] is None)
+    return coloring.delta - len(used) - uncolored_deg
+
+
+def complete_graph(k: int) -> Graph:
+    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def cycle_graph(k: int) -> Graph:
+    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def path_graph(k: int) -> Graph:
+    return Graph(k, [(i, i + 1) for i in range(k - 1)])

@@ -140,8 +140,9 @@ def test_anti_degree_matches_set_difference_on_guarded_instance():
     for idx, clique in enumerate(acd.cliques):
         for v in sorted(clique):
             direct = len((set(clique) - {v}) - set(g.adj[v]))
-            assert anti_degree(g, acd, v) == direct
-            assert outside_degree(g, acd, v) == len(set(g.adj[v]) - set(clique))
+            cmask = acd.clique_masks[idx]
+            assert anti_degree(g, cmask, v) == direct
+            assert outside_degree(g, cmask, v) == len(set(g.adj[v]) - set(clique))
 
 
 def test_outside_and_anti_degree():
@@ -149,21 +150,15 @@ def test_outside_and_anti_degree():
     g = inst.graph
     acd = compute_acd(g, Fraction(1, 8))
     for v in range(g.n):
-        assert outside_degree(g, acd, v) == 1
-        assert anti_degree(g, acd, v) == 0
+        cmask = acd.clique_masks[acd.membership[v]]
+        assert outside_degree(g, cmask, v) == 1
+        assert anti_degree(g, cmask, v) == 0
     inst2 = generate_instance("clique_minus_edge", 8, seed=0)
     acd2 = compute_acd(inst2.graph, Fraction(1, 8))
     a, b = inst2.meta["missing_edge"]
-    assert anti_degree(inst2.graph, acd2, a) == 1
-    assert outside_degree(inst2.graph, acd2, a) == 0
-
-
-def test_outside_degree_errors_on_sparse_node():
-    inst = generate_instance("guarded_pair", 16, seed=0)
-    acd = compute_acd(inst.graph, inst.epsilon)
-    sparse_node = min(acd.sparse)
-    with pytest.raises(BrooksSimError):
-        outside_degree(inst.graph, acd, sparse_node)
+    cmask2 = acd2.clique_masks[acd2.membership[a]]
+    assert anti_degree(inst2.graph, cmask2, a) == 1
+    assert outside_degree(inst2.graph, cmask2, a) == 0
 
 
 def test_compute_acd_zero_failures_over_mixed_seeds():

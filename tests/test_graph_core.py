@@ -1,21 +1,17 @@
 import itertools
 
 import pytest
-from fractions import Fraction
 
 from brooks_sim.errors import GraphFormatError, GraphInvariantError, ImproperColoringError
 from brooks_sim.graph_core import (
     Graph,
     PartialColoring,
-    complete_graph,
     contains_delta_plus_one_clique,
-    cycle_graph,
-    load_graph,
     load_graph_with_header,
-    path_graph,
+    missing_pairs,
     save_graph,
-    sparsity,
 )
+from oracles import complete_graph, cycle_graph, path_graph
 
 
 def star(leaves: int) -> Graph:
@@ -51,21 +47,22 @@ class TestGraph:
 class TestSparsity:
     def test_k5_node_is_zero(self):
         g = complete_graph(5)
-        assert sparsity(g, 0) == 0
+        assert missing_pairs(g, 0) == 0
 
     def test_star_center(self):
-        # m(N(v)) = 0, (binom(4,2) - 0) / 4
-        assert sparsity(star(4), 0) == Fraction(3, 2)
+        # m(N(v)) = 0: sparsity (binom(4,2) - 0) / 4 = 3/2, times delta 4
+        assert missing_pairs(star(4), 0) == 6
 
     def test_cycle_node(self):
-        assert sparsity(cycle_graph(5), 0) == Fraction(1, 2)
+        # sparsity 1/2 at delta 2
+        assert missing_pairs(cycle_graph(5), 0) == 1
 
     def test_zero_iff_neighborhood_is_delta_clique(self):
         g = complete_graph(6)
-        assert all(sparsity(g, v) == 0 for v in range(6))
+        assert all(missing_pairs(g, v) == 0 for v in range(6))
         # remove one edge: the endpoints' neighborhoods stay complete but shrink
         h = Graph(6, [e for e in g.edges() if e != (0, 1)])
-        assert sparsity(h, 2) > 0
+        assert missing_pairs(h, 2) > 0
 
     @pytest.mark.parametrize("d,delta", [(3, 6), (4, 7), (5, 9)])
     def test_simplicial_node_formula(self, d, delta):
@@ -76,8 +73,7 @@ class TestSparsity:
         edges += [(hub, hub + 1 + i) for i in range(delta)]
         g = Graph(k + 1 + delta, edges)
         assert g.delta == delta
-        expected = Fraction(delta * (delta - 1) // 2 - d * (d - 1) // 2, delta)
-        assert sparsity(g, 0) == expected
+        assert missing_pairs(g, 0) == delta * (delta - 1) // 2 - d * (d - 1) // 2
 
 
 class TestDeltaPlusOneClique:
@@ -131,31 +127,31 @@ class TestIO:
         g = complete_graph(5)
         path = tmp_path / "k5.txt"
         save_graph(g, path)
-        assert load_graph(path) == g
+        assert load_graph_with_header(path)[0] == g
 
     def test_parse_p3(self, tmp_path):
         path = tmp_path / "p3.txt"
         path.write_text("3 2\n0 1\n1 2\n")
-        assert load_graph(path) == path_graph(3)
+        assert load_graph_with_header(path)[0] == path_graph(3)
 
     def test_duplicate_edge_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 3\n0 1\n1 2\n0 1\n")
         with pytest.raises(GraphFormatError) as err:
-            load_graph(path)
+            load_graph_with_header(path)[0]
         assert err.value.line == 4
 
     def test_rejects_u_ge_v(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n2 1\n")
         with pytest.raises(GraphFormatError):
-            load_graph(path)
+            load_graph_with_header(path)[0]
 
     def test_rejects_wrong_edge_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\n0 1\n")
         with pytest.raises(GraphFormatError):
-            load_graph(path)
+            load_graph_with_header(path)[0]
 
     def test_comments_and_header_hints(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -195,8 +191,10 @@ class TestPartialColoring:
         col.assign(3, 1)
         assert col.palette_size(0) == 2
         assert col.palette(0) == {0, 3}
-        assert col.repetitions(0) == 1
-        assert col.colored_neighbor_count(0) == 3
+        # one repeated color: colored neighbors minus distinct colors among them
+        colored = [u for u in g.adj[0] if col.is_colored(u)]
+        assert len(colored) == 3
+        assert len(colored) - (col.delta - col.palette_size(0)) == 1
 
     def test_uncolored_degree_masks(self):
         g = star(4)

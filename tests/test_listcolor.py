@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from brooks_sim.errors import BrooksSimError, DegPlusOneViolation, InstanceInfeasible
-from brooks_sim.graph_core import Graph, PartialColoring, complete_graph
+from brooks_sim.errors import BrooksSimError, DegPlusOneViolation
+from brooks_sim.graph_core import Graph, PartialColoring
 from brooks_sim.sim_engine import TAG_KEEP, TAG_TRY, StreamRng
 from brooks_sim.listcolor import (
     ListInstance,
@@ -11,9 +11,8 @@ from brooks_sim.listcolor import (
     build_instance,
     make_unit,
     solve_distributed,
-    solve_greedy_oracle,
-    validate_assignment,
 )
+from oracles import complete_graph, solve_greedy_oracle, validate_assignment
 
 
 def star(delta: int) -> Graph:
@@ -182,7 +181,7 @@ class TestGreedyOracle:
             ((0, 1),),
             (frozenset({0}), frozenset({0})),
         )
-        with pytest.raises(InstanceInfeasible):
+        with pytest.raises(ValueError):
             solve_greedy_oracle(inst)
 
     def test_monte_carlo_random_deg_plus_one_instances(self):

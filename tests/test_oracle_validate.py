@@ -3,13 +3,15 @@ import random
 
 import pytest
 
-from brooks_sim.errors import SizeLimitError
-from brooks_sim.graph_core import Graph, complete_graph, cycle_graph, path_graph
-from brooks_sim.oracle_validate import (
+from brooks_sim.graph_core import Graph
+from brooks_sim.oracle_validate import validate_coloring
+from oracles import (
+    complete_graph,
+    cycle_graph,
     greedy_upper_bound,
     is_k_colorable,
     is_k_colorable_fast,
-    validate_coloring,
+    path_graph,
 )
 
 
@@ -38,32 +40,32 @@ class TestValidateColoring:
 
 class TestIsKColorable:
     def test_odd_cycle_not_two_colorable(self):
-        assert not is_k_colorable(cycle_graph(5), 2)
-        assert is_k_colorable(cycle_graph(5), 3)
+        assert not is_k_colorable(cycle_graph(5).masks, 2)
+        assert is_k_colorable(cycle_graph(5).masks, 3)
 
     def test_even_cycle_two_colorable(self):
-        assert is_k_colorable(cycle_graph(6), 2)
+        assert is_k_colorable(cycle_graph(6).masks, 2)
 
     def test_k5_minus_edge_four_colorable(self):
         g = complete_graph(5)
         h = Graph(5, [e for e in g.edges() if e != (0, 1)])
-        assert is_k_colorable(h, 4)
-        assert not is_k_colorable(h, 3)
+        assert is_k_colorable(h.masks, 4)
+        assert not is_k_colorable(h.masks, 3)
 
     def test_clique_needs_exactly_n(self):
         g = complete_graph(6)
-        assert is_k_colorable(g, 6)
-        assert not is_k_colorable(g, 5)
+        assert is_k_colorable(g.masks, 6)
+        assert not is_k_colorable(g.masks, 5)
 
     def test_empty_and_degenerate(self):
-        assert is_k_colorable(Graph(0, []), 0)
-        assert not is_k_colorable(Graph(1, []), 0)
-        assert is_k_colorable(Graph(3, []), 1)
-        assert not is_k_colorable(path_graph(2), 1)
+        assert is_k_colorable(Graph(0, []).masks, 0)
+        assert not is_k_colorable(Graph(1, []).masks, 0)
+        assert is_k_colorable(Graph(3, []).masks, 1)
+        assert not is_k_colorable(path_graph(2).masks, 1)
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            is_k_colorable(Graph(21, []), 2)
+        with pytest.raises(ValueError):
+            is_k_colorable(Graph(21, []).masks, 2)
 
     def test_monotone_in_k(self):
         rng = random.Random(1)
@@ -76,7 +78,7 @@ class TestIsKColorable:
                 if rng.random() < 0.5
             ]
             g = Graph(n, edges)
-            answers = [is_k_colorable(g, k) for k in range(n + 2)]
+            answers = [is_k_colorable(g.masks, k) for k in range(n + 2)]
             assert answers == sorted(answers)  # False..False True..True
 
     def test_fast_path_agrees_with_exact(self):
@@ -91,7 +93,7 @@ class TestIsKColorable:
             ]
             g = Graph(n, edges)
             for k in (2, 3, max(1, g.delta)):
-                assert is_k_colorable_fast(g, k) == is_k_colorable(g, k)
+                assert is_k_colorable_fast(g.masks, k) == is_k_colorable(g.masks, k)
 
     def test_greedy_upper_bound_is_sound(self):
         rng = random.Random(3)
@@ -104,7 +106,7 @@ class TestIsKColorable:
                 if rng.random() < 0.5
             ]
             g = Graph(n, edges)
-            assert is_k_colorable(g, greedy_upper_bound(g))
+            assert is_k_colorable(g.masks, greedy_upper_bound(g.masks))
 
 
 def test_validated_coloring_witnesses_colorability():
@@ -115,7 +117,7 @@ def test_validated_coloring_witnesses_colorability():
     inst = generate_instance("clique_minus_edge", 4, seed=0)
     result = run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon, delta_min=3))
     assert validate_coloring(inst.graph, result.coloring.as_list(), 4)
-    assert is_k_colorable(inst.graph, 4)
+    assert is_k_colorable(inst.graph.masks, 4)
 
 
 def test_brooks_condition_on_connected_graphs_up_to_five():
@@ -141,4 +143,4 @@ def test_brooks_condition_on_connected_graphs_up_to_five():
             odd_cycle = n >= 3 and n % 2 == 1 and all(d == 2 for d in degs)
             is_complete_delta = g.m == n * (n - 1) // 2 and delta == n - 1
             expected = not (odd_cycle or is_complete_delta)
-            assert is_k_colorable(g, delta) == expected, (n, edges)
+            assert is_k_colorable(g.masks, delta) == expected, (n, edges)

@@ -7,12 +7,7 @@ from brooks_sim.errors import (
     PartitionViolationError,
     RetryExhausted,
 )
-from brooks_sim.graph_core import (
-    Graph,
-    PartialColoring,
-    complete_graph,
-    generate_instance,
-)
+from brooks_sim.graph_core import Graph, PartialColoring, generate_instance
 from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import (
     PIPELINE_PLAN,
@@ -23,6 +18,7 @@ from brooks_sim.phases import (
 )
 from brooks_sim.sim_engine import RoundMetrics
 from brooks_sim.thresholds import ceil_phi
+from oracles import complete_graph, solve_greedy_oracle, validate_assignment
 
 ALL_KINDS = tuple(spec.kind for spec in PIPELINE_PLAN)
 
@@ -35,6 +31,10 @@ def run_family(family, delta, seed=0, **cfg):
 
 def executed_kinds(result):
     return [r.kind for r in result.ledger if r.units > 0]
+
+
+def record(result, kind):
+    return next(r for r in result.ledger if r.kind == kind)
 
 
 # -- custom structural fixtures ----------------------------------------------
@@ -57,6 +57,21 @@ def double_hole_graph(delta: int = 16) -> Graph:
     n = delta + 1
     skip = {(0, 1), (0, 2)}
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip])
+
+
+def pendant_nice_graph(core_hole: tuple[int, int] | None = (3, 4)) -> Graph:
+    """delta=8, one nice AC at epsilon 1/4: node 0 is adjacent to a pendant
+    node 2 and to the core 3..9 (K_7 minus `core_hole`), node 1 to 5..9.
+
+    The smallest non-edge (0, 1) has N(0) & N(1) = {5..9}, which misses the
+    pendant's only neighbor 0. With the hole, (3, 4) is the first non-edge
+    whose common neighborhood {0, 5..9} dominates the AC; without it no
+    non-edge does."""
+    core = range(3, 10)
+    edges = [(i, j) for i in core for j in core if i < j and (i, j) != core_hole]
+    edges += [(0, v) for v in (2, *core)]
+    edges += [(1, v) for v in range(5, 10)]
+    return Graph(10, edges)
 
 
 def protected_nice_graph() -> tuple[Graph, dict]:
@@ -132,7 +147,7 @@ class TestColorGrayThenWhite:
         with pytest.raises(PartitionViolationError) as err:
             steps.gray_then_white("runaway_gray", "runaway_white", [((0, 1, 2), 0b111)])
         assert err.value.phase == "runaway_gray"
-        assert len(steps.ledger) == 0 and not coloring.colored_nodes()
+        assert len(steps.ledger) == 0 and coloring.uncolored_mask == (1 << g.n) - 1
 
     def test_gray_colored_before_white(self):
         # grays get their instance first; whites stay uncolored meanwhile
@@ -167,7 +182,7 @@ class TestPipelineFamilies:
         assert validate_coloring(inst.graph, colors, 8)
         a, b = inst.meta["missing_edge"]
         assert colors[a] == colors[b]
-        assert result.ledger.get("nice_c_pairs").units == 1
+        assert record(result, "nice_c_pairs").units == 1
 
     def test_matched_cliques_uses_ordinary_steps(self):
         inst, result = run_family("matched_cliques", 16, seed=0)
@@ -190,7 +205,7 @@ class TestPipelineFamilies:
         # escape slack >= 1 held after slack generation (gate), so its final
         # palette was nonempty when everything else was colored
         assert result.slack_report.escape_slack[escape] >= 1
-        assert result.ledger.get("escape").min_palette >= 1
+        assert record(result, "escape").min_palette >= 1
         kinds = executed_kinds(result)
         assert kinds[-1] == "escape"
         assert "runaway_gray" in kinds and "runaway_white" in kinds
@@ -202,14 +217,14 @@ class TestPipelineFamilies:
         assert validate_coloring(g, colors, 64)
         protector = inst.meta["expected_protector"]
         assert result.partition.P == frozenset({protector})
-        pairs = result.ledger.get("guarded_pairs")
+        pairs = record(result, "guarded_pairs")
         assert pairs.units == 1
         assert pairs.min_palette is not None
         assert (4 * pairs.min_palette) ** 3 >= 64 * 64  # >= phi/2, exact
-        white = result.ledger.get("guarded_white")
+        white = record(result, "guarded_white")
         assert white.units >= ceil_phi(64) // 2
         assert (4 * white.min_palette) ** 3 >= 64 * 64  # recorded phi/2 threshold
-        gray = result.ledger.get("guarded_gray")
+        gray = record(result, "guarded_gray")
         assert 2 * gray.min_palette >= 64
         # protector and its toehold share a color
         toehold = [
@@ -245,17 +260,36 @@ class TestPipelineStructuralPaths:
         assert validate_coloring(g, result.coloring.as_list(), 16)
         kinds = executed_kinds(result)
         assert "nice_b_gray" in kinds and "nice_b_deferred" in kinds
-        assert result.ledger.get("nice_b_deferred").units == 1
-        assert result.ledger.get("nice_b_gray").units == 15
+        assert record(result, "nice_b_deferred").units == 1
+        assert record(result, "nice_b_gray").units == 15
 
     def test_double_hole_populates_nice_c_gray(self):
         g = double_hole_graph(16)
         result = run_pipeline(g, PipelineConfig(epsilon=Fraction(1, 8), seed=0))
         assert validate_coloring(g, result.coloring.as_list(), 16)
-        assert result.ledger.get("nice_c_gray").units == 1
-        assert result.ledger.get("nice_c_pairs").units == 1
+        assert record(result, "nice_c_gray").units == 1
+        assert record(result, "nice_c_pairs").units == 1
         colors = result.coloring.as_list()
         assert colors[0] == colors[1]  # the lexicographically smallest non-edge
+
+    def test_nice_c_pair_dominates_the_ac(self):
+        g = pendant_nice_graph()
+        result = run_pipeline(g, PipelineConfig(epsilon=Fraction(1, 4), seed=0))
+        colors = result.coloring.as_list()
+        assert validate_coloring(g, colors, 8)
+        assert colors[3] == colors[4] and colors[0] != colors[1]
+        assert [(r.kind, r.units) for r in result.ledger if r.units] == [
+            ("nice_c_pairs", 1),
+            ("nice_c_gray", 2),  # nodes 1 and 2
+            ("nice_c_white", 6),  # N(3) & N(4) = {0, 5..9}
+        ]
+
+    def test_nice_c_without_dominating_pair_names_phase(self):
+        g = pendant_nice_graph(core_hole=None)
+        with pytest.raises(PartitionViolationError) as err:
+            run_pipeline(g, PipelineConfig(epsilon=Fraction(1, 4), seed=0))
+        assert err.value.phase == "nice_c_pairs"
+        assert "dominating" in str(err.value)
 
     def test_protected_nice_subphase_a(self):
         g, meta = protected_nice_graph()
@@ -275,7 +309,7 @@ class TestPipelineStructuralPaths:
         ]
         assert partners
         # guarded pair palette met the phi/2 bound despite the colored nice AC
-        pairs = result.ledger.get("guarded_pairs")
+        pairs = record(result, "guarded_pairs")
         assert (4 * pairs.min_palette) ** 3 >= 64 * 64
 
 
@@ -357,20 +391,20 @@ class TestPipelineContract:
 
     def test_pair_records_tagged_centralized(self):
         _, result = run_family("guarded_pair", 16, seed=0)
-        assert result.ledger.get("guarded_pairs").tag == "centralized"
-        assert result.ledger.get("nice_c_pairs").tag == "centralized"
-        assert result.ledger.get("sparse").tag == "distributed"
+        assert record(result, "guarded_pairs").tag == "centralized"
+        assert record(result, "nice_c_pairs").tag == "centralized"
+        assert record(result, "sparse").tag == "distributed"
 
     def test_final_colors_within_delta(self):
         inst, result = run_family("mixed", 27, seed=3)
         assert all(0 <= c < 27 for c in result.coloring.as_list())
 
     def test_congest_budget_at_n600(self):
-        from brooks_sim.sim_engine import check_congest_budget
+        from brooks_sim.sim_engine import congest_budget
 
         inst, result = run_family("mixed", 64, seed=0)
         assert inst.graph.n >= 600
-        assert check_congest_budget(result.metrics, inst.graph.n, 4)
+        assert result.metrics.max_message_bits <= congest_budget(inst.graph.n, 4)
 
     def test_adjacent_protectors_get_distinct_colors(self, monkeypatch):
         # two guarded components whose protectors are joined by an edge: the
@@ -405,11 +439,7 @@ class TestPipelineContract:
 
     def test_every_pipeline_instance_passes_oracle_and_validator(self, monkeypatch):
         import brooks_sim.phases as phases
-        from brooks_sim.listcolor import (
-            solve_distributed as real_solve,
-            solve_greedy_oracle,
-            validate_assignment,
-        )
+        from brooks_sim.listcolor import solve_distributed as real_solve
 
         seen = []
 

@@ -5,16 +5,15 @@ from fractions import Fraction
 
 from brooks_sim.acd import compute_acd
 from brooks_sim.classify import classify_acs, fine_partition
-from brooks_sim.errors import BrooksSimError, SlackMeasureError
-from brooks_sim.graph_core import Graph, PartialColoring, complete_graph, generate_instance
+from brooks_sim.errors import BrooksSimError
+from brooks_sim.graph_core import Graph, PartialColoring, generate_instance
 from brooks_sim.sim_engine import StreamRng
-from brooks_sim.slackgen import (
-    check_lemma33,
-    measure_slack,
-    participant_set,
-    run_slack_generation,
-    run_slack_generation_with_metrics,
-)
+from brooks_sim.slackgen import check_lemma33, participant_set, run_slack_generation_with_metrics
+from oracles import complete_graph, measure_slack
+
+
+def colored_nodes(coloring: PartialColoring) -> list[int]:
+    return [v for v in range(coloring.graph.n) if coloring.is_colored(v)]
 
 
 def star_plus_isolated() -> Graph:
@@ -24,44 +23,44 @@ def star_plus_isolated() -> Graph:
 
 def test_pg_zero_colors_nothing():
     g = complete_graph(6)
-    coloring = run_slack_generation(g, range(6), p_g=0.0, seed=1)
-    assert coloring.colored_nodes() == []
+    coloring = run_slack_generation_with_metrics(g, range(6), 0.0, 1)[0]
+    assert colored_nodes(coloring) == []
 
 
 def test_isolated_participant_pg_one_gets_colored():
     g = star_plus_isolated()
-    coloring = run_slack_generation(g, [5], p_g=1.0, seed=0)
+    coloring = run_slack_generation_with_metrics(g, [5], 1.0, 0)[0]
     assert coloring.is_colored(5)
-    assert coloring.colored_nodes() == [5]
+    assert colored_nodes(coloring) == [5]
 
 
 def test_adjacent_equal_draws_both_discarded():
     # K_2 has delta=1, so both participants always draw color 0 and collide
     g = complete_graph(2)
-    coloring = run_slack_generation(g, [0, 1], p_g=1.0, seed=7)
-    assert coloring.colored_nodes() == []
+    coloring = run_slack_generation_with_metrics(g, [0, 1], 1.0, 7)[0]
+    assert colored_nodes(coloring) == []
 
 
 @pytest.mark.parametrize("p_g", [-0.1, 1.5, 2.0, float("nan")])
 def test_pg_outside_unit_interval_rejected(p_g):
     with pytest.raises(BrooksSimError) as err:
-        run_slack_generation(complete_graph(4), range(4), p_g=p_g, seed=0)
+        run_slack_generation_with_metrics(complete_graph(4), range(4), p_g, 0)
     assert err.value.phase == "config"
 
 
 def test_colored_subset_of_participants():
     inst = generate_instance("matched_cliques", 16, seed=0)
     participants = list(range(16))  # one side only
-    coloring = run_slack_generation(inst.graph, participants, p_g=0.9, seed=3)
-    assert set(coloring.colored_nodes()) <= set(participants)
+    coloring = run_slack_generation_with_metrics(inst.graph, participants, 0.9, 3)[0]
+    assert set(colored_nodes(coloring)) <= set(participants)
 
 
 def test_determinism_across_repeated_runs():
     inst = generate_instance("matched_cliques", 8, seed=0)
-    a = run_slack_generation(inst.graph, range(16), p_g=0.5, seed=11)
-    b = run_slack_generation(inst.graph, range(16), p_g=0.5, seed=11)
+    a = run_slack_generation_with_metrics(inst.graph, range(16), 0.5, 11)[0]
+    b = run_slack_generation_with_metrics(inst.graph, range(16), 0.5, 11)[0]
     assert a.as_list() == b.as_list()
-    c = run_slack_generation(inst.graph, range(16), p_g=0.5, seed=12)
+    c = run_slack_generation_with_metrics(inst.graph, range(16), 0.5, 12)[0]
     assert a.as_list() != c.as_list()  # overwhelmingly likely
 
 
@@ -71,7 +70,7 @@ def test_keep_rule_matches_stream_replay():
     inst = generate_instance("random_gnd", 16, seed=4)
     g = inst.graph
     p_g, seed = 0.6, 21
-    coloring = run_slack_generation(g, range(g.n), p_g=p_g, seed=seed)
+    coloring = run_slack_generation_with_metrics(g, range(g.n), p_g, seed)[0]
     tried: dict[int, int] = {}
     for v in range(g.n):
         rng = StreamRng(seed, v, 0)
@@ -83,7 +82,7 @@ def test_keep_rule_matches_stream_replay():
     for v, c in tried.items():
         if all(tried.get(u) != c for u in g.adj[v]):
             expected[v] = c
-    assert {v: coloring.color[v] for v in coloring.colored_nodes()} == expected
+    assert {v: coloring.color[v] for v in colored_nodes(coloring)} == expected
 
 
 class TestMeasureSlack:
@@ -108,7 +107,7 @@ class TestMeasureSlack:
         g = complete_graph(3)
         coloring = PartialColoring(g)
         coloring.assign(0, 1)
-        with pytest.raises(SlackMeasureError):
+        with pytest.raises(ValueError):
             measure_slack(g, coloring, 0, range(3))
 
     def test_matches_incremental_on_random_graphs(self):
@@ -124,7 +123,7 @@ class TestMeasureSlack:
             g = Graph(n, edges)
             if g.delta == 0:
                 continue
-            coloring = run_slack_generation(g, range(n), p_g=0.5, seed=trial)
+            coloring = run_slack_generation_with_metrics(g, range(n), 0.5, trial)[0]
             submask = 0
             sub = []
             for v in range(n):
@@ -146,7 +145,7 @@ class TestSlackPropertyReport:
 
     def test_pg_zero_violates_ordinary_but_not_difficult(self):
         g, acd, cls, part = self._setup("matched_cliques", 16, 0)
-        coloring = run_slack_generation(g, sorted(participant_set(part)), p_g=0.0, seed=0)
+        coloring = run_slack_generation_with_metrics(g, sorted(participant_set(part)), 0.0, 0)[0]
         report = check_lemma33(g, acd, cls, part, coloring)
         assert not report.gate_ok
         assert all("ordinary" in v or "sparse" in v for v in report.violations)
@@ -154,7 +153,7 @@ class TestSlackPropertyReport:
 
     def test_difficult_fraction_tracks_coloring(self):
         g, acd, cls, part = self._setup("runaway_pair", 64, 1)
-        coloring = run_slack_generation(g, sorted(participant_set(part)), p_g=0.05, seed=2)
+        coloring = run_slack_generation_with_metrics(g, sorted(participant_set(part)), 0.05, 2)[0]
         report = check_lemma33(g, acd, cls, part, coloring)
         for idx, frac in report.difficult_colored_fraction.items():
             assert 0 <= frac <= Fraction(1, 2)
@@ -162,7 +161,7 @@ class TestSlackPropertyReport:
     def test_guarded_fraction_always_zero(self):
         # guarded AC members are outside the participant set entirely
         g, acd, cls, part = self._setup("guarded_pair", 16, 0)
-        coloring = run_slack_generation(g, sorted(participant_set(part)), p_g=1.0, seed=5)
+        coloring = run_slack_generation_with_metrics(g, sorted(participant_set(part)), 1.0, 5)[0]
         report = check_lemma33(g, acd, cls, part, coloring)
         assert list(report.difficult_colored_fraction.values()) == [Fraction(0)]
         assert report.gate_ok
@@ -170,7 +169,7 @@ class TestSlackPropertyReport:
     def test_non_participants_never_colored(self):
         g, acd, cls, part = self._setup("mixed", 16, 3)
         participants = participant_set(part)
-        coloring = run_slack_generation(g, sorted(participants), p_g=1.0, seed=9)
+        coloring = run_slack_generation_with_metrics(g, sorted(participants), 1.0, 9)[0]
         outside = (part.N | part.G | part.P | part.E)
         for v in outside:
             assert not coloring.is_colored(v)
@@ -186,8 +185,8 @@ class TestSlackPropertyReport:
         seeds = 200
         for seed in range(seeds):
             for attempt in range(16):
-                coloring = run_slack_generation(
-                    g, participants, p_g=0.5, seed=_mix(seed, attempt)
+                coloring, _ = run_slack_generation_with_metrics(
+                    g, participants, 0.5, _mix(seed, attempt)
                 )
                 report = check_lemma33(g, acd, cls, part, coloring)
                 if all(count > 0 for count in report.ordinary_unit_slack.values()):
@@ -208,7 +207,7 @@ def test_slack_decomposition_identity():
         g = Graph(n, edges)
         if g.delta == 0:
             continue
-        coloring = run_slack_generation(g, range(n), p_g=0.6, seed=trial)
+        coloring = run_slack_generation_with_metrics(g, range(n), 0.6, trial)[0]
         subset = {v for v in range(n) if rng.random() < 0.6}
         for v in range(n):
             if coloring.is_colored(v):
@@ -216,10 +215,12 @@ def test_slack_decomposition_identity():
             outside_uncolored = sum(
                 1 for u in g.adj[v] if u not in subset and not coloring.is_colored(u)
             )
-            expected = (
-                (coloring.delta - g.degree(v)) + coloring.repetitions(v) + outside_uncolored
-            )
+            nbr_colors = [coloring.color[u] for u in g.adj[v] if coloring.is_colored(u)]
+            repetitions = len(nbr_colors) - len(set(nbr_colors))
+            expected = (coloring.delta - g.degree(v)) + repetitions + outside_uncolored
             assert measure_slack(g, coloring, v, subset) == expected
+            submask = sum(1 << u for u in subset)
+            assert coloring.slack_in(v, submask) == expected
 
 
 def test_metrics_cover_three_rounds():
