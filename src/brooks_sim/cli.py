@@ -255,6 +255,8 @@ def cmd_experiment(args) -> int:
         if family not in FAMILIES:
             raise BrooksSimError(f"unknown family {family!r}", phase="config")
     deltas = tuple(_parse(int, d, "--deltas") for d in args.deltas.split(","))
+    if args.seeds < 0:
+        raise BrooksSimError(f"--seeds must be >= 0, got {args.seeds}", phase="config")
     rows = [
         experiment_row(family, delta, seed, pg=args.pg, max_retries=args.max_retries)
         for family in families

@@ -6,24 +6,25 @@ are adjacent in G; a unit's palette is [delta] minus the colors of colored
 G-neighbors of any member (so a pair's palette is the intersection of its
 endpoints' palettes).
 
-The distributed solver is a plain synchronous trial loop (activate w.p. 1/2,
-try a uniform available color, keep on no conflict) standing in for the
-cited list-coloring algorithms; it reports rounds but makes no round-
-complexity claim. The same TrialProgram, limited to one trial, is the slack-
-generation step, so a faster algorithm could be swapped in behind
-solve_distributed without touching the simulator.
+The distributed solver is the plain synchronous trial loop of
+`sim_engine.run_protocol` (activate w.p. 1/2, try a uniform available color,
+keep on no conflict, until every unit is colored) standing in for the cited
+list-coloring algorithms; it reports rounds but makes no round-complexity
+claim. Each round is resolved by color class: one array of the units'
+candidates per try round, and a blocked-color int per unit for the colors
+its neighbours kept, which is what per-neighbour TRY and KEEP messages would
+tell it. The same loop, limited to one trial, is the slack-generation step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BrooksSimError, DegPlusOneViolation
 from .graph_core import Graph, PartialColoring
-from .sim_engine import TAG_KEEP, TAG_TRY, Message, RoundMetrics, StreamRng
-from .sim_engine import color_value_bits, run_protocol
+from .sim_engine import RoundMetrics, color_value_bits, run_protocol
 
 Unit = tuple[int, ...]
 
@@ -111,51 +112,6 @@ def build_instance(
     return instance
 
 
-class TrialProgram:
-    """Per-node trial loop: even rounds try, odd rounds resolve.
-
-    In a try round the node drops the colors its neighbors just kept, then
-    with probability p broadcasts a uniform available color; in the resolve
-    round it keeps that color if no neighbor tried the same one, announces
-    it and halts. `trials` caps the try rounds (None: until colored); a node
-    out of trials halts at its next try round.
-    """
-
-    __slots__ = ("available", "p", "trials", "candidate", "color", "halted")
-
-    def __init__(self, palette: Iterable[int], p: float = 0.5, trials: int | None = None):
-        self.available = sorted(palette)
-        self.p = p
-        self.trials = trials
-        self.candidate: int | None = None
-        self.color: int | None = None
-        self.halted = False
-
-    def step(
-        self, round_no: int, inbox: list[Message], rng: StreamRng
-    ) -> tuple[Message | None, bool]:
-        if round_no % 2 == 0:
-            # neighbors fixed in the previous resolve round shrink the palette
-            for tag, value in inbox:
-                if tag == TAG_KEEP and value in self.available:
-                    self.available.remove(value)
-            if self.trials == 0:
-                return None, True
-            if not self.available:
-                raise AssertionError("palette exhausted despite deg+1 invariant")
-            if self.trials is not None:
-                self.trials -= 1
-            self.candidate = None
-            if rng.uniform() < self.p:  # activation draw precedes color draw
-                self.candidate = self.available[rng.randrange(len(self.available))]
-                return (TAG_TRY, self.candidate), False
-            return None, False
-        if self.candidate is not None and (TAG_TRY, self.candidate) not in inbox:
-            self.color = self.candidate
-            return (TAG_KEEP, self.color), True
-        return None, False
-
-
 def trial_round_limit(unit_count: int) -> int:
     n = max(2, unit_count)
     return 64 * max(1, (n - 1).bit_length()) + 64
@@ -169,16 +125,17 @@ def solve_distributed(
     k = len(instance.units)
     if k == 0:
         return {}, RoundMetrics()
-    final, metrics = run_protocol(
+    colors, metrics = run_protocol(
         instance.adj,
-        [TrialProgram(palette) for palette in instance.palettes],
+        [sorted(palette) for palette in instance.palettes],
+        [0.5] * k,
         seed,
         max_rounds=trial_round_limit(k),
         value_bits=color_value_bits(instance.delta),
         strict_bit_budget=strict_bit_budget,
         phase=instance.name,
     )
-    assignment = {instance.units[i]: final[i].color for i in range(k)}
+    assignment = dict(zip(instance.units, colors))
     if any(c is None for c in assignment.values()):
         raise AssertionError("halted with uncolored units")
     return assignment, metrics

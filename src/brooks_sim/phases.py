@@ -113,6 +113,10 @@ class PipelineConfig:
             raise BrooksSimError(
                 f"max_retries must be >= 1, got {self.max_retries}", phase="config"
             )
+        if not -(1 << 63) <= self.seed < 1 << 63:  # seeds are hashed as signed 64-bit
+            raise BrooksSimError(f"seed must fit in signed 64 bits: {self.seed}", phase="config")
+        if self.congest_c < 1:
+            raise BrooksSimError(f"congest_c must be >= 1, got {self.congest_c}", phase="config")
 
     def bit_budget(self, n: int) -> int | None:
         """The enforced per-message budget on an n-node graph; None if not strict."""

@@ -1,15 +1,23 @@
-"""Round-synchronous message-passing simulator with bit accounting.
+"""Round-synchronous simulator of the randomized colour trial (Johansson,
+"Simple distributed Delta+1-coloring of graphs", IPL 1999), with bit
+accounting. Even rounds try: a live node drops the colours its neighbours
+just kept and, with its activation probability, broadcasts a uniform colour
+of what is left. Odd rounds resolve: it keeps that colour if no neighbour
+tried the same one, broadcasts it and halts. A trial cap, the same for every
+node, halts the live nodes at the next try round before any palette check.
 
-Execution model: in round r every non-halted node sees the messages its
-neighbors broadcast in round r-1, its own state, and a private random stream,
-and broadcasts at most one message to all of its neighbors. The scheduler is
-sequential in node-id order, which (together with the keyed streams) makes a
-run a pure function of (adjacency, programs, seed).
-
-Messages are (tag, value) pairs with value an int in [0, 2^value_bits) or
-None; their canonical encoding is 2 tag bits plus value_bits payload bits,
-and that encoding is what the budget accounting measures. Only the largest
-message of the whole run is recorded: that is all the CONGEST bound needs.
+`run_protocol` resolves rounds by colour class instead of delivering
+messages: a try round writes each live node's candidate (or None) into one
+array, and the resolve round compares a candidate with the neighbours'
+entries, which are exactly the TRY messages its inbox would hold. A kept
+colour sets a bit in each neighbour's `blocked` int, which the neighbour
+removes from its palette at its next try round, as the KEEP messages would
+make it. Nodes step in id order and draw from streams keyed by (seed, node,
+round), so a run is a pure function of its inputs, and a node that draws
+nothing (activation 0) moves no other node's stream. A broadcast from a node
+with neighbours counts one message per neighbour, encoded as 2 tag bits
+plus `value_bits` payload bits; the strict budget checks that size and
+`max_message_bits` records the largest (all the CONGEST bound needs).
 """
 
 from __future__ import annotations
@@ -17,15 +25,12 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .errors import MessageSizeViolation, RoundLimitExceeded
 
 TAG_BITS = 2
-TAG_TRY = 1
-TAG_KEEP = 2
 
-Message = tuple[int, int | None]
 Adjacency = Sequence[Sequence[int]]
 
 
@@ -61,20 +66,6 @@ class StreamRng:
         return (self._next() * k) >> 64
 
 
-class NodeProgram(Protocol):
-    """Per-node protocol logic. `halted` may be True before the first step."""
-
-    halted: bool
-
-    def step(
-        self, round_no: int, inbox: list[Message], rng: StreamRng
-    ) -> tuple[Message | None, bool]:
-        """Return (message broadcast to every neighbor or None, halted).
-
-        The inbox holds last round's neighbor broadcasts in sender order."""
-        ...
-
-
 @dataclass
 class RoundMetrics:
     rounds_elapsed: int = 0
@@ -89,64 +80,104 @@ class RoundMetrics:
 
 def run_protocol(
     adj: Adjacency,
-    programs: Sequence[NodeProgram],
+    palettes: Sequence[Sequence[int]],
+    activation: Sequence[float],
     seed: int,
     max_rounds: int,
     *,
+    trials: int | None = None,
     value_bits: int = 1,
     strict_bit_budget: int | None = None,
     phase: str | None = None,
-) -> tuple[list[NodeProgram], RoundMetrics]:
-    """Run lockstep rounds until every program halts or max_rounds is hit.
+) -> tuple[list[int | None], RoundMetrics]:
+    """Run trial rounds until every node halts or max_rounds is hit.
 
-    `adj[v]` lists v's neighbors (`Graph.adj` or `ListInstance.adj`). Returns
-    the (mutated) programs as final states plus metrics. Raises
-    RoundLimitExceeded naming the nodes that had not halted, and
-    MessageSizeViolation in strict mode when a message overflows the budget.
+    `adj[v]` lists v's neighbours (`Graph.adj` or `ListInstance.adj`),
+    `palettes[v]` its colours (ints >= 0) in ascending order (nodes may
+    share one list; it is never mutated) and `activation[v]` its try
+    probability. `trials` caps the try rounds (None: until coloured).
+    Returns each node's kept colour or None, plus metrics. Raises
+    RoundLimitExceeded naming the nodes still live, MessageSizeViolation in
+    strict mode when a broadcast overflows the budget, ValueError when a
+    colour overflows `value_bits`, and AssertionError when a node that may
+    still try has no colour left.
     """
     n = len(adj)
-    if len(programs) != n:
-        raise ValueError(f"need one program per node: {len(programs)} != {n}")
+    if len(palettes) != n or len(activation) != n:
+        raise ValueError(f"need {n} palettes and activations: {len(palettes)}, {len(activation)}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     metrics = RoundMetrics()
-    halted = [bool(getattr(p, "halted", False)) for p in programs]
-    inboxes: list[list[Message]] = [[] for _ in range(n)]
+    bits = TAG_BITS + value_bits
     value_limit = 1 << value_bits
+    over_budget = strict_bit_budget is not None and bits > strict_bit_budget
+    available = list(palettes)  # replaced by a filtered copy once a colour is blocked
+    blocked = [0] * n  # bit c: a neighbour kept colour c since v's last try round
+    cand: list[int | None] = [None] * n  # colour tried in the last try round
+    colors: list[int | None] = [None] * n
+    live = list(range(n))
+    trials_left = trials
+    sent = 0
     for round_no in range(max_rounds):
-        if all(halted):
-            return list(programs), metrics
-        next_inboxes: list[list[Message]] = [[] for _ in range(n)]
-        for v in range(n):
-            if halted[v]:
-                continue
-            msg, halted[v] = programs[v].step(round_no, inboxes[v], StreamRng(seed, v, round_no))
-            nbrs = adj[v]
-            if msg is None or not nbrs:
-                continue
-            value = msg[1]
-            bits = TAG_BITS
-            if value is not None:
-                if not 0 <= value < value_limit:
-                    raise ValueError(f"node {v}: value {value} overflows {value_bits} bits")
-                bits += value_bits
-            if strict_bit_budget is not None and bits > strict_bit_budget:
-                raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
-            if bits > metrics.max_message_bits:
-                metrics.max_message_bits = bits
-            metrics.messages_sent += len(nbrs)
-            for u in nbrs:
-                next_inboxes[u].append(msg)
+        if not live:
+            break
         metrics.rounds_elapsed += 1
-        inboxes = next_inboxes
-    if not all(halted):
-        pending = tuple(v for v in range(n) if not halted[v])
+        if round_no % 2 == 0:
+            if trials_left == 0:
+                live = []
+                continue
+            if trials_left is not None:
+                trials_left -= 1
+            for v in live:
+                avail = available[v]
+                if blocked[v]:
+                    mask = blocked[v]
+                    avail = available[v] = [c for c in avail if not mask >> c & 1]
+                    blocked[v] = 0
+                if not avail:
+                    raise AssertionError("palette exhausted despite deg+1 invariant")
+                c = None
+                p = activation[v]
+                if p > 0:  # with p = 0 the activation draw cannot succeed
+                    rng = StreamRng(seed, v, round_no)
+                    if rng.uniform() < p:  # activation draw precedes colour draw
+                        c = avail[rng.randrange(len(avail))]
+                        nbrs = adj[v]  # an isolated node sends, and checks, nothing
+                        if nbrs and not 0 <= c < value_limit:
+                            raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
+                        if nbrs and over_budget:
+                            raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
+                        sent += len(nbrs)
+                cand[v] = c
+            continue
+        # A KEEP repeats the checked TRY value to the same neighbours. A
+        # keeper's entry in `cand` goes stale, but a neighbour that tries
+        # again has that colour blocked, so it can never match.
+        block = trials_left is None or trials_left > 0
+        still = []
+        for v in live:
+            c = cand[v]
+            nbrs = adj[v]
+            if c is None or c in map(cand.__getitem__, nbrs):
+                still.append(v)
+                continue
+            colors[v] = c
+            sent += len(nbrs)
+            if block and nbrs:
+                bit = 1 << c
+                for u in nbrs:
+                    blocked[u] |= bit
+        live = still
+    if live:
+        pending = tuple(live)
         raise RoundLimitExceeded(
             f"{len(pending)} nodes had not halted after {max_rounds} rounds",
             pending,
             phase=phase,
         )
-    return list(programs), metrics
+    metrics.messages_sent = sent
+    metrics.max_message_bits = bits if sent else 0
+    return colors, metrics
 
 
 def congest_budget(n: int, c: int) -> int:

@@ -2,10 +2,13 @@
 
 Participants activate independently with probability p_g, activated nodes try
 a uniform color from [delta] and keep it exactly when no neighbor tried the
-same color. This is one trial of the list-coloring TrialProgram with palette
-[delta]; non-participants run it with activation 0. It takes a try round, a
-resolve round (keep/discard + keep announcements), and a final round in
-which the nodes that kept nothing observe the kept colors and halt.
+same color. This is `sim_engine.run_protocol` capped at one trial, with one
+palette [delta] shared by every node and activation 0 for non-participants
+(they draw nothing). It takes a try round, a resolve round (keep/discard +
+keep announcements), and a final round in which the nodes that kept nothing
+halt. The resolve round compares each candidate with the neighbours' entries
+of one candidate array instead of reading their TRY messages; with a single
+trial no later try round reads the kept colors, so they block nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .acd import AlmostCliqueDecomposition
 from .classify import ACClassification, FinePartition, ORDINARY
 from .errors import BrooksSimError
 from .graph_core import Graph, PartialColoring
-from .listcolor import TrialProgram
 from .sim_engine import RoundMetrics, color_value_bits, run_protocol
 
 
@@ -38,25 +40,23 @@ def run_slack_generation_with_metrics(
 ) -> tuple[PartialColoring, RoundMetrics]:
     check_p_g(p_g)
     pset = set(participants)
-    palette = range(g.delta)
-    programs = [
-        TrialProgram(palette, p_g if v in pset else 0.0, trials=1) for v in range(g.n)
-    ]
-    final, metrics = run_protocol(
+    colors, metrics = run_protocol(
         g.adj,
-        programs,
+        [range(g.delta)] * g.n,
+        [p_g if v in pset else 0.0 for v in range(g.n)],
         seed,
         max_rounds=4,
+        trials=1,
         value_bits=color_value_bits(g.delta),
         strict_bit_budget=strict_bit_budget,
         phase="slackgen",
     )
     coloring = PartialColoring(g)
-    for v, prog in enumerate(final):
-        if prog.color is not None:
+    for v, c in enumerate(colors):
+        if c is not None:
             if v not in pset:
                 raise AssertionError("non-participant kept a color")
-            coloring.assign(v, prog.color)
+            coloring.assign(v, c)
     return coloring, metrics
 
 

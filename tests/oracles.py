@@ -9,7 +9,11 @@ decides by construction:
   `Graph`; `is_k_colorable_fast` tries a largest-first greedy coloring first;
 - `solve_greedy_oracle` and `validate_assignment` solve and check a
   (deg+1)-list instance sequentially;
-- `measure_slack` recounts a node's slack from the color array alone.
+- `measure_slack` recounts a node's slack from the color array alone;
+- `trial_by_messages` runs the colour trial the way `sim_engine.run_protocol`
+  is specified, as per-node `TrialProgram`s that exchange TRY and KEEP
+  messages through per-receiver inboxes (`run_message_protocol`); the engine
+  must match it in colours, metrics and errors.
 
 Bad arguments raise `ValueError`. Only the standard library and the package
 itself are imported.
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from brooks_sim.errors import MessageSizeViolation, RoundLimitExceeded
 from brooks_sim.graph_core import Graph
+from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, StreamRng
 
 ORACLE_NODE_LIMIT = 20
 
@@ -157,3 +163,118 @@ def cycle_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+TAG_TRY = 1
+TAG_KEEP = 2
+
+Message = tuple[int, int | None]
+
+
+class TrialProgram:
+    """Per-node trial loop: even rounds try, odd rounds resolve.
+
+    In a try round the node drops the colors its neighbors just kept, then
+    with probability p broadcasts a uniform available color; in the resolve
+    round it keeps that color if no neighbor tried the same one, announces
+    it and halts. `trials` caps the try rounds (None: until colored); a node
+    out of trials halts at its next try round.
+    """
+
+    __slots__ = ("available", "p", "trials", "candidate", "color", "halted")
+
+    def __init__(self, palette: Iterable[int], p: float = 0.5, trials: int | None = None):
+        self.available = sorted(palette)
+        self.p = p
+        self.trials = trials
+        self.candidate: int | None = None
+        self.color: int | None = None
+        self.halted = False
+
+    def step(self, round_no: int, inbox: list, rng: StreamRng):
+        if round_no % 2 == 0:
+            # neighbors fixed in the previous resolve round shrink the palette
+            for tag, value in inbox:
+                if tag == TAG_KEEP and value in self.available:
+                    self.available.remove(value)
+            if self.trials == 0:
+                return None, True
+            if not self.available:
+                raise AssertionError("palette exhausted despite deg+1 invariant")
+            if self.trials is not None:
+                self.trials -= 1
+            self.candidate = None
+            if rng.uniform() < self.p:  # activation draw precedes color draw
+                self.candidate = self.available[rng.randrange(len(self.available))]
+                return (TAG_TRY, self.candidate), False
+            return None, False
+        if self.candidate is not None and (TAG_TRY, self.candidate) not in inbox:
+            self.color = self.candidate
+            return (TAG_KEEP, self.color), True
+        return None, False
+
+
+def run_message_protocol(
+    adj,
+    programs,
+    seed: int,
+    max_rounds: int,
+    *,
+    value_bits: int = 1,
+    strict_bit_budget: int | None = None,
+    phase: str | None = None,
+):
+    """Lockstep rounds with one inbox list per receiver: every non-halted
+    program steps in node-id order on last round's neighbour broadcasts, and
+    each broadcast is appended to every neighbour's next inbox."""
+    n = len(adj)
+    if len(programs) != n:
+        raise ValueError(f"need one program per node: {len(programs)} != {n}")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    metrics = RoundMetrics()
+    halted = [bool(getattr(p, "halted", False)) for p in programs]
+    inboxes: list[list[Message]] = [[] for _ in range(n)]
+    value_limit = 1 << value_bits
+    for round_no in range(max_rounds):
+        if all(halted):
+            return list(programs), metrics
+        next_inboxes: list[list[Message]] = [[] for _ in range(n)]
+        for v in range(n):
+            if halted[v]:
+                continue
+            msg, halted[v] = programs[v].step(round_no, inboxes[v], StreamRng(seed, v, round_no))
+            nbrs = adj[v]
+            if msg is None or not nbrs:
+                continue
+            value = msg[1]
+            bits = TAG_BITS
+            if value is not None:
+                if not 0 <= value < value_limit:
+                    raise ValueError(f"node {v}: value {value} overflows {value_bits} bits")
+                bits += value_bits
+            if strict_bit_budget is not None and bits > strict_bit_budget:
+                raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
+            if bits > metrics.max_message_bits:
+                metrics.max_message_bits = bits
+            metrics.messages_sent += len(nbrs)
+            for u in nbrs:
+                next_inboxes[u].append(msg)
+        metrics.rounds_elapsed += 1
+        inboxes = next_inboxes
+    if not all(halted):
+        pending = tuple(v for v in range(n) if not halted[v])
+        raise RoundLimitExceeded(
+            f"{len(pending)} nodes had not halted after {max_rounds} rounds",
+            pending,
+            phase=phase,
+        )
+    return list(programs), metrics
+
+
+def trial_by_messages(adj, palettes, activation, seed, max_rounds, *, trials=None, **kwargs):
+    """`sim_engine.run_protocol`'s inputs and outputs, computed by message
+    delivery between `TrialProgram`s."""
+    programs = [TrialProgram(pal, p, trials) for pal, p in zip(palettes, activation)]
+    final, metrics = run_message_protocol(adj, programs, seed, max_rounds, **kwargs)
+    return [prog.color for prog in final], metrics

@@ -173,6 +173,34 @@ def test_unparsable_deltas_is_an_error_object(capsys):
     assert "1x" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("--seed", "99999999999999999999"), "seed"),
+        (("--seed", str(-(1 << 63) - 1)), "seed"),
+        (("--strict-congest", "--congest-c", "0"), "congest_c"),
+    ],
+)
+def test_out_of_range_color_config_is_an_error_object(tmp_path, capsys, argv, field):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    error = _error_for(capsys, "color", "--graph", str(gpath), *argv)
+    assert error["type"] == "BrooksSimError"
+    assert error["phase"] == "config"
+    assert field in error["message"]
+
+
+def test_negative_seed_count_is_an_error_object(capsys):
+    error = _error_for(capsys, "experiment", "--seeds", "-2")
+    assert error["phase"] == "config"
+    assert "--seeds" in error["message"]
+
+
+def test_zero_seed_count_prints_an_empty_sweep(capsys):
+    assert run_cli(capsys, "experiment", "--seeds", "0") == (0, "schema_version\n", "")
+    assert run_cli(capsys, "experiment", "--seeds", "0", "--format", "json") == (0, "[]\n", "")
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     gpath = tmp_path / "bad.txt"
     gpath.write_text("3 2\n0 1\n0 1\n")

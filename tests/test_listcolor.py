@@ -4,10 +4,8 @@ import pytest
 
 from brooks_sim.errors import BrooksSimError, DegPlusOneViolation
 from brooks_sim.graph_core import Graph, PartialColoring
-from brooks_sim.sim_engine import TAG_KEEP, TAG_TRY, StreamRng
 from brooks_sim.listcolor import (
     ListInstance,
-    TrialProgram,
     build_instance,
     make_unit,
     solve_distributed,
@@ -138,26 +136,6 @@ class TestSolveDistributed:
         )
         assignment, _ = solve_distributed(inst, seed=3)
         assert len(set(assignment.values())) == k
-
-
-class TestTrialProgram:
-    def run_conflicting_trial(self, prog):
-        msg, halted = prog.step(0, [], StreamRng(0, 0, 0))
-        assert msg[0] == TAG_TRY and not halted
-        assert prog.step(1, [msg], StreamRng(0, 0, 1)) == (None, False)  # conflict
-
-    def test_last_trial_halts_before_palette_check(self):
-        # a degree-2 node may see both colors of [2] kept around it
-        prog = TrialProgram(range(2), p=1.0, trials=1)
-        self.run_conflicting_trial(prog)
-        assert prog.step(2, [(TAG_KEEP, 0), (TAG_KEEP, 1)], StreamRng(0, 0, 2)) == (None, True)
-        assert prog.color is None
-
-    def test_unlimited_trials_assert_on_exhausted_palette(self):
-        prog = TrialProgram(range(2), p=1.0)
-        self.run_conflicting_trial(prog)
-        with pytest.raises(AssertionError):
-            prog.step(2, [(TAG_KEEP, 0), (TAG_KEEP, 1)], StreamRng(0, 0, 2))
 
 
 class TestGreedyOracle:

@@ -342,6 +342,10 @@ class TestPipelineContract:
             ("p_g", float("nan")),
             ("max_retries", 0),
             ("max_retries", -1),
+            ("seed", 1 << 63),
+            ("seed", -(1 << 63) - 1),
+            ("congest_c", 0),
+            ("congest_c", -1),
         ],
     )
     def test_config_rejects_bad_values(self, field, value):
@@ -351,7 +355,13 @@ class TestPipelineContract:
 
     def test_config_accepts_boundary_values(self):
         PipelineConfig(p_g=0.0, max_retries=1)
-        PipelineConfig(p_g=1.0)
+        PipelineConfig(p_g=1.0, congest_c=1)
+
+    @pytest.mark.parametrize("seed", [(1 << 63) - 1, -(1 << 63)])
+    def test_extreme_seeds_run(self, seed):
+        g = generate_instance("clique_minus_edge", 16, 0).graph
+        result = run_pipeline(g, PipelineConfig(epsilon=Fraction(1, 8), seed=seed))
+        assert validate_coloring(g, result.coloring.as_list(), g.delta)
 
     def test_ledger_always_full_plan(self):
         for family in ("clique_minus_edge", "mixed", "random_gnd"):

@@ -1,127 +1,256 @@
+"""The colour-trial engine `run_protocol`: its behaviour on hand-built
+inputs, and equality with per-message delivery (`oracles.trial_by_messages`)
+on seeded random list instances and slack-generation trials."""
+
+import random
+
 import pytest
 
 from brooks_sim.errors import MessageSizeViolation, RoundLimitExceeded
-from brooks_sim.graph_core import Graph
+from brooks_sim.graph_core import FAMILIES, Graph, generate_instance
+from brooks_sim.listcolor import ListInstance, make_unit, solve_distributed, trial_round_limit
 from brooks_sim.sim_engine import (
     StreamRng,
     color_value_bits,
     congest_budget,
     run_protocol,
 )
-from oracles import complete_graph, path_graph
+from brooks_sim.slackgen import run_slack_generation_with_metrics
+from oracles import complete_graph, path_graph, trial_by_messages
 
 
-class HaltImmediately:
-    halted = True
-
-    def step(self, round_no, inbox, rng):  # pragma: no cover - never stepped
-        raise AssertionError("stepped a halted program")
-
-
-class BroadcastId:
-    """Broadcast own id once, record the inbox seen next round, halt."""
-
-    def __init__(self, node):
-        self.node = node
-        self.halted = False
-        self.seen = None
-
-    def step(self, round_no, inbox, rng):
-        if round_no == 0:
-            return (1, self.node), False
-        self.seen = list(inbox)
-        return None, True
-
-
-class NeverHalts:
-    halted = False
-
-    def step(self, round_no, inbox, rng):
-        return None, False
-
-
-class TooChatty:
-    halted = False
-
-    def __init__(self, value):
-        self.value = value
-
-    def step(self, round_no, inbox, rng):
-        return (1, self.value), True
+def run_all(g, palettes, p=1.0, seed=0, max_rounds=8, **kwargs):
+    """run_protocol with one activation probability for every node."""
+    return run_protocol(g.adj, palettes, [p] * g.n, seed, max_rounds, **kwargs)
 
 
 def test_all_halt_immediately_zero_rounds():
-    g = complete_graph(3)
-    _, metrics = run_protocol(g.adj, [HaltImmediately() for _ in range(3)], seed=0, max_rounds=5)
+    # with no live node no round runs
+    colors, metrics = run_protocol((), (), (), seed=0, max_rounds=5)
+    assert colors == []
     assert metrics.rounds_elapsed == 0
+    assert metrics.messages_sent == 0
+
+
+def test_zero_trials_halts_every_node_in_one_silent_round():
+    g = complete_graph(3)
+    colors, metrics = run_all(g, [[]] * 3, trials=0)  # halts before the palette check
+    assert colors == [None] * 3
+    assert metrics.rounds_elapsed == 1
     assert metrics.messages_sent == 0
 
 
 def test_broadcast_on_k4():
     g = complete_graph(4)
-    programs = [BroadcastId(v) for v in range(4)]
-    final, metrics = run_protocol(g.adj, programs, seed=0, max_rounds=4, value_bits=2)
-    for v in range(4):
-        # one message per neighbor, in sender order
-        assert final[v].seen == [(1, u) for u in range(4) if u != v]
-    assert metrics.messages_sent == 12
-    assert metrics.max_message_bits == 2 + 2  # tag + id width
+    colors, metrics = run_all(g, [[v] for v in range(4)], value_bits=2)
+    assert colors == [0, 1, 2, 3]
+    assert metrics.rounds_elapsed == 2
+    assert metrics.messages_sent == 2 * 12  # TRY and KEEP to 3 neighbours each
+    assert metrics.max_message_bits == 2 + 2  # tag + colour width
 
 
 def test_broadcast_reaches_only_neighbors():
     g = path_graph(3)  # 0 - 1 - 2
-    programs = [BroadcastId(v) for v in range(3)]
-    final, metrics = run_protocol(g.adj, programs, seed=0, max_rounds=4, value_bits=2)
-    assert [p.seen for p in final] == [[(1, 1)], [(1, 0), (1, 2)], [(1, 1)]]
-    assert metrics.messages_sent == 4  # sum of the senders' degrees
+    colors, metrics = run_all(g, [[0], [1], [0]])
+    assert colors == [0, 1, 0]  # 0 and 2 try the same colour but are not adjacent
+    assert metrics.messages_sent == 2 * (1 + 2 + 1)  # the senders' degrees, per round
+
+
+def test_conflicting_neighbours_keep_nothing_and_others_keep():
+    g = path_graph(3)
+    colors, metrics = run_all(g, [[0], [0], [1]], trials=1)
+    assert colors == [None, None, 1]
+    assert metrics.rounds_elapsed == 3  # try, resolve, out-of-trials halt
+    assert metrics.messages_sent == (1 + 2 + 1) + 1  # three TRYs, one KEEP
 
 
 def test_isolated_sender_sends_nothing():
     g = Graph(2, [])
-    programs = [BroadcastId(0), BroadcastId(1)]
-    _, metrics = run_protocol(g.adj, programs, seed=0, max_rounds=4, value_bits=2)
+    colors, metrics = run_all(g, [[0], [0]], value_bits=2)
+    assert colors == [0, 0]
     assert metrics.messages_sent == 0
     assert metrics.max_message_bits == 0
 
 
 def test_determinism_bit_identical():
-    g = complete_graph(4)
+    g = complete_graph(5)
 
     def run():
-        programs = [BroadcastId(v) for v in range(4)]
-        final, metrics = run_protocol(g.adj, programs, seed=9, max_rounds=4, value_bits=2)
-        return [p.seen for p in final], metrics
+        return run_all(g, [list(range(5))] * 5, p=0.5, seed=9, max_rounds=64, value_bits=3)
 
-    states_a, metrics_a = run()
-    states_b, metrics_b = run()
-    assert states_a == states_b
-    assert metrics_a.max_message_bits == metrics_b.max_message_bits
-    assert metrics_a.messages_sent == metrics_b.messages_sent
+    assert run() == run()
 
 
 def test_round_limit_reports_pending():
     g = complete_graph(2)
     with pytest.raises(RoundLimitExceeded) as err:
-        run_protocol(g.adj, [NeverHalts(), NeverHalts()], seed=0, max_rounds=3)
+        run_all(g, [[0, 1]] * 2, p=0.0, max_rounds=3, phase="t")
     assert err.value.pending == (0, 1)
+    assert err.value.phase == "t"
 
 
 def test_strict_bit_budget_violation():
     g = complete_graph(2)
-    programs = [TooChatty(value=200), HaltImmediately()]
     with pytest.raises(MessageSizeViolation) as err:
         run_protocol(
-            g.adj, programs, seed=0, max_rounds=2, value_bits=8, strict_bit_budget=4
+            g.adj, [[200], [0]], [1.0, 0.0], 0, 2, value_bits=8, strict_bit_budget=4
         )
+    assert err.value.node == 0
     assert err.value.bits == 10
     assert err.value.budget == 4
 
 
 def test_value_overflow_rejected():
     g = complete_graph(2)
-    programs = [TooChatty(value=200), HaltImmediately()]
+    with pytest.raises(ValueError, match="overflows 4 bits"):
+        run_protocol(g.adj, [[200], [0]], [1.0, 0.0], 0, 2, value_bits=4)
+
+
+def fenced_centre():
+    """Centre 0 with palette {0, 1} between leaves that keep 0 and 1 in the
+    first trial; the centre never tries."""
+    return Graph(3, [(0, 1), (0, 2)]), [[0, 1], [0], [1]], [0.0, 1.0, 1.0]
+
+
+def test_last_trial_halts_before_palette_check():
+    g, palettes, activation = fenced_centre()
+    colors, metrics = run_protocol(g.adj, palettes, activation, 0, 8, trials=1)
+    assert colors == [None, 0, 1]
+    assert metrics.rounds_elapsed == 3
+
+
+def test_unlimited_trials_assert_on_exhausted_palette():
+    g, palettes, activation = fenced_centre()
+    with pytest.raises(AssertionError, match="palette exhausted"):
+        run_protocol(g.adj, palettes, activation, 0, 8)
+
+
+def test_kept_colours_shrink_the_neighbours_palettes():
+    # when node 0 sits out trial 1, node 1 keeps 0 alone; node 0 may then
+    # only try 1 (without the block it would keep 0 half the time)
+    g = Graph(2, [(0, 1)])
+    sat_out = 0
+    for seed in range(40):
+        colors, _ = run_protocol(g.adj, [[0, 1], [0]], [0.5, 1.0], seed, 64)
+        assert colors == [1, 0]
+        sat_out += StreamRng(seed, 0, 0).uniform() >= 0.5
+    assert sat_out > 0
+
+
+def test_rejects_mismatched_inputs():
     with pytest.raises(ValueError):
-        run_protocol(g.adj, programs, seed=0, max_rounds=2, value_bits=4)
+        run_protocol(((),), (), (1.0,), 0, 2)
+    with pytest.raises(ValueError):
+        run_protocol(((),), ([0],), (1.0,), 0, 0)
+
+
+def outcome(run, *args, **kwargs):
+    """Colours and metrics of a run, or the identifying fields of its error."""
+    try:
+        colors, m = run(*args, **kwargs)
+    except RoundLimitExceeded as err:
+        return ("RoundLimitExceeded", str(err), err.pending, err.phase)
+    except MessageSizeViolation as err:
+        return ("MessageSizeViolation", str(err), err.node, err.bits, err.budget, err.phase)
+    except (AssertionError, ValueError) as err:
+        return (type(err).__name__, str(err))
+    return ("ok", colors, m.rounds_elapsed, m.messages_sent, m.max_message_bits)
+
+
+def random_list_instance(rng: random.Random, *, short: bool) -> ListInstance:
+    """A random instance whose palettes have deg+1 colours or more; with
+    `short`, some units get one colour less."""
+    k = rng.randrange(1, 30)
+    density = rng.random()
+    edges = tuple((i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < density)
+    deg = [0] * k
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    delta = max(deg) + 1 + rng.randrange(3)
+    palettes = []
+    for v in range(k):
+        size = min(delta, deg[v] + 1 + rng.randrange(2))
+        if short and rng.random() < 0.3:
+            size -= 1
+        palettes.append(frozenset(rng.sample(range(delta), size)))
+    units = tuple(make_unit(v) for v in range(k))
+    return ListInstance("random", delta, units, edges, tuple(palettes))
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_engine_matches_message_delivery_on_list_instances(strict):
+    rng = random.Random(11 + strict)
+    kinds = set()
+    for case in range(600):
+        inst = random_list_instance(rng, short=case % 4 == 3)
+        k = len(inst.units)
+        budget = congest_budget(k, rng.choice((1, 2, 4))) if strict else None
+        palettes = [sorted(p) for p in inst.palettes]
+        seed = rng.randrange(1 << 32)
+        if case % 4 == 0:
+            # the solve_distributed inputs, through the public entry point too
+            args = (inst.adj, palettes, [0.5] * k, seed, trial_round_limit(k))
+            kwargs = dict(
+                value_bits=color_value_bits(inst.delta),
+                strict_bit_budget=budget,
+                phase=inst.name,
+            )
+            expected = outcome(trial_by_messages, *args, **kwargs)
+            got = outcome(solve_distributed, inst, seed, strict_bit_budget=budget)
+            if expected[0] == "ok":
+                got = ("ok", [got[1][u] for u in inst.units], *got[2:])
+            assert got == expected
+        else:
+            # varied caps, round limits, activations and payload widths
+            activation = [rng.choice((0.0, 0.3, 0.5, 1.0)) for _ in range(k)]
+            args = (inst.adj, palettes, activation, seed, rng.randrange(1, 12))
+            kwargs = dict(
+                trials=rng.choice((None, 1, 2, 3)),
+                value_bits=1 if rng.random() < 0.1 else color_value_bits(inst.delta),
+                strict_bit_budget=budget,
+                phase="t",
+            )
+            expected = outcome(trial_by_messages, *args, **kwargs)
+            assert outcome(run_protocol, *args, **kwargs) == expected
+        kinds.add(expected[0])
+    wanted = {"ok", "RoundLimitExceeded", "AssertionError", "ValueError"}
+    assert kinds == (wanted | {"MessageSizeViolation"} if strict else wanted)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("p_g", [0.0, 0.25, 0.5, 1.0])
+def test_engine_matches_message_delivery_on_slack_generation(strict, p_g):
+    rng = random.Random(int(p_g * 4) + 10 * strict)
+    for family in FAMILIES:
+        g = generate_instance(family, 16, rng.randrange(100)).graph
+        participants = [v for v in range(g.n) if rng.random() < 0.8]
+        pset = set(participants)
+        budget = congest_budget(g.n, rng.choice((1, 4))) if strict else None
+        seed = rng.randrange(1 << 32)
+        expected = outcome(
+            trial_by_messages,
+            g.adj,
+            [range(g.delta)] * g.n,
+            [p_g if v in pset else 0.0 for v in range(g.n)],
+            seed,
+            4,
+            trials=1,
+            value_bits=color_value_bits(g.delta),
+            strict_bit_budget=budget,
+            phase="slackgen",
+        )
+        got = outcome(
+            run_slack_generation_with_metrics,
+            g,
+            participants,
+            p_g,
+            seed,
+            strict_bit_budget=budget,
+        )
+        if got[0] == "ok":
+            got = ("ok", got[1].as_list(), *got[2:])
+        assert got == expected
 
 
 class TestCongestBudget:
