@@ -1,4 +1,4 @@
-"""Partial colorings over [delta] with incrementally maintained palette state."""
+"""Partial colorings over [delta]: a colour list plus the uncolored mask."""
 
 from __future__ import annotations
 
@@ -11,20 +11,20 @@ from .graph import Graph
 class PartialColoring:
     """Proper partial coloring; colors are ints in [0, delta).
 
-    Besides the assignment itself this maintains, per node, the multiset of
-    colors of its colored neighbors, which gives O(1) palette sizes; uncolored
-    degrees read the uncolored mask. The tests cross-check this bookkeeping
-    against a from-scratch slack recount.
+    The colour list `color` is the only record of who has which colour:
+    `palette(v)` and `palette_size(v)` read the colours of N(v) from it on
+    every call, in O(deg v). Beside it sits `uncolored_mask`, one bit per
+    uncolored node, so an uncolored degree inside a subgraph is one AND and
+    a popcount. The tests cross-check slacks against a from-scratch recount.
     """
 
-    __slots__ = ("graph", "delta", "color", "uncolored_mask", "_nbr_colors")
+    __slots__ = ("graph", "delta", "color", "uncolored_mask")
 
     def __init__(self, graph: Graph, delta: int | None = None):
         self.graph = graph
         self.delta = graph.delta if delta is None else delta
         self.color: list[int | None] = [None] * graph.n
         self.uncolored_mask: int = (1 << graph.n) - 1
-        self._nbr_colors: list[dict[int, int]] = [{} for _ in range(graph.n)]
 
     def is_colored(self, v: int) -> bool:
         return self.color[v] is not None
@@ -39,24 +39,26 @@ class PartialColoring:
                 raise ImproperColoringError(f"edge ({u},{v}) would be monochromatic in {c}")
         self.color[v] = c
         self.uncolored_mask &= ~(1 << v)
-        for u in self.graph.adj[v]:
-            counts = self._nbr_colors[u]
-            counts[c] = counts.get(c, 0) + 1
+
+    def _neighbor_colors(self, v: int) -> set[int]:
+        color = self.color
+        used = {color[u] for u in self.graph.adj[v]}
+        used.discard(None)
+        return used
 
     def palette_size(self, v: int) -> int:
-        return self.delta - len(self._nbr_colors[v])
+        return self.delta - len(self._neighbor_colors(v))
 
     def palette(self, v: int) -> set[int]:
-        return set(range(self.delta)) - self._nbr_colors[v].keys()
+        return set(range(self.delta)) - self._neighbor_colors(v)
 
     def uncolored_degree_in(self, v: int, subgraph_mask: int) -> int:
         return (self.graph.masks[v] & subgraph_mask & self.uncolored_mask).bit_count()
 
     def slack_in(self, v: int, subgraph_mask: int) -> int:
-        """Incrementally maintained slack of v in the induced subgraph.
-
-        palette size minus uncolored degree within the subgraph; v must be
-        uncolored for the value to mean anything, callers enforce that.
+        """Slack of v in the induced subgraph: palette size minus uncolored
+        degree within the subgraph; v must be uncolored for the value to
+        mean anything, callers enforce that.
         """
         return self.palette_size(v) - self.uncolored_degree_in(v, subgraph_mask)
 

@@ -1,10 +1,11 @@
 """(deg+1)-list coloring: instances and the randomized trial engine.
 
 A unit is one real node or a pair of real nodes that must end up
-same-colored. Units are adjacent when they share a member or any two members
-are adjacent in G; a unit's palette is [delta] minus the colors of colored
-G-neighbors of any member (so a pair's palette is the intersection of its
-endpoints' palettes).
+same-colored. Units are adjacent when any two of their members are adjacent
+in G; a unit's palette is [delta] minus the colors of colored G-neighbors of
+any member (so a pair's palette is the intersection of its endpoints'
+palettes), read from the coloring's colour list. A `ListInstance` holds the
+unit adjacency and the palettes exactly as `run_protocol` takes them.
 
 The distributed solver is the plain synchronous trial loop of
 `sim_engine.run_protocol` (activate w.p. 1/2, try a uniform available color,
@@ -19,7 +20,6 @@ tell it. The same loop, limited to one trial, is the slack-generation step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 from .errors import BrooksSimError, DegPlusOneViolation
@@ -31,24 +31,18 @@ Unit = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ListInstance:
+    """One (deg+1)-list instance over `units`, sorted.
+
+    `adj[i]` is the ascending tuple of the units adjacent to unit i, so a
+    unit's degree is `len(adj[i])`; `palettes[i]` is its palette as an
+    ascending tuple of colors in [delta].
+    """
+
     name: str
     delta: int
     units: tuple[Unit, ...]
-    edges: tuple[tuple[int, int], ...]
-    palettes: tuple[frozenset[int], ...]
-
-    @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Unit adjacency, worked out once from `edges`."""
-        nbrs: list[list[int]] = [[] for _ in self.units]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(a) for a in nbrs)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+    adj: tuple[tuple[int, ...], ...]
+    palettes: tuple[tuple[int, ...], ...]
 
     @property
     def min_palette(self) -> int | None:
@@ -56,7 +50,7 @@ class ListInstance:
 
     @property
     def max_degree(self) -> int | None:
-        return max(self.degrees, default=None)
+        return max((len(a) for a in self.adj), default=None)
 
 
 def make_unit(*nodes: int) -> Unit:
@@ -87,29 +81,26 @@ def build_instance(
         palette = set(range(coloring.delta))
         for v in unit:
             palette &= coloring.palette(v)
-        palettes.append(frozenset(palette))
+        palettes.append(tuple(sorted(palette)))
 
-    edges: set[tuple[int, int]] = set()
+    nbr_sets: list[set[int]] = [set() for _ in units]
     for idx, unit in enumerate(units):
+        nbrs = nbr_sets[idx]
         for v in unit:
             for w in g.adj[v]:
                 j = node_to_unit.get(w)
                 if j is not None and j != idx:
-                    edges.add((idx, j) if idx < j else (j, idx))
+                    nbrs.add(j)
         if len(unit) == 2 and g.has_edge(unit[0], unit[1]):
             raise BrooksSimError(f"{name}: pair {unit} is an edge of G", phase=name)
+    adj = tuple(tuple(sorted(nbrs)) for nbrs in nbr_sets)
 
-    instance = ListInstance(
-        name=name,
-        delta=coloring.delta,
-        units=units,
-        edges=tuple(sorted(edges)),
-        palettes=tuple(palettes),
-    )
-    for unit, palette, nbrs in zip(units, instance.palettes, instance.adj):
+    for unit, palette, nbrs in zip(units, palettes, adj):
         if len(palette) < len(nbrs) + 1:
             raise DegPlusOneViolation(name, unit, len(palette), len(nbrs))
-    return instance
+    return ListInstance(
+        name=name, delta=coloring.delta, units=units, adj=adj, palettes=tuple(palettes)
+    )
 
 
 def trial_round_limit(unit_count: int) -> int:
@@ -127,7 +118,7 @@ def solve_distributed(
         return {}, RoundMetrics()
     colors, metrics = run_protocol(
         instance.adj,
-        [sorted(palette) for palette in instance.palettes],
+        instance.palettes,
         [0.5] * k,
         seed,
         max_rounds=trial_round_limit(k),

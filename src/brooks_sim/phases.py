@@ -117,6 +117,8 @@ class PipelineConfig:
             raise BrooksSimError(f"seed must fit in signed 64 bits: {self.seed}", phase="config")
         if self.congest_c < 1:
             raise BrooksSimError(f"congest_c must be >= 1, got {self.congest_c}", phase="config")
+        if self.delta_min < 0:
+            raise BrooksSimError(f"delta_min must be >= 0, got {self.delta_min}", phase="config")
 
     def bit_budget(self, n: int) -> int | None:
         """The enforced per-message budget on an n-node graph; None if not strict."""

@@ -7,6 +7,9 @@ decides by construction:
   order, forward palette pruning, canonical new-color symmetry breaking) over
   adjacency bitmasks, so a caller can check a graph without building a
   `Graph`; `is_k_colorable_fast` tries a largest-first greedy coloring first;
+- `list_instance` builds a `ListInstance` from unit-index edges, and
+  `recount_instance` recounts from G and the colour list the adjacency and
+  palettes that `build_instance` must give a set of units;
 - `solve_greedy_oracle` and `validate_assignment` solve and check a
   (deg+1)-list instance sequentially;
 - `measure_slack` recounts a node's slack from the color array alone;
@@ -25,6 +28,7 @@ from typing import Iterable, Sequence
 
 from brooks_sim.errors import MessageSizeViolation, RoundLimitExceeded
 from brooks_sim.graph_core import Graph
+from brooks_sim.listcolor import ListInstance
 from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, StreamRng
 
 ORACLE_NODE_LIMIT = 20
@@ -117,13 +121,58 @@ def is_k_colorable_fast(masks: Sequence[int], k: int) -> bool:
     return is_k_colorable(masks, k)
 
 
+def list_instance(
+    units: Sequence[tuple[int, ...]],
+    edges: Iterable[tuple[int, int]],
+    palettes: Iterable[Iterable[int]],
+    *,
+    delta: int,
+    name: str = "t",
+) -> ListInstance:
+    """A `ListInstance` over `units` whose unit-index pairs in `edges` are
+    adjacent, in the form `build_instance` gives: sorted neighbour tuples
+    and ascending palette tuples."""
+    nbrs: list[set[int]] = [set() for _ in units]
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return ListInstance(
+        name,
+        delta,
+        tuple(units),
+        tuple(tuple(sorted(a)) for a in nbrs),
+        tuple(tuple(sorted(p)) for p in palettes),
+    )
+
+
+def recount_instance(
+    g: Graph, color: Sequence[int | None], delta: int, units: Sequence[tuple[int, ...]]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The `(adj, palettes)` of the instance over `units` (sorted, as
+    `build_instance` orders them), recounted pair by pair from G's edges
+    and the colour list alone."""
+    adj = tuple(
+        tuple(
+            j
+            for j, other in enumerate(units)
+            if j != i and any(g.has_edge(v, w) for v in unit for w in other)
+        )
+        for i, unit in enumerate(units)
+    )
+    palettes = []
+    for unit in units:
+        used = {color[w] for v in unit for w in range(g.n) if g.has_edge(v, w)}
+        palettes.append(tuple(c for c in range(delta) if c not in used))
+    return adj, tuple(palettes)
+
+
 def solve_greedy_oracle(instance) -> dict[tuple[int, ...], int]:
     """Sequential greedy over a `ListInstance` in unit order; the deg+1
     property guarantees a free color at every step."""
     colors: list[int | None] = [None] * len(instance.units)
     for idx, nbrs in enumerate(instance.adj):
         taken = {colors[j] for j in nbrs if colors[j] is not None}
-        free = sorted(instance.palettes[idx] - taken)
+        free = [c for c in instance.palettes[idx] if c not in taken]
         if not free:
             raise ValueError(f"{instance.name}: unit {instance.units[idx]} has no free color")
         colors[idx] = free[0]
@@ -131,20 +180,22 @@ def solve_greedy_oracle(instance) -> dict[tuple[int, ...], int]:
 
 
 def validate_assignment(instance, assignment: dict[tuple[int, ...], int]) -> bool:
-    """Total, in-palette and proper with respect to the instance edges."""
+    """Total, in-palette and proper with respect to the instance adjacency."""
     if set(assignment) != set(instance.units):
         return False
     for unit, palette in zip(instance.units, instance.palettes):
         if assignment[unit] not in palette:
             return False
     return all(
-        assignment[instance.units[i]] != assignment[instance.units[j]] for i, j in instance.edges
+        assignment[unit] != assignment[instance.units[j]]
+        for unit, nbrs in zip(instance.units, instance.adj)
+        for j in nbrs
     )
 
 
 def measure_slack(g: Graph, coloring, v: int, subgraph_nodes: Iterable[int]) -> int:
     """Slack of an uncolored node in the induced subgraph, recounted from the
-    color array independently of `PartialColoring`'s counters."""
+    color array and G alone, independently of `PartialColoring`."""
     if coloring.color[v] is not None:
         raise ValueError(f"node {v} is colored, slack undefined")
     sub = set(subgraph_nodes)

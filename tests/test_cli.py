@@ -190,6 +190,15 @@ def test_out_of_range_color_config_is_an_error_object(tmp_path, capsys, argv, fi
     assert field in error["message"]
 
 
+def test_negative_delta_min_is_an_error_object(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
+    error = _error_for(capsys, "color", "--graph", str(gpath), "--delta-min", "-5")
+    assert error["type"] == "BrooksSimError"
+    assert error["phase"] == "config"
+    assert "delta_min" in error["message"]
+
+
 def test_negative_seed_count_is_an_error_object(capsys):
     error = _error_for(capsys, "experiment", "--seeds", "-2")
     assert error["phase"] == "config"

@@ -4,13 +4,8 @@ import pytest
 
 from brooks_sim.errors import BrooksSimError, DegPlusOneViolation
 from brooks_sim.graph_core import Graph, PartialColoring
-from brooks_sim.listcolor import (
-    ListInstance,
-    build_instance,
-    make_unit,
-    solve_distributed,
-)
-from oracles import complete_graph, solve_greedy_oracle, validate_assignment
+from brooks_sim.listcolor import build_instance, make_unit, solve_distributed
+from oracles import complete_graph, list_instance, solve_greedy_oracle, validate_assignment
 
 
 def star(delta: int) -> Graph:
@@ -24,8 +19,8 @@ class TestBuildInstance:
         for i, c in enumerate((0, 1, 2, 3, 3)):
             coloring.assign(1 + i, c)
         inst = build_instance(g, coloring, [make_unit(0)], name="t")
-        assert inst.palettes == (frozenset({4}),)
-        assert inst.degrees == (0,)
+        assert inst.palettes == ((4,),)
+        assert inst.adj == ((),)
 
     def test_pair_palette_is_intersection(self):
         # pair (0,1) with disjointly colored outside neighborhoods
@@ -36,7 +31,7 @@ class TestBuildInstance:
         coloring.assign(5, 1)
         inst = build_instance(g, coloring, [make_unit(0, 1)], name="t")
         # [4] minus {0} (via 0's nbr 2) minus {1} (via 1's nbr 5)
-        assert inst.palettes == (frozenset({2, 3}),)
+        assert inst.palettes == ((2, 3),)
 
     def test_edges_between_units(self):
         # K_4 plus a pendant raising delta to 4, so palettes beat degrees
@@ -44,7 +39,7 @@ class TestBuildInstance:
         g = Graph(5, edges)
         coloring = PartialColoring(g)
         inst = build_instance(g, coloring, [make_unit(v) for v in range(4)], name="t")
-        assert len(inst.edges) == 6
+        assert inst.adj == ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
         assert inst.max_degree == 3
 
     def test_pair_member_adjacency_merges_units(self):
@@ -52,7 +47,7 @@ class TestBuildInstance:
         coloring = PartialColoring(g)
         inst = build_instance(g, coloring, [make_unit(0, 3), make_unit(1)], name="t")
         # unit (0,3) touches unit (1,) through edge (0,1)
-        assert inst.edges == ((0, 1),)
+        assert inst.adj == ((1,), (0,))
 
     def test_deg_plus_one_violation_names_unit(self):
         g = complete_graph(3)
@@ -75,32 +70,42 @@ class TestBuildInstance:
         with pytest.raises(BrooksSimError):
             build_instance(g, coloring, [make_unit(0, 1)], name="t")
 
+    def test_pair_on_graph_edge_raised_before_deg_plus_one(self):
+        # triangle 0-1-2 (each unit: palette 2, degree 2) plus the edge 3-4;
+        # unit (0,) breaks deg+1, but the later pair (3,4) is checked first
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        coloring = PartialColoring(g)  # delta 2
+        units = [make_unit(0), make_unit(1), make_unit(2), make_unit(3, 4)]
+        with pytest.raises(BrooksSimError) as err:
+            build_instance(g, coloring, units, name="t")
+        assert not isinstance(err.value, DegPlusOneViolation)
+        assert str(err.value) == "t: pair (3, 4) is an edge of G"
+        assert err.value.phase == "t"
+
     def test_instance_adjacency(self):
-        inst = ListInstance(
-            "t",
-            3,
+        inst = list_instance(
             tuple(make_unit(v) for v in range(3)),
             ((0, 1), (1, 2)),
             tuple(frozenset(range(3)) for _ in range(3)),
+            delta=3,
         )
         assert inst.adj == ((1,), (0, 2), (1,))
-        assert inst.degrees == (1, 2, 1)
+        assert inst.palettes == ((0, 1, 2),) * 3
         assert inst.max_degree == 2
 
 
 class TestSolveDistributed:
     def test_single_unit_forced_color(self):
-        inst = ListInstance("t", 8, (make_unit(3),), (), (frozenset({5}),))
+        inst = list_instance((make_unit(3),), (), (frozenset({5}),), delta=8)
         assignment, _ = solve_distributed(inst, seed=0)
         assert assignment == {(3,): 5}
 
     def test_path_of_three_units(self):
-        inst = ListInstance(
-            "t",
-            3,
+        inst = list_instance(
             (make_unit(0), make_unit(1), make_unit(2)),
             ((0, 1), (1, 2)),
             (frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({0, 1})),
+            delta=3,
         )
         assignment, metrics = solve_distributed(inst, seed=1)
         assert validate_assignment(inst, assignment)
@@ -108,31 +113,29 @@ class TestSolveDistributed:
         assert metrics.rounds_elapsed >= 2
 
     def test_determinism(self):
-        inst = ListInstance(
-            "t",
-            4,
+        inst = list_instance(
             tuple(make_unit(v) for v in range(4)),
             ((0, 1), (1, 2), (2, 3), (0, 3)),
             tuple(frozenset(range(3)) for _ in range(4)),
+            delta=4,
         )
         a, _ = solve_distributed(inst, seed=5)
         b, _ = solve_distributed(inst, seed=5)
         assert a == b
 
     def test_empty_instance(self):
-        inst = ListInstance("t", 4, (), (), ())
+        inst = list_instance((), (), (), delta=4)
         assignment, metrics = solve_distributed(inst, seed=0)
         assert assignment == {}
         assert metrics.rounds_elapsed == 0
 
     def test_clique_instance_all_distinct(self):
         k = 6
-        inst = ListInstance(
-            "t",
-            8,
+        inst = list_instance(
             tuple(make_unit(v) for v in range(k)),
             tuple((i, j) for i in range(k) for j in range(i + 1, k)),
             tuple(frozenset(range(7)) for _ in range(k)),
+            delta=8,
         )
         assignment, _ = solve_distributed(inst, seed=3)
         assert len(set(assignment.values())) == k
@@ -141,23 +144,21 @@ class TestSolveDistributed:
 class TestGreedyOracle:
     def test_minimal_palettes_always_succeed(self):
         k = 5
-        inst = ListInstance(
-            "t",
-            6,
+        inst = list_instance(
             tuple(make_unit(v) for v in range(k)),
             tuple((i, j) for i in range(k) for j in range(i + 1, k)),
             tuple(frozenset(range(5)) for _ in range(k)),
+            delta=6,
         )
         assignment = solve_greedy_oracle(inst)
         assert validate_assignment(inst, assignment)
 
     def test_infeasible_without_deg_plus_one(self):
-        inst = ListInstance(
-            "t",
-            3,
+        inst = list_instance(
             (make_unit(0), make_unit(1)),
             ((0, 1),),
             (frozenset({0}), frozenset({0})),
+            delta=3,
         )
         with pytest.raises(ValueError):
             solve_greedy_oracle(inst)
@@ -182,12 +183,12 @@ class TestGreedyOracle:
             for v in range(n):
                 size = deg[v] + 1 + rng.randrange(0, 3)
                 palettes.append(frozenset(rng.sample(range(delta_colors), min(size, delta_colors))))
-            inst = ListInstance(
-                "mc",
-                delta_colors,
+            inst = list_instance(
                 tuple(make_unit(v) for v in range(n)),
                 tuple(edges),
                 tuple(palettes),
+                delta=delta_colors,
+                name="mc",
             )
             assignment = solve_greedy_oracle(inst)
             assert validate_assignment(inst, assignment)
@@ -195,12 +196,11 @@ class TestGreedyOracle:
 
 class TestValidateAssignment:
     def _inst(self):
-        return ListInstance(
-            "t",
-            4,
+        return list_instance(
             (make_unit(0), make_unit(1)),
             ((0, 1),),
             (frozenset({0, 1}), frozenset({1, 2})),
+            delta=4,
         )
 
     def test_accepts_good(self):

@@ -18,7 +18,7 @@ from brooks_sim.phases import (
 )
 from brooks_sim.sim_engine import RoundMetrics
 from brooks_sim.thresholds import ceil_phi
-from oracles import complete_graph, solve_greedy_oracle, validate_assignment
+from oracles import complete_graph, recount_instance, solve_greedy_oracle, validate_assignment
 
 ALL_KINDS = tuple(spec.kind for spec in PIPELINE_PLAN)
 
@@ -346,6 +346,8 @@ class TestPipelineContract:
             ("seed", -(1 << 63) - 1),
             ("congest_c", 0),
             ("congest_c", -1),
+            ("delta_min", -1),
+            ("delta_min", -5),
         ],
     )
     def test_config_rejects_bad_values(self, field, value):
@@ -356,6 +358,7 @@ class TestPipelineContract:
     def test_config_accepts_boundary_values(self):
         PipelineConfig(p_g=0.0, max_retries=1)
         PipelineConfig(p_g=1.0, congest_c=1)
+        PipelineConfig(delta_min=0)
 
     @pytest.mark.parametrize("seed", [(1 << 63) - 1, -(1 << 63)])
     def test_extreme_seeds_run(self, seed):
@@ -444,14 +447,25 @@ class TestPipelineContract:
         assert validate_coloring(g, colors, 16)
         inst = captured["instance"]
         assert len(inst.units) == 2
-        assert inst.edges == ((0, 1),)
+        assert inst.adj == ((1,), (0,))
         assert colors[0] != colors[off]
 
     def test_every_pipeline_instance_passes_oracle_and_validator(self, monkeypatch):
         import brooks_sim.phases as phases
+        from brooks_sim.listcolor import build_instance as real_build
         from brooks_sim.listcolor import solve_distributed as real_solve
 
+        built = []
         seen = []
+
+        def wrapped_build(g, coloring, units, **kw):
+            instance = real_build(g, coloring, units, **kw)
+            # adjacency and palettes recounted from G and the colour list
+            expected = recount_instance(g, coloring.color, coloring.delta, instance.units)
+            assert (instance.adj, instance.palettes) == expected
+            assert sorted(instance.units) == sorted(tuple(sorted(u)) for u in units)
+            built.append(instance.name)
+            return instance
 
         def wrapped(instance, seed, **kw):
             assignment, metrics = real_solve(instance, seed, **kw)
@@ -461,8 +475,13 @@ class TestPipelineContract:
             seen.append(instance.name)
             return assignment, metrics
 
+        monkeypatch.setattr(phases, "build_instance", wrapped_build)
         monkeypatch.setattr(phases, "solve_distributed", wrapped)
-        inst = generate_instance("mixed", 16, seed=2)
-        result = run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon, seed=2))
-        assert validate_coloring(inst.graph, result.coloring.as_list(), 16)
+        # guarded_pair has a pair unit whose palette is narrower than its
+        # first member's, which no pair of mixed seed 2 has
+        for family, seed in (("mixed", 2), ("guarded_pair", 0)):
+            inst = generate_instance(family, 16, seed=seed)
+            result = run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon, seed=seed))
+            assert validate_coloring(inst.graph, result.coloring.as_list(), 16)
         assert "guarded_pairs" in seen and "sparse" in seen
+        assert built == seen

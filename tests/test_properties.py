@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brooks_sim.graph_core import Graph, load_graph_with_header, missing_pairs, save_graph
-from brooks_sim.listcolor import ListInstance, make_unit
+from brooks_sim.listcolor import make_unit
 from brooks_sim.slackgen import run_slack_generation_with_metrics
-from oracles import is_k_colorable, measure_slack, solve_greedy_oracle, validate_assignment
+from oracles import (
+    is_k_colorable,
+    list_instance,
+    measure_slack,
+    solve_greedy_oracle,
+    validate_assignment,
+)
 
 
 @st.composite
@@ -87,8 +93,8 @@ def deg_plus_one_instances(draw):
         size = min(deg[v] + 1 + extra, colors)
         offset = draw(st.integers(min_value=0, max_value=colors - size))
         palettes.append(frozenset(range(offset, offset + size)))
-    return ListInstance(
-        "prop", colors, tuple(make_unit(v) for v in range(n)), tuple(edges), tuple(palettes)
+    return list_instance(
+        tuple(make_unit(v) for v in range(n)), edges, palettes, delta=colors, name="prop"
     )
 
 

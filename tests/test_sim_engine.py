@@ -16,7 +16,7 @@ from brooks_sim.sim_engine import (
     run_protocol,
 )
 from brooks_sim.slackgen import run_slack_generation_with_metrics
-from oracles import complete_graph, path_graph, trial_by_messages
+from oracles import complete_graph, list_instance, path_graph, trial_by_messages
 
 
 def run_all(g, palettes, p=1.0, seed=0, max_rounds=8, **kwargs):
@@ -175,7 +175,7 @@ def random_list_instance(rng: random.Random, *, short: bool) -> ListInstance:
             size -= 1
         palettes.append(frozenset(rng.sample(range(delta), size)))
     units = tuple(make_unit(v) for v in range(k))
-    return ListInstance("random", delta, units, edges, tuple(palettes))
+    return list_instance(units, edges, palettes, delta=delta, name="random")
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -186,11 +186,10 @@ def test_engine_matches_message_delivery_on_list_instances(strict):
         inst = random_list_instance(rng, short=case % 4 == 3)
         k = len(inst.units)
         budget = congest_budget(k, rng.choice((1, 2, 4))) if strict else None
-        palettes = [sorted(p) for p in inst.palettes]
         seed = rng.randrange(1 << 32)
         if case % 4 == 0:
             # the solve_distributed inputs, through the public entry point too
-            args = (inst.adj, palettes, [0.5] * k, seed, trial_round_limit(k))
+            args = (inst.adj, inst.palettes, [0.5] * k, seed, trial_round_limit(k))
             kwargs = dict(
                 value_bits=color_value_bits(inst.delta),
                 strict_bit_budget=budget,
@@ -204,7 +203,7 @@ def test_engine_matches_message_delivery_on_list_instances(strict):
         else:
             # varied caps, round limits, activations and payload widths
             activation = [rng.choice((0.0, 0.3, 0.5, 1.0)) for _ in range(k)]
-            args = (inst.adj, palettes, activation, seed, rng.randrange(1, 12))
+            args = (inst.adj, inst.palettes, activation, seed, rng.randrange(1, 12))
             kwargs = dict(
                 trials=rng.choice((None, 1, 2, 3)),
                 value_bits=1 if rng.random() < 0.1 else color_value_bits(inst.delta),
