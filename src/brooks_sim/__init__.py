@@ -31,7 +31,6 @@ from .phases import (
     PIPELINE_PLAN,
     PipelineConfig,
     PipelineResult,
-    WhiteGraySplit,
     run_pipeline,
 )
 from .sim_engine import RoundMetrics, run_protocol
@@ -53,7 +52,6 @@ __all__ = [
     "PipelineResult",
     "RoundMetrics",
     "Thresholds",
-    "WhiteGraySplit",
     "anti_degree",
     "build_instance",
     "check_lemma33",

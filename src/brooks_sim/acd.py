@@ -38,7 +38,6 @@ class AlmostCliqueDecomposition:
     epsilon: Fraction
     sparse: frozenset[int]
     cliques: tuple[frozenset[int], ...]
-    membership: tuple[int, ...]  # -1 for sparse, else clique index
 
     @cached_property
     def clique_masks(self) -> tuple[int, ...]:
@@ -48,26 +47,21 @@ class AlmostCliqueDecomposition:
     def build(
         epsilon: Fraction, sparse: frozenset[int], cliques: tuple[frozenset[int], ...], n: int
     ) -> "AlmostCliqueDecomposition":
-        membership = [-1] * n
+        owner = [-1] * n
         for idx, clique in enumerate(cliques):
             if not clique:
                 raise BrooksSimError(f"empty almost-clique at index {idx}", phase="acd")
             for v in clique:
-                if membership[v] != -1:
+                if owner[v] != -1:
                     raise BrooksSimError(f"node {v} in two almost-cliques", phase="acd")
-                membership[v] = idx
+                owner[v] = idx
         for v in sparse:
-            if membership[v] != -1:
+            if owner[v] != -1:
                 raise BrooksSimError(f"node {v} both sparse and dense", phase="acd")
         covered = len(sparse) + sum(len(c) for c in cliques)
-        if covered != n or any(m == -1 and v not in sparse for v, m in enumerate(membership)):
+        if covered != n or any(m == -1 and v not in sparse for v, m in enumerate(owner)):
             raise BrooksSimError("sparse set and almost-cliques do not partition V", phase="acd")
-        return AlmostCliqueDecomposition(
-            epsilon=epsilon,
-            sparse=sparse,
-            cliques=cliques,
-            membership=tuple(membership),
-        )
+        return AlmostCliqueDecomposition(epsilon, sparse, cliques)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """Almost-clique classification and the seven-set fine partition.
 
-An AC is easy (simplicial node or non-edge), difficult (non-easy, has a
+An AC is easy (a simplicial node, by `graph_core.is_simplicial`, the test
+behind the K_{delta+1} check, or a non-edge), difficult (non-easy, has a
 special neighbor, size >= delta - psi), nice (easy or contains a picked
 special), or ordinary (none of the above). A special is an outside node with
 >= phi neighbors in the AC; both cuts are integers of `thresholds.Thresholds`.
@@ -16,7 +17,7 @@ from typing import Iterator
 
 from .acd import AlmostCliqueDecomposition, outsider_counts
 from .errors import PartitionViolationError
-from .graph_core import Graph, mask_of
+from .graph_core import Graph, is_simplicial, mask_of
 from .listcolor import Unit, make_unit
 from .thresholds import Thresholds
 
@@ -101,12 +102,6 @@ def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[Unit]:
             low = missing & -missing
             yield make_unit(u, low.bit_length() - 1)
             missing ^= low
-
-
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff N(v) induces a clique (in the whole graph)."""
-    nmask = g.masks[v]
-    return all((nmask & ~(1 << u)) & ~g.masks[u] == 0 for u in g.adj[v])
 
 
 def is_easy(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> bool:

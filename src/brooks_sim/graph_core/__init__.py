@@ -13,6 +13,7 @@ from .io import load_graph_with_header, save_graph
 from .measures import (
     anti_degree,
     contains_delta_plus_one_clique,
+    is_simplicial,
     missing_pairs,
     outside_degree,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "contains_delta_plus_one_clique",
     "generate",
     "generate_instance",
+    "is_simplicial",
     "load_graph_with_header",
     "mask_of",
     "missing_pairs",

@@ -12,10 +12,11 @@ class PartialColoring:
     """Proper partial coloring; colors are ints in [0, delta).
 
     The colour list `color` is the only record of who has which colour:
-    `palette(v)` and `palette_size(v)` read the colours of N(v) from it on
-    every call, in O(deg v). Beside it sits `uncolored_mask`, one bit per
-    uncolored node, so an uncolored degree inside a subgraph is one AND and
-    a popcount. The tests cross-check slacks against a from-scratch recount.
+    `palette(*nodes)` and `slack_in(v, mask)` read the colours of the
+    neighbours from it on every call, in O(deg) per node. Beside it sits
+    `uncolored_mask`, one bit per uncolored node, so `slack_in` reads an
+    uncolored degree inside a subgraph as one AND and a popcount. The tests
+    cross-check palettes and slacks against a from-scratch recount.
     """
 
     __slots__ = ("graph", "delta", "color", "uncolored_mask")
@@ -40,27 +41,23 @@ class PartialColoring:
         self.color[v] = c
         self.uncolored_mask &= ~(1 << v)
 
-    def _neighbor_colors(self, v: int) -> set[int]:
-        color = self.color
-        used = {color[u] for u in self.graph.adj[v]}
-        used.discard(None)
-        return used
-
-    def palette_size(self, v: int) -> int:
-        return self.delta - len(self._neighbor_colors(v))
-
-    def palette(self, v: int) -> set[int]:
-        return set(range(self.delta)) - self._neighbor_colors(v)
-
-    def uncolored_degree_in(self, v: int, subgraph_mask: int) -> int:
-        return (self.graph.masks[v] & subgraph_mask & self.uncolored_mask).bit_count()
+    def palette(self, *nodes: int) -> tuple[int, ...]:
+        """Ascending colours of [delta] held by no neighbour of any given
+        node; for a pair, the intersection of the two palettes."""
+        color, adj = self.color, self.graph.adj
+        used = {color[u] for v in nodes for u in adj[v]}
+        return tuple([c for c in range(self.delta) if c not in used])
 
     def slack_in(self, v: int, subgraph_mask: int) -> int:
         """Slack of v in the induced subgraph: palette size minus uncolored
         degree within the subgraph; v must be uncolored for the value to
         mean anything, callers enforce that.
         """
-        return self.palette_size(v) - self.uncolored_degree_in(v, subgraph_mask)
+        color = self.color
+        used = {color[u] for u in self.graph.adj[v]}
+        used.discard(None)
+        uncolored = (self.graph.masks[v] & subgraph_mask & self.uncolored_mask).bit_count()
+        return self.delta - len(used) - uncolored
 
     def uncolored_in(self, nodes: Iterable[int]) -> list[int]:
         return sorted(v for v in nodes if self.color[v] is None)

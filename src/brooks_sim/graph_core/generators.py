@@ -324,15 +324,13 @@ def _mixed(
     seed: int,
     components: int = 5,
     kinds: tuple[str, ...] | None = None,
-    random_n: int | None = None,
 ) -> GeneratedGraph:
     if kinds is None:
         kinds = tuple(_MIXED_CYCLE[i % len(_MIXED_CYCLE)] for i in range(components))
     rng = random.Random(seed ^ 0x5EED)
     parts: list[GeneratedGraph] = []
     for idx, kind in enumerate(kinds):
-        params = {"n": random_n} if (kind == "random_gnd" and random_n) else {}
-        parts.append(generate_instance(kind, delta, seed * 131 + idx, **params))
+        parts.append(generate_instance(kind, delta, seed * 131 + idx))
 
     edges: list[tuple[int, int]] = []
     offsets: list[int] = []

@@ -11,7 +11,7 @@ class Graph:
     """Simple undirected graph on nodes 0..n-1.
 
     Adjacency is kept two ways: sorted tuples (deterministic iteration) and
-    int bitmasks (membership and fast intersection counting).
+    int bitmasks (edge tests and fast intersection counting).
     Immutable after construction; safe for concurrent reads.
     """
 

@@ -1,8 +1,10 @@
-"""Structural measures: missing pairs, outside degree, anti-degree, K_{delta+1} test.
+"""Structural measures: missing pairs, outside degree, anti-degree, the
+simplicial test and the K_{delta+1} test built on it.
 
 `missing_pairs` is the integer numerator of local sparsity (its value times
 delta); the ACD checks compare that count with the integer bounds of
-`thresholds.Thresholds`.
+`thresholds.Thresholds`. Each neighbourhood question is answered by one walk
+over `g.adj[v]`, one mask AND per neighbour.
 """
 
 from __future__ import annotations
@@ -10,22 +12,15 @@ from __future__ import annotations
 from .graph import Graph
 
 
-def edges_inside(g: Graph, nodes_mask: int) -> int:
-    """Number of edges of g with both endpoints in the masked set."""
-    total = 0
-    mask = nodes_mask
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        total += (g.masks[v] & nodes_mask).bit_count()
-        mask ^= low
-    return total // 2
-
-
 def missing_pairs(g: Graph, v: int) -> int:
-    """binom(delta,2) - edges inside N(v): the pairs N(v) lacks to be a delta-clique."""
+    """binom(delta,2) - edges inside N(v): the pairs N(v) lacks to be a delta-clique.
+
+    Summing |N(u) & N(v)| over u in N(v) counts each edge inside N(v) twice."""
     d = g.delta
-    return d * (d - 1) // 2 - edges_inside(g, g.masks[v])
+    masks = g.masks
+    nmask = masks[v]
+    inside_twice = sum((masks[u] & nmask).bit_count() for u in g.adj[v])
+    return d * (d - 1) // 2 - inside_twice // 2
 
 
 def outside_degree(g: Graph, clique_mask: int, v: int) -> int:
@@ -38,16 +33,16 @@ def anti_degree(g: Graph, clique_mask: int, v: int) -> int:
     return (clique_mask & ~(1 << v) & ~g.masks[v]).bit_count()
 
 
+def is_simplicial(g: Graph, v: int) -> bool:
+    """True iff N(v) induces a clique (in the whole graph)."""
+    nmask = g.masks[v]
+    return all((nmask & ~(1 << u)) & ~g.masks[u] == 0 for u in g.adj[v])
+
+
 def contains_delta_plus_one_clique(g: Graph) -> bool:
-    """Exact test: a K_{delta+1} forces some degree-delta node whose closed
-    neighborhood is complete, and conversely."""
+    """Exact test: a K_{delta+1} forces some degree-delta node whose
+    neighborhood is a clique, and conversely."""
     d = g.delta
     if d == 0:
         return g.n >= 1  # K_1 is a (0+1)-clique
-    for v in range(g.n):
-        if len(g.adj[v]) != d:
-            continue
-        closed_v = g.masks[v] | (1 << v)
-        if all((closed_v & ~(g.masks[u] | (1 << u))) == 0 for u in g.adj[v]):
-            return True
-    return False
+    return any(len(g.adj[v]) == d and is_simplicial(g, v) for v in range(g.n))

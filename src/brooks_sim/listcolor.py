@@ -2,10 +2,10 @@
 
 A unit is one real node or a pair of real nodes that must end up
 same-colored. Units are adjacent when any two of their members are adjacent
-in G; a unit's palette is [delta] minus the colors of colored G-neighbors of
-any member (so a pair's palette is the intersection of its endpoints'
-palettes), read from the coloring's colour list. A `ListInstance` holds the
-unit adjacency and the palettes exactly as `run_protocol` takes them.
+in G; a unit's palette, `PartialColoring.palette(*unit)`, is [delta] minus
+the colors of colored G-neighbors of any member (so a pair's palette is the
+intersection of its endpoints' palettes). A `ListInstance` holds the unit
+adjacency and the palettes exactly as `run_protocol` takes them.
 
 The distributed solver is the plain synchronous trial loop of
 `sim_engine.run_protocol` (activate w.p. 1/2, try a uniform available color,
@@ -76,12 +76,7 @@ def build_instance(
                 raise BrooksSimError(f"{name}: node {v} appears in two units", phase=name)
             node_to_unit[v] = idx
 
-    palettes = []
-    for unit in units:
-        palette = set(range(coloring.delta))
-        for v in unit:
-            palette &= coloring.palette(v)
-        palettes.append(tuple(sorted(palette)))
+    palettes = [coloring.palette(*unit) for unit in units]
 
     nbr_sets: list[set[int]] = [set() for _ in units]
     for idx, unit in enumerate(units):

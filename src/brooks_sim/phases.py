@@ -137,37 +137,6 @@ class PipelineResult:
     partition: FinePartition
 
 
-@dataclass(frozen=True)
-class WhiteGraySplit:
-    """Uncolored target set split into whites (unit slack or a stalled
-    later-colored neighbor) and grays (>= 1 uncolored white neighbor)."""
-
-    white: tuple[int, ...]
-    gray: tuple[int, ...]
-    stall_mask: int  # uncolored nodes colored in a strictly later step
-    slack_mask: int  # subgraph in which white unit-slack is measured
-
-    def validate(self, g: Graph, coloring: PartialColoring, phase: str | None = None) -> None:
-        for v in self.white + self.gray:
-            if coloring.is_colored(v):
-                raise PartitionViolationError(f"node {v} already colored", node=v, phase=phase)
-        for v in self.white:
-            if coloring.slack_in(v, self.slack_mask) >= 1:
-                continue
-            if g.masks[v] & self.stall_mask & coloring.uncolored_mask == 0:
-                raise PartitionViolationError(
-                    f"white node {v} has neither unit slack nor a stalled neighbor",
-                    node=v,
-                    phase=phase,
-                )
-        white_mask = mask_of(self.white)
-        for v in self.gray:
-            if g.masks[v] & white_mask & coloring.uncolored_mask == 0:
-                raise PartitionViolationError(
-                    f"gray node {v} has no white neighbor", node=v, phase=phase
-                )
-
-
 def _mix(*parts: int) -> int:
     raw = hashlib.blake2b(struct.pack(f"<{len(parts)}q", *parts), digest_size=8).digest()
     return int.from_bytes(raw, "little") >> 2
@@ -238,8 +207,25 @@ class PipelineSteps:
                 (white if (white_mask >> v) & 1 else gray).append(v)
         if slack_mask is None:
             slack_mask = self.full_mask & ~stall_mask
-        split = WhiteGraySplit(tuple(white), tuple(gray), stall_mask, slack_mask)
-        split.validate(self.g, self.coloring, phase=gray_kind)
+        masks, coloring = self.g.masks, self.coloring
+        for v in white + gray:
+            if coloring.is_colored(v):
+                raise PartitionViolationError(f"node {v} already colored", node=v, phase=gray_kind)
+        for v in white:
+            if coloring.slack_in(v, slack_mask) >= 1:
+                continue
+            if masks[v] & stall_mask & coloring.uncolored_mask == 0:
+                raise PartitionViolationError(
+                    f"white node {v} has neither unit slack nor a stalled neighbor",
+                    node=v,
+                    phase=gray_kind,
+                )
+        all_white = mask_of(white)
+        for v in gray:
+            if masks[v] & all_white & coloring.uncolored_mask == 0:
+                raise PartitionViolationError(
+                    f"gray node {v} has no white neighbor", node=v, phase=gray_kind
+                )
         self.solve_units(gray_kind, (make_unit(v) for v in gray))
         self.solve_units(white_kind, (make_unit(v) for v in white))
 

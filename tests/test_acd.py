@@ -145,18 +145,23 @@ def test_anti_degree_matches_set_difference_on_guarded_instance():
             assert outside_degree(g, cmask, v) == len(set(g.adj[v]) - set(clique))
 
 
+def clique_mask_of(acd, v):
+    """Mask of the AC holding node v."""
+    return next(m for c, m in zip(acd.cliques, acd.clique_masks) if v in c)
+
+
 def test_outside_and_anti_degree():
     inst = generate_instance("matched_cliques", 8, seed=0)
     g = inst.graph
     acd = compute_acd(g, Fraction(1, 8))
     for v in range(g.n):
-        cmask = acd.clique_masks[acd.membership[v]]
+        cmask = clique_mask_of(acd, v)
         assert outside_degree(g, cmask, v) == 1
         assert anti_degree(g, cmask, v) == 0
     inst2 = generate_instance("clique_minus_edge", 8, seed=0)
     acd2 = compute_acd(inst2.graph, Fraction(1, 8))
     a, b = inst2.meta["missing_edge"]
-    cmask2 = acd2.clique_masks[acd2.membership[a]]
+    cmask2 = clique_mask_of(acd2, a)
     assert anti_degree(inst2.graph, cmask2, a) == 1
     assert outside_degree(inst2.graph, cmask2, a) == 0
 
@@ -171,16 +176,9 @@ def test_compute_acd_zero_failures_over_mixed_seeds():
 def test_partition_every_node_exactly_once():
     inst = generate_instance("mixed", 27, seed=5)
     acd = compute_acd(inst.graph, inst.epsilon)
-    seen = [0] * inst.graph.n
-    for v in acd.sparse:
-        seen[v] += 1
-    for c in acd.cliques:
-        for v in c:
-            seen[v] += 1
-    assert all(c == 1 for c in seen)
-    assert all(
-        (acd.membership[v] == -1) == (v in acd.sparse) for v in range(inst.graph.n)
-    )
+    # every node is in exactly one of `sparse` or a clique
+    for v in range(inst.graph.n):
+        assert (v in acd.sparse) + sum(v in c for c in acd.cliques) == 1
 
 
 def test_epsilon_out_of_range_rejected():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,11 +8,13 @@ from brooks_sim.graph_core import (
     Graph,
     PartialColoring,
     contains_delta_plus_one_clique,
+    generate_instance,
     load_graph_with_header,
+    mask_of,
     missing_pairs,
     save_graph,
 )
-from oracles import complete_graph, cycle_graph, path_graph
+from oracles import complete_graph, cycle_graph, measure_slack, path_graph
 
 
 def star(leaves: int) -> Graph:
@@ -189,18 +192,46 @@ class TestPartialColoring:
         col.assign(1, 2)
         col.assign(2, 2)
         col.assign(3, 1)
-        assert col.palette_size(0) == 2
-        assert col.palette(0) == {0, 3}
+        assert len(col.palette(0)) == 2
+        assert col.palette(0) == (0, 3)
         # one repeated color: colored neighbors minus distinct colors among them
         colored = [u for u in g.adj[0] if col.is_colored(u)]
         assert len(colored) == 3
-        assert len(colored) - (col.delta - col.palette_size(0)) == 1
+        assert len(colored) - (col.delta - len(col.palette(0))) == 1
 
     def test_uncolored_degree_masks(self):
         g = star(4)
         col = PartialColoring(g)
         full = (1 << g.n) - 1
-        assert col.uncolored_degree_in(0, full) == 4
+        # in the empty subgraph the slack is the palette size, so the drop
+        # from it to the slack in G is the uncolored degree
+        assert col.slack_in(0, 0) - col.slack_in(0, full) == 4
         col.assign(1, 0)
-        assert col.uncolored_degree_in(0, full) == 3
+        assert col.slack_in(0, 0) - col.slack_in(0, full) == 3
         assert col.slack_in(0, full) == 4 - 1 - 3  # palette 3, uncolored degree 3
+
+    @pytest.mark.parametrize(
+        "family, delta",
+        [("clique_minus_edge", 8), ("matched_cliques", 6), ("guarded_pair", 12), ("random_gnd", 8)],
+    )
+    def test_palettes_and_slack_match_recount(self, family, delta):
+        rng = random.Random(delta)
+        base = generate_instance(family, delta, seed=1).graph
+        lone = base.n  # a neighbourless extra node
+        g = Graph(base.n + 1, base.edges())
+        for _ in range(5):
+            col = PartialColoring(g)
+            for v in rng.sample(range(g.n), g.n):
+                free = col.palette(v)
+                if free and rng.random() < 0.6:
+                    col.assign(v, rng.choice(free))
+            assert col.palette(lone) == tuple(range(delta))
+            for _ in range(40):
+                u, w = rng.randrange(g.n), rng.choice([lone, rng.randrange(g.n)])
+                held = {col.color[x] for x in g.adj[u]}
+                assert col.palette(u) == tuple(c for c in range(delta) if c not in held)
+                both = tuple(sorted(set(col.palette(u)) & set(col.palette(w))))
+                assert col.palette(u, w) == both
+            sub = [v for v in range(g.n) if rng.random() < 0.7]
+            for v in col.uncolored_in(range(g.n)):
+                assert col.slack_in(v, mask_of(sub)) == measure_slack(g, col, v, sub)

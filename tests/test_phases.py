@@ -13,7 +13,6 @@ from brooks_sim.phases import (
     PIPELINE_PLAN,
     PipelineConfig,
     PipelineSteps,
-    WhiteGraySplit,
     run_pipeline,
 )
 from brooks_sim.sim_engine import RoundMetrics
@@ -132,13 +131,12 @@ class TestColorGrayThenWhite:
     def test_gray_without_white_neighbor_rejected(self):
         g = complete_graph(3)
         coloring = PartialColoring(g, delta=4)
-        split = WhiteGraySplit(
-            white=(), gray=(0,), stall_mask=0, slack_mask=(1 << g.n) - 1
-        )
+        steps = bare_steps(g, coloring)
         with pytest.raises(PartitionViolationError) as err:
-            split.validate(g, coloring, phase="nice_c_gray")
+            steps.gray_then_white("nice_c_gray", "nice_c_white", [((0,), 0)])
         assert err.value.phase == "nice_c_gray"
         assert err.value.node == 0
+        assert len(steps.ledger) == 0 and not coloring.is_colored(0)
 
     def test_white_without_justification_rejected(self):
         g = complete_graph(3)  # delta 2, no slack anywhere
