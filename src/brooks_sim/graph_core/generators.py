@@ -19,6 +19,11 @@ All generators are deterministic in (delta, seed), emit max degree exactly
 delta, contain no K_{delta+1}, and record construction counts in meta for
 test cross-checks. epsilon_min/epsilon_max bound the admissible ACD epsilon
 for the family at this delta.
+
+Each family's builder returns a _Blueprint: node count, edge list, epsilon
+bounds and meta. generate_instance builds the one Graph from it and checks
+the max degree and the absence of a K_{delta+1} on that Graph; mixed joins
+its components' edge lists and builds no Graph per component.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..errors import UnsupportedFamilyError
 from ..thresholds import ceil_phi, floor_psi
@@ -67,11 +72,38 @@ class GeneratedGraph:
         return eps
 
 
+class _Blueprint(NamedTuple):
+    """What a family builder hands generate_instance to build and check."""
+
+    n: int
+    edges: list[tuple[int, int]]
+    epsilon_min: Fraction
+    epsilon_max: Fraction
+    meta: dict
+
+
 def generate(family: str, delta: int, seed: int = 0, **params) -> Graph:
     return generate_instance(family, delta, seed, **params).graph
 
 
 def generate_instance(family: str, delta: int, seed: int = 0, **params) -> GeneratedGraph:
+    blueprint = _blueprint(family, delta, seed, **params)
+    g = Graph(blueprint.n, blueprint.edges)
+    _check_max_degree(family, delta, g.delta)
+    if contains_delta_plus_one_clique(g):
+        raise UnsupportedFamilyError(f"{family}({delta}, seed={seed}) contains a K_{delta + 1}")
+    return GeneratedGraph(
+        graph=g,
+        family=family,
+        delta=delta,
+        seed=seed,
+        epsilon_min=blueprint.epsilon_min,
+        epsilon_max=blueprint.epsilon_max,
+        meta=blueprint.meta,
+    )
+
+
+def _blueprint(family: str, delta: int, seed: int, **params) -> _Blueprint:
     try:
         builder = _BUILDERS[family]
     except KeyError:
@@ -80,16 +112,15 @@ def generate_instance(family: str, delta: int, seed: int = 0, **params) -> Gener
         raise UnsupportedFamilyError(
             f"family {family!r} needs delta >= {_MIN_DELTA[family]}, got {delta}"
         )
-    out = builder(delta, seed, **params)
-    g = out.graph
-    if g.delta != delta:
-        raise UnsupportedFamilyError(f"{family}({delta}) produced max degree {g.delta}")
-    if contains_delta_plus_one_clique(g):
-        raise UnsupportedFamilyError(f"{family}({delta}, seed={seed}) contains a K_{delta + 1}")
-    return out
+    return builder(delta, seed, **params)
 
 
-def _clique_minus_edge(delta: int, seed: int) -> GeneratedGraph:
+def _check_max_degree(family: str, delta: int, max_degree: int) -> None:
+    if max_degree != delta:
+        raise UnsupportedFamilyError(f"{family}({delta}) produced max degree {max_degree}")
+
+
+def _clique_minus_edge(delta: int, seed: int) -> _Blueprint:
     n = delta + 1
     rng = random.Random(seed)
     a = rng.randrange(n)
@@ -100,18 +131,16 @@ def _clique_minus_edge(delta: int, seed: int) -> GeneratedGraph:
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != missing
     ]
-    return GeneratedGraph(
-        graph=Graph(n, edges),
-        family="clique_minus_edge",
-        delta=delta,
-        seed=seed,
+    return _Blueprint(
+        n=n,
+        edges=edges,
         epsilon_min=Fraction(1, 3 * delta),
         epsilon_max=Fraction(1, 4),
         meta={"missing_edge": missing},
     )
 
 
-def _matched_cliques(delta: int, seed: int) -> GeneratedGraph:
+def _matched_cliques(delta: int, seed: int) -> _Blueprint:
     rng = random.Random(seed)
     side_a = list(range(delta))
     side_b = list(range(delta, 2 * delta))
@@ -122,11 +151,9 @@ def _matched_cliques(delta: int, seed: int) -> GeneratedGraph:
         edges.extend((side[i], side[j]) for i in range(delta) for j in range(i + 1, delta))
     matching = [(side_a[i], side_b[perm[i]]) for i in range(delta)]
     edges.extend(matching)
-    return GeneratedGraph(
-        graph=Graph(2 * delta, edges),
-        family="matched_cliques",
-        delta=delta,
-        seed=seed,
+    return _Blueprint(
+        n=2 * delta,
+        edges=edges,
         epsilon_min=Fraction(1, 4 * delta),
         epsilon_max=Fraction(1, 4),
         meta={"sides": (tuple(side_a), tuple(side_b)), "matching": tuple(matching)},
@@ -162,20 +189,24 @@ def _check_deficit(family: str, delta: int, deficit: int) -> None:
         )
 
 
+def _degrees(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    degrees = [0] * n
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return degrees
+
+
 def _pad_to_delta(edges: list[tuple[int, int]], n: int, delta: int) -> tuple[int, bool]:
     """Append a disjoint star so the graph's max degree is exactly delta."""
-    degrees: dict[int, int] = {}
-    for u, v in edges:
-        degrees[u] = degrees.get(u, 0) + 1
-        degrees[v] = degrees.get(v, 0) + 1
-    if max(degrees.values(), default=0) >= delta:
+    if max(_degrees(n, edges), default=0) >= delta:
         return n, False
     hub = n
     edges.extend((hub, hub + 1 + i) for i in range(delta))
     return n + 1 + delta, True
 
 
-def _guarded_pair(delta: int, seed: int, deficit: int = 1) -> GeneratedGraph:
+def _guarded_pair(delta: int, seed: int, deficit: int = 1) -> _Blueprint:
     # One (delta-deficit)-clique; specials 0 and 1 cover it with one-node
     # overlap. The deficit parameterizes the figures' unstated clique size.
     _check_deficit("guarded_pair", delta, deficit)
@@ -189,11 +220,9 @@ def _guarded_pair(delta: int, seed: int, deficit: int = 1) -> GeneratedGraph:
     if min(len(cov1), len(cov2)) < need:
         raise UnsupportedFamilyError(f"guarded_pair({delta}): coverage below phi")
     n, padded = _pad_to_delta(edges, 2 + m, delta)
-    return GeneratedGraph(
-        graph=Graph(n, edges),
-        family="guarded_pair",
-        delta=delta,
-        seed=seed,
+    return _Blueprint(
+        n=n,
+        edges=edges,
         epsilon_min=Fraction(deficit, delta),
         epsilon_max=_coverage_epsilon_max(delta, max(len(cov1), len(cov2))),
         meta={
@@ -207,7 +236,7 @@ def _guarded_pair(delta: int, seed: int, deficit: int = 1) -> GeneratedGraph:
     )
 
 
-def _runaway_pair(delta: int, seed: int, deficit: int = 1) -> GeneratedGraph:
+def _runaway_pair(delta: int, seed: int, deficit: int = 1) -> _Blueprint:
     # Two (delta-deficit)-cliques; special 0 takes the first ~half of each,
     # special 1 the rest. deg(0) = delta exactly, both special for both cliques.
     _check_deficit("runaway_pair", delta, deficit)
@@ -225,11 +254,9 @@ def _runaway_pair(delta: int, seed: int, deficit: int = 1) -> GeneratedGraph:
     if min(len(cov11), len(cov21), len(cov12), len(cov22)) < need:
         raise UnsupportedFamilyError(f"runaway_pair({delta}): coverage below phi")
     max_cov = max(len(cov11), len(cov21), len(cov12), len(cov22))
-    return GeneratedGraph(
-        graph=Graph(2 + 2 * m, edges1 + edges2),
-        family="runaway_pair",
-        delta=delta,
-        seed=seed,
+    return _Blueprint(
+        n=2 + 2 * m,
+        edges=edges1 + edges2,
         epsilon_min=Fraction(deficit, delta),
         epsilon_max=_coverage_epsilon_max(delta, max_cov),
         meta={
@@ -245,7 +272,7 @@ def _runaway_pair(delta: int, seed: int, deficit: int = 1) -> GeneratedGraph:
     )
 
 
-def _random_gnd(delta: int, seed: int, n: int | None = None) -> GeneratedGraph:
+def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
     rng = random.Random(seed)
     if n is None:
         n = 4 * delta
@@ -284,11 +311,9 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> GeneratedGraph:
         if len(adj[v]) <= delta - 2:
             add(0, v)
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    return GeneratedGraph(
-        graph=Graph(n, edges),
-        family="random_gnd",
-        delta=delta,
-        seed=seed,
+    return _Blueprint(
+        n=n,
+        edges=edges,
         epsilon_min=Fraction(1, 4 * delta),
         epsilon_max=Fraction(1, 4),
         meta={"max_degree_node": 0, "n": n},
@@ -304,19 +329,17 @@ _MIXED_CYCLE = (
 )
 
 
-def _spare_nodes(part: GeneratedGraph, degrees: dict[int, int], offset: int) -> list[int]:
-    """Attachment points that tolerate one more edge without losing what the
-    family relies on (random_gnd nodes must keep a-priori slack)."""
-    g = part.graph
-    limit = part.delta - 2 if part.family == "random_gnd" else part.delta - 1
-    spare = []
-    for v in range(g.n):
-        gv = offset + v
-        if part.family == "random_gnd" and v == part.meta["max_degree_node"]:
-            continue
-        if degrees.get(gv, g.degree(v)) <= limit:
-            spare.append(gv)
-    return spare
+def _spare_node(
+    kind: str, part: _Blueprint, offset: int, degrees: list[int], delta: int
+) -> int | None:
+    """The first attachment point that tolerates one more edge without losing
+    what the family relies on (random_gnd nodes must keep a-priori slack)."""
+    limit = delta - 2 if kind == "random_gnd" else delta - 1
+    skip = offset + part.meta["max_degree_node"] if kind == "random_gnd" else None
+    for v in range(offset, offset + part.n):
+        if v != skip and degrees[v] <= limit:
+            return v
+    return None
 
 
 def _mixed(
@@ -324,59 +347,54 @@ def _mixed(
     seed: int,
     components: int = 5,
     kinds: tuple[str, ...] | None = None,
-) -> GeneratedGraph:
+) -> _Blueprint:
     if kinds is None:
         kinds = tuple(_MIXED_CYCLE[i % len(_MIXED_CYCLE)] for i in range(components))
     rng = random.Random(seed ^ 0x5EED)
-    parts: list[GeneratedGraph] = []
-    for idx, kind in enumerate(kinds):
-        parts.append(generate_instance(kind, delta, seed * 131 + idx))
-
-    edges: list[tuple[int, int]] = []
+    # degrees and edges are over the union's ids: component i starts at offsets[i]
+    parts: list[_Blueprint] = []
     offsets: list[int] = []
-    total = 0
-    for part in parts:
+    degrees: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for idx, kind in enumerate(kinds):
+        part = _blueprint(kind, delta, seed * 131 + idx)
+        part_degrees = _degrees(part.n, part.edges)
+        _check_max_degree(kind, delta, max(part_degrees, default=0))
+        total = len(degrees)
+        parts.append(part)
         offsets.append(total)
-        edges.extend((total + u, total + v) for u, v in part.graph.edges())
-        total += part.graph.n
+        degrees.extend(part_degrees)
+        edges.extend((total + u, total + v) for u, v in part.edges)
 
-    degrees: dict[int, int] = {}
     bridges: list[tuple[int, int]] = []
     for i in range(len(parts) - 1):
         if rng.random() >= 0.5:
             continue
-        left = _spare_nodes(parts[i], degrees, offsets[i])
-        right = _spare_nodes(parts[i + 1], degrees, offsets[i + 1])
-        if not left or not right:
+        u = _spare_node(kinds[i], parts[i], offsets[i], degrees, delta)
+        v = _spare_node(kinds[i + 1], parts[i + 1], offsets[i + 1], degrees, delta)
+        if u is None or v is None:
             continue  # e.g. matched_cliques has no spare-degree node
-        u, v = left[0], right[0]
         bridges.append((u, v))
         edges.append((u, v))
-        for x in (u, v):
-            part_idx = i if x == u else i + 1
-            base = parts[part_idx].graph.degree(x - offsets[part_idx])
-            degrees[x] = degrees.get(x, base) + 1
+        degrees[u] += 1
+        degrees[v] += 1
 
-    eps_min = max(p.epsilon_min for p in parts)
-    eps_max = min(p.epsilon_max for p in parts)
-    return GeneratedGraph(
-        graph=Graph(total, edges),
-        family="mixed",
-        delta=delta,
-        seed=seed,
-        epsilon_min=eps_min,
-        epsilon_max=eps_max,
+    return _Blueprint(
+        n=len(degrees),
+        edges=edges,
+        epsilon_min=max(p.epsilon_min for p in parts),
+        epsilon_max=min(p.epsilon_max for p in parts),
         meta={
             "components": tuple(
-                {"family": p.family, "offset": off, "n": p.graph.n, "meta": p.meta}
-                for p, off in zip(parts, offsets)
+                {"family": kind, "offset": off, "n": p.n, "meta": p.meta}
+                for kind, p, off in zip(kinds, parts, offsets)
             ),
             "bridges": tuple(bridges),
         },
     )
 
 
-_BUILDERS: dict[str, Callable[..., GeneratedGraph]] = {
+_BUILDERS: dict[str, Callable[..., _Blueprint]] = {
     "clique_minus_edge": _clique_minus_edge,
     "matched_cliques": _matched_cliques,
     "guarded_pair": _guarded_pair,

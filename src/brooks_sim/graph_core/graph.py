@@ -12,6 +12,8 @@ class Graph:
 
     Adjacency is kept two ways: sorted tuples (deterministic iteration) and
     int bitmasks (edge tests and fast intersection counting).
+    Construction raises GraphInvariantError for the first edge, in input
+    order, that is out of range, a self-loop or a duplicate.
     Immutable after construction; safe for concurrent reads.
     """
 
@@ -21,22 +23,19 @@ class Graph:
         if n < 0:
             raise GraphInvariantError(f"negative node count {n}")
         self.n = n
-        seen: set[tuple[int, int]] = set()
+        edges = list(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphInvariantError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise GraphInvariantError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphInvariantError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                _raise_first_defect(n, edges)
             adj[u].append(v)
             adj[v].append(u)
-        self.m = len(seen)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self.masks: tuple[int, ...] = tuple(mask_of(a) for a in self.adj)
+        # a repeated edge repeats a neighbour, which the bitmask counts once
+        if any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj)):
+            _raise_first_defect(n, edges)
+        self.m = len(edges)
         self.delta = max((len(a) for a in self.adj), default=0)
 
     def degree(self, v: int) -> int:
@@ -70,3 +69,17 @@ def mask_of(nodes: Iterable[int]) -> int:
         mask |= 1 << v
     return mask
 
+
+def _raise_first_defect(n: int, edges: list[tuple[int, int]]) -> None:
+    """Raise for the first edge, in input order, that is out of range, a
+    self-loop or a repeat of an earlier edge."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInvariantError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphInvariantError(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphInvariantError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)

@@ -78,17 +78,18 @@ def build_instance(
 
     palettes = [coloring.palette(*unit) for unit in units]
 
-    nbr_sets: list[set[int]] = [set() for _ in units]
-    for idx, unit in enumerate(units):
-        nbrs = nbr_sets[idx]
-        for v in unit:
-            for w in g.adj[v]:
-                j = node_to_unit.get(w)
-                if j is not None and j != idx:
-                    nbrs.add(j)
+    # Without pairs, unit ids ascend with node ids, so a row read off the
+    # sorted g.adj[v] is ascending and repeat-free as it stands. A pair can
+    # sort before a singleton's smaller neighbour or reach it twice, so with
+    # pairs each row is a sorted set union.
+    pair_free = all(len(unit) == 1 for unit in units)
+    rows = []
+    for unit in units:
         if len(unit) == 2 and g.has_edge(unit[0], unit[1]):
             raise BrooksSimError(f"{name}: pair {unit} is an edge of G", phase=name)
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in nbr_sets)
+        row = [node_to_unit[w] for v in unit for w in g.adj[v] if w in node_to_unit]
+        rows.append(tuple(row) if pair_free else tuple(sorted(set(row))))
+    adj = tuple(rows)
 
     for unit, palette, nbrs in zip(units, palettes, adj):
         if len(palette) < len(nbrs) + 1:

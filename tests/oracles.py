@@ -13,12 +13,15 @@ decides by construction:
 - `solve_greedy_oracle` and `validate_assignment` solve and check a
   (deg+1)-list instance sequentially;
 - `measure_slack` recounts a node's slack from the color array alone;
+- `sequential_graph` is the edge-by-edge `Graph` constructor, with a set of
+  seen edges, that `Graph(n, edges)` must match in adjacency, masks, edge
+  count, max degree and the `GraphInvariantError` it raises;
 - `trial_by_messages` runs the colour trial the way `sim_engine.run_protocol`
   is specified, as per-node `TrialProgram`s that exchange TRY and KEEP
   messages through per-receiver inboxes (`run_message_protocol`); the engine
   must match it in colours, metrics and errors.
 
-Bad arguments raise `ValueError`. Only the standard library and the package
+Bad arguments raise `ValueError`, except in `sequential_graph`. Only the standard library and the package
 itself are imported.
 """
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from brooks_sim.errors import MessageSizeViolation, RoundLimitExceeded
+from brooks_sim.errors import GraphInvariantError, MessageSizeViolation, RoundLimitExceeded
 from brooks_sim.graph_core import Graph
 from brooks_sim.listcolor import ListInstance
 from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, StreamRng
@@ -202,6 +205,31 @@ def measure_slack(g: Graph, coloring, v: int, subgraph_nodes: Iterable[int]) -> 
     used = {coloring.color[u] for u in g.adj[v] if coloring.color[u] is not None}
     uncolored_deg = sum(1 for u in g.adj[v] if u in sub and coloring.color[u] is None)
     return coloring.delta - len(used) - uncolored_deg
+
+
+def sequential_graph(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, int]:
+    """`(adj, masks, m, delta)` of the graph, checking each edge as it comes:
+    the first edge out of range, a self-loop or seen before raises."""
+    if n < 0:
+        raise GraphInvariantError(f"negative node count {n}")
+    seen: set[tuple[int, int]] = set()
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphInvariantError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise GraphInvariantError(f"self-loop at node {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphInvariantError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    adj = tuple(tuple(sorted(a)) for a in nbrs)
+    masks = tuple(sum(1 << w for w in a) for a in adj)
+    return adj, masks, len(seen), max((len(a) for a in adj), default=0)
 
 
 def complete_graph(k: int) -> Graph:

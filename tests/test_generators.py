@@ -5,6 +5,7 @@ from brooks_sim.classify import classify_acs, find_special
 from brooks_sim.errors import UnsupportedFamilyError
 from brooks_sim.graph_core import (
     FAMILIES,
+    Graph,
     contains_delta_plus_one_clique,
     generate,
     generate_instance,
@@ -104,6 +105,34 @@ def test_mixed_components_and_bridges():
     for u, v in inst.meta["bridges"]:
         assert g.has_edge(u, v)
     assert g.delta == 16
+
+
+def test_mixed_rejects_unknown_kind():
+    with pytest.raises(UnsupportedFamilyError, match="'banana'"):
+        generate_instance("mixed", 16, seed=0, kinds=("clique_minus_edge", "banana"))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("delta", [16, 27])
+def test_mixed_components_partition_the_nodes(delta, seed):
+    # each component, less the bridges, is its family's graph at seed 131 * seed + index
+    inst = generate_instance("mixed", delta, seed)
+    g = inst.graph
+    bridges = set(inst.meta["bridges"])
+    start = 0
+    for idx, comp in enumerate(inst.meta["components"]):
+        assert comp["offset"] == start
+        part = generate_instance(comp["family"], delta, seed * 131 + idx)
+        assert comp["n"] == part.graph.n
+        assert comp["meta"] == part.meta
+        inside = [
+            (u - start, v - start)
+            for u, v in g.edges()
+            if start <= u < start + comp["n"] and (u, v) not in bridges
+        ]
+        assert Graph(comp["n"], inside) == part.graph
+        start += comp["n"]
+    assert start == g.n
 
 
 def test_mixed_component_scaling():

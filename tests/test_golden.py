@@ -1,4 +1,5 @@
-"""Fixed-seed CLI outputs, pinned by the sha256 of their stdout.
+"""Fixed-seed CLI outputs, pinned by the sha256 of their stdout, and every
+generator family's graphs, pinned by the sha256 of their contents.
 
 A change that is meant to keep behaviour must keep these bytes; a change
 that alters an output on purpose re-records the hash here and says why.
@@ -9,6 +10,7 @@ import hashlib
 import pytest
 
 from brooks_sim.cli import main
+from brooks_sim.graph_core import FAMILIES, generate_instance
 
 GOLDEN = {
     "gen": "77670f8859ed0d759de94dbd9db3c4e1317701dd031023c1e0a8a74f5e2e7d26",
@@ -16,6 +18,16 @@ GOLDEN = {
     "acd": "349b282475844af7278715ffe3a440dee882d7762233a3b3d34c7941cec9ac1b",
     "classify": "330522a1a16604a38c3ad6bba84f71f0f7bdaff14cc11d2470eef8dc90708330",
     "experiment": "c9b3ff4f8694071f59afbbadb1557e7f970ff7cbf71c210909b977495f3dd721",
+}
+
+# Per family: the graphs at Delta 16, 27 and 64, seeds 0 and 1, in that order.
+GENERATED = {
+    "clique_minus_edge": "f6efef47311e6a634dd15e0dd812b20019c83a81b2e15ab08c873b2202affd0c",
+    "matched_cliques": "611a73a01d9f082c2161ba41e1db8a976d68fc4de0f58f867a8c60f54f63771c",
+    "guarded_pair": "d07bd42aa105c22c621f21ded7b89be6794d3bbcdfbbd62038af9a64a847d2f0",
+    "runaway_pair": "2e48b62cb8b7f30c8d358cac74f51995dea31b5b6cddc4363752b0ea65470794",
+    "random_gnd": "795d7987087570c6917e731efe4572218828bb24ce180275bc01d5b7d4e1db79",
+    "mixed": "2eadb05bcf04eecfa0ddd216ea8da6c1c85fcdcfab121578b02e27195360e781",
 }
 
 COMMANDS = {
@@ -45,3 +57,15 @@ def test_gen_stdout_is_pinned(gen_sha256):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_fixed_seed_stdout_is_pinned(gen_sha256, capsys, name):
     assert _stdout_sha256(capsys, COMMANDS[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generated_graphs_are_pinned(family):
+    digest = hashlib.sha256()
+    for delta in (16, 27, 64):
+        for seed in (0, 1):
+            inst = generate_instance(family, delta, seed)
+            g = inst.graph
+            fields = (g.n, g.adj, repr(inst.meta), inst.epsilon_min, inst.epsilon_max)
+            digest.update(repr(fields).encode())
+    assert digest.hexdigest() == GENERATED[family]

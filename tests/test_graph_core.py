@@ -14,7 +14,7 @@ from brooks_sim.graph_core import (
     missing_pairs,
     save_graph,
 )
-from oracles import complete_graph, cycle_graph, measure_slack, path_graph
+from oracles import complete_graph, cycle_graph, measure_slack, path_graph, sequential_graph
 
 
 def star(leaves: int) -> Graph:
@@ -33,6 +33,50 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphInvariantError):
             Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, -1)], "edge (0,-1) out of range for n=3"),
+            ([(0, 1), (1, 0), (0, 5)], "duplicate edge (0,1)"),
+            ([(0, 5), (0, 1), (1, 0)], "edge (0,5) out of range for n=3"),
+            ([(0, 1), (0, 1), (2, 2)], "duplicate edge (0,1)"),
+        ],
+    )
+    def test_error_names_first_bad_edge_in_input_order(self, edges, message):
+        with pytest.raises(GraphInvariantError) as err:
+            Graph(3, edges)
+        assert str(err.value) == message
+
+    def test_accepts_an_iterator_of_edges(self):
+        g = Graph(4, ((v, v + 1) for v in range(3)))
+        assert g == Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert g.m == 3
+
+    def test_m_counts_edges(self):
+        assert complete_graph(6).m == 15
+        assert Graph(5, []).m == 0
+
+    def test_matches_sequential_constructor(self):
+        # about a third valid graphs; the rest self-loops, duplicates and
+        # out-of-range ids, often several in one edge list
+        rng = random.Random(11)
+        for _ in range(2000):
+            n = rng.randrange(1, 8)
+
+            def node():
+                return rng.randrange(-1, n + 1) if rng.random() < 0.03 else rng.randrange(n)
+
+            edges = [(node(), node()) for _ in range(rng.randrange(0, 8))]
+            try:
+                expected = sequential_graph(n, edges)
+            except GraphInvariantError as err:
+                with pytest.raises(GraphInvariantError) as got:
+                    Graph(n, edges)
+                assert str(got.value) == str(err), (n, edges)
+                continue
+            g = Graph(n, edges)
+            assert (g.adj, g.masks, g.m, g.delta) == expected, (n, edges)
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 1), (0, 3), (1, 0)])

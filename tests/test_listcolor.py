@@ -5,7 +5,13 @@ import pytest
 from brooks_sim.errors import BrooksSimError, DegPlusOneViolation
 from brooks_sim.graph_core import Graph, PartialColoring
 from brooks_sim.listcolor import build_instance, make_unit, solve_distributed
-from oracles import complete_graph, list_instance, solve_greedy_oracle, validate_assignment
+from oracles import (
+    complete_graph,
+    list_instance,
+    recount_instance,
+    solve_greedy_oracle,
+    validate_assignment,
+)
 
 
 def star(delta: int) -> Graph:
@@ -48,6 +54,15 @@ class TestBuildInstance:
         inst = build_instance(g, coloring, [make_unit(0, 3), make_unit(1)], name="t")
         # unit (0,3) touches unit (1,) through edge (0,1)
         assert inst.adj == ((1,), (0,))
+
+    def test_singleton_rows_beside_pairs_are_sorted_and_repeat_free(self):
+        # units (0,5), (2,), (4,): node 2 sees both members of the pair, and
+        # node 4's neighbours 2 < 5 sit in units 1 and 0
+        g = Graph(6, [(0, 2), (2, 5), (2, 4), (4, 5)])
+        coloring = PartialColoring(g)  # delta 3
+        inst = build_instance(g, coloring, [make_unit(4), make_unit(0, 5), make_unit(2)])
+        assert inst.adj == ((1, 2), (0, 2), (0, 1))
+        assert inst.adj == recount_instance(g, coloring.color, 3, inst.units)[0]
 
     def test_deg_plus_one_violation_names_unit(self):
         g = complete_graph(3)
