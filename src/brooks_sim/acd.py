@@ -90,10 +90,22 @@ class PropertyReport:
         return "; ".join(f"{k}: {len(v)} violations" for k, v in sorted(self.violations.items()))
 
 
+def check_epsilon(epsilon: Fraction | str) -> Fraction:
+    """epsilon as a Fraction; a config error unless it parses and lies in
+    (0, EPSILON_CEILING]."""
+    try:
+        value = Fraction(epsilon)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise BrooksSimError(
+            f"epsilon must be a fraction, got {epsilon!r}", phase="config"
+        ) from None
+    if not 0 < value <= EPSILON_CEILING:
+        raise BrooksSimError(f"epsilon {value} outside (0, {EPSILON_CEILING}]", phase="config")
+    return value
+
+
 def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon <= EPSILON_CEILING:
-        raise BrooksSimError(f"epsilon {epsilon} outside (0, {EPSILON_CEILING}]", phase="config")
+    epsilon = check_epsilon(epsilon)
     delta = g.delta
     if delta < 3:
         raise BrooksSimError(f"compute_acd needs delta >= 3, got {delta}", phase="precondition")

@@ -18,7 +18,6 @@ from typing import Iterator
 from .acd import AlmostCliqueDecomposition, outsider_counts
 from .errors import PartitionViolationError
 from .graph_core import Graph, is_simplicial, mask_of
-from .listcolor import Unit, make_unit
 from .thresholds import Thresholds
 
 NICE, ORDINARY, GUARDED, RUNAWAY = "nice", "ordinary", "guarded", "runaway"
@@ -94,13 +93,13 @@ def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> f
     return frozenset(u for u, count in outsider_counts(g, acd, clique_idx) if count >= special_min)
 
 
-def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[Unit]:
+def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[tuple[int, int]]:
     """The non-adjacent pairs (u, w), u < w, of the clique in id order."""
     for u in sorted(clique):
         missing = cmask & ~g.masks[u] & ~((2 << u) - 1)
         while missing:
             low = missing & -missing
-            yield make_unit(u, low.bit_length() - 1)
+            yield u, low.bit_length() - 1
             missing ^= low
 
 

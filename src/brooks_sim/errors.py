@@ -4,7 +4,7 @@ Every error that the pipeline or the CLI raises names its `phase`: `config`,
 `input`, `precondition`, `acd`, `classify`, `slackgen`, or the instance kind
 being built. The CLI serializes it into its error object. Helpers called on
 their own (`Graph`, `PartialColoring.assign`, `run_protocol` without a phase)
-may leave it None.
+may leave it None. `check_int` is the one type check of an int argument.
 """
 
 from __future__ import annotations
@@ -14,6 +14,12 @@ class BrooksSimError(Exception):
     def __init__(self, message: str, *, phase: str | None = None):
         super().__init__(message)
         self.phase = phase
+
+
+def check_int(name: str, value) -> None:
+    """Reject a value that is not an int, or is a bool, as a config error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BrooksSimError(f"{name} must be an int, got {value!r}", phase="config")
 
 
 class GraphFormatError(BrooksSimError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from ..errors import UnsupportedFamilyError
+from ..errors import UnsupportedFamilyError, check_int
 from ..thresholds import ceil_phi, floor_psi
 from .graph import Graph
 from .measures import contains_delta_plus_one_clique
@@ -87,6 +87,8 @@ def generate(family: str, delta: int, seed: int = 0, **params) -> Graph:
 
 
 def generate_instance(family: str, delta: int, seed: int = 0, **params) -> GeneratedGraph:
+    check_int("delta", delta)
+    check_int("seed", seed)  # an OS-entropy seed would make the graph irreproducible
     blueprint = _blueprint(family, delta, seed, **params)
     g = Graph(blueprint.n, blueprint.edges)
     _check_max_degree(family, delta, g.delta)

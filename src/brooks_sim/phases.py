@@ -21,13 +21,11 @@ the run re-seeds slack generation, up to max_retries.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .acd import AlmostCliqueDecomposition, compute_acd
+from .acd import AlmostCliqueDecomposition, check_epsilon, compute_acd
 from .classify import (
     ACClassification,
     FinePartition,
@@ -45,6 +43,7 @@ from .errors import (
     DeltaPlusOneCliquePresent,
     PartitionViolationError,
     RetryExhausted,
+    check_int,
 )
 from .graph_core import Graph, PartialColoring, contains_delta_plus_one_clique, mask_of
 from .listcolor import (
@@ -57,7 +56,7 @@ from .listcolor import (
     make_unit,
     solve_distributed,
 )
-from .sim_engine import RoundMetrics, congest_budget
+from .sim_engine import RoundMetrics, congest_budget, keyed
 from .slackgen import (
     SlackReport,
     check_lemma33,
@@ -109,16 +108,19 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_p_g(self.p_g)
-        if self.max_retries < 1:
-            raise BrooksSimError(
-                f"max_retries must be >= 1, got {self.max_retries}", phase="config"
-            )
+        check_epsilon(self.epsilon)
+        check_int("seed", self.seed)
         if not -(1 << 63) <= self.seed < 1 << 63:  # seeds are hashed as signed 64-bit
             raise BrooksSimError(f"seed must fit in signed 64 bits: {self.seed}", phase="config")
-        if self.congest_c < 1:
-            raise BrooksSimError(f"congest_c must be >= 1, got {self.congest_c}", phase="config")
-        if self.delta_min < 0:
-            raise BrooksSimError(f"delta_min must be >= 0, got {self.delta_min}", phase="config")
+        for name, low in (("max_retries", 1), ("congest_c", 1), ("delta_min", 0)):
+            value = getattr(self, name)
+            check_int(name, value)
+            if value < low:
+                raise BrooksSimError(f"{name} must be >= {low}, got {value}", phase="config")
+        if not isinstance(self.strict_congest, bool):
+            raise BrooksSimError(
+                f"strict_congest must be a bool, got {self.strict_congest!r}", phase="config"
+            )
 
     def bit_budget(self, n: int) -> int | None:
         """The enforced per-message budget on an n-node graph; None if not strict."""
@@ -135,11 +137,6 @@ class PipelineResult:
     acd: AlmostCliqueDecomposition
     classification: ACClassification
     partition: FinePartition
-
-
-def _mix(*parts: int) -> int:
-    raw = hashlib.blake2b(struct.pack(f"<{len(parts)}q", *parts), digest_size=8).digest()
-    return int.from_bytes(raw, "little") >> 2
 
 
 class PipelineSteps:
@@ -178,7 +175,7 @@ class PipelineSteps:
             instance = build_instance(self.g, self.coloring, units, name=kind)
             assignment, metrics = solve_distributed(
                 instance,
-                _mix(self.attempt_seed, _PLAN_INDEX[kind]),
+                keyed(self.attempt_seed, _PLAN_INDEX[kind]) >> 2,
                 strict_bit_budget=self.bit_budget if spec.tag == DISTRIBUTED else None,
             )
             for unit in instance.units:
@@ -208,9 +205,6 @@ class PipelineSteps:
         if slack_mask is None:
             slack_mask = self.full_mask & ~stall_mask
         masks, coloring = self.g.masks, self.coloring
-        for v in white + gray:
-            if coloring.is_colored(v):
-                raise PartitionViolationError(f"node {v} already colored", node=v, phase=gray_kind)
         for v in white:
             if coloring.slack_in(v, slack_mask) >= 1:
                 continue
@@ -401,7 +395,7 @@ def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
 
     last_failure = ""
     for attempt in range(config.max_retries):
-        attempt_seed = _mix(config.seed, attempt)
+        attempt_seed = keyed(config.seed, attempt) >> 2
         coloring, metrics = run_slack_generation_with_metrics(
             g,
             participants,

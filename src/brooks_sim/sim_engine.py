@@ -12,12 +12,17 @@ array, and the resolve round compares a candidate with the neighbours'
 entries, which are exactly the TRY messages its inbox would hold. A kept
 colour sets a bit in each neighbour's `blocked` int, which the neighbour
 removes from its palette at its next try round, as the KEEP messages would
-make it. Nodes step in id order and draw from streams keyed by (seed, node,
-round), so a run is a pure function of its inputs, and a node that draws
-nothing (activation 0) moves no other node's stream. A broadcast from a node
-with neighbours counts one message per neighbour, encoded as 2 tag bits
-plus `value_bits` payload bits; the strict budget checks that size and
-`max_message_bits` records the largest (all the CONGEST bound needs).
+make it. A broadcast from a node with neighbours counts one message per
+neighbour, encoded as 2 tag bits plus `value_bits` payload bits; the strict
+budget checks that size and `max_message_bits` records the largest (all the
+CONGEST bound needs).
+
+`keyed` is the one hash behind every random bit of a run. Node v draws
+`keyed(seed, v, round, 0)` to activate and `keyed(seed, v, round, 1)` for
+its colour, so a run is a pure function of its inputs and a node that draws
+nothing (activation 0) moves no other node's draws. The pipeline's attempt
+seed is `keyed(seed, attempt) >> 2`, each instance's `keyed(attempt_seed,
+plan index) >> 2`.
 """
 
 from __future__ import annotations
@@ -33,37 +38,14 @@ TAG_BITS = 2
 
 Adjacency = Sequence[Sequence[int]]
 
+_PACKERS = {k: struct.Struct(f"<{k}q").pack for k in (2, 4)}
 
-class StreamRng:
-    """Deterministic per-(seed, node, round) stream.
 
-    Draws come from blake2b over (seed, node, round, counter); activation and
-    color draws therefore stay independent, and a node's randomness is
-    reproducible without running the simulator.
-    """
-
-    __slots__ = ("_prefix", "_counter")
-
-    def __init__(self, seed: int, node: int, round_no: int):
-        self._prefix = struct.pack("<qqq", seed, node, round_no)
-        self._counter = 0
-
-    def _next(self) -> int:
-        raw = hashlib.blake2b(
-            self._prefix + struct.pack("<q", self._counter), digest_size=8
-        ).digest()
-        self._counter += 1
-        return int.from_bytes(raw, "little")
-
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self._next() >> 11) / (1 << 53)
-
-    def randrange(self, k: int) -> int:
-        """Uniform int in [0, k), rejection-free (multiply-shift)."""
-        if k <= 0:
-            raise ValueError("randrange needs k >= 1")
-        return (self._next() * k) >> 64
+def keyed(*parts: int) -> int:
+    """64 pseudo-random bits: the little-endian blake2b-64 of the parts packed
+    as little-endian signed 64-bit ints (2 or 4 of them)."""
+    digest = hashlib.blake2b(_PACKERS[len(parts)](*parts), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 @dataclass
@@ -138,16 +120,15 @@ def run_protocol(
                     raise AssertionError("palette exhausted despite deg+1 invariant")
                 c = None
                 p = activation[v]
-                if p > 0:  # with p = 0 the activation draw cannot succeed
-                    rng = StreamRng(seed, v, round_no)
-                    if rng.uniform() < p:  # activation draw precedes colour draw
-                        c = avail[rng.randrange(len(avail))]
-                        nbrs = adj[v]  # an isolated node sends, and checks, nothing
-                        if nbrs and not 0 <= c < value_limit:
-                            raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
-                        if nbrs and over_budget:
-                            raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
-                        sent += len(nbrs)
+                # 53-bit uniform activation draw; with p = 0 it cannot succeed
+                if p > 0 and (keyed(seed, v, round_no, 0) >> 11) / (1 << 53) < p:
+                    c = avail[(keyed(seed, v, round_no, 1) * len(avail)) >> 64]
+                    nbrs = adj[v]  # an isolated node sends, and checks, nothing
+                    if nbrs and not 0 <= c < value_limit:
+                        raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
+                    if nbrs and over_budget:
+                        raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
+                    sent += len(nbrs)
                 cand[v] = c
             continue
         # A KEEP repeats the checked TRY value to the same neighbours. A

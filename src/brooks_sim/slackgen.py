@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable
 
 from .acd import AlmostCliqueDecomposition
@@ -25,9 +26,9 @@ from .sim_engine import RoundMetrics, color_value_bits, run_protocol
 
 
 def check_p_g(p_g: float) -> None:
-    """Reject an activation probability outside [0, 1]."""
-    if not 0 <= p_g <= 1:
-        raise BrooksSimError(f"p_g must lie in [0, 1], got {p_g}", phase="config")
+    """Reject an activation probability that is not a real in [0, 1]."""
+    if isinstance(p_g, bool) or not isinstance(p_g, Real) or not 0 <= p_g <= 1:
+        raise BrooksSimError(f"p_g must lie in [0, 1], got {p_g!r}", phase="config")
 
 
 def run_slack_generation_with_metrics(

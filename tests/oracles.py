@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from brooks_sim.errors import GraphInvariantError, MessageSizeViolation, RoundLimitExceeded
 from brooks_sim.graph_core import Graph
 from brooks_sim.listcolor import ListInstance
-from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, StreamRng
+from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, keyed
 
 ORACLE_NODE_LIMIT = 20
 
@@ -270,7 +270,9 @@ class TrialProgram:
         self.color: int | None = None
         self.halted = False
 
-    def step(self, round_no: int, inbox: list, rng: StreamRng):
+    def step(self, round_no: int, inbox: list, key: tuple[int, int, int]):
+        """One round; `key` is (seed, node, round): the node draws
+        `keyed(*key, 0)` to activate and `keyed(*key, 1)` for its colour."""
         if round_no % 2 == 0:
             # neighbors fixed in the previous resolve round shrink the palette
             for tag, value in inbox:
@@ -283,8 +285,8 @@ class TrialProgram:
             if self.trials is not None:
                 self.trials -= 1
             self.candidate = None
-            if rng.uniform() < self.p:  # activation draw precedes color draw
-                self.candidate = self.available[rng.randrange(len(self.available))]
+            if (keyed(*key, 0) >> 11) / (1 << 53) < self.p:  # 53-bit uniform in [0, 1)
+                self.candidate = self.available[(keyed(*key, 1) * len(self.available)) >> 64]
                 return (TAG_TRY, self.candidate), False
             return None, False
         if self.candidate is not None and (TAG_TRY, self.candidate) not in inbox:
@@ -322,7 +324,7 @@ def run_message_protocol(
         for v in range(n):
             if halted[v]:
                 continue
-            msg, halted[v] = programs[v].step(round_no, inboxes[v], StreamRng(seed, v, round_no))
+            msg, halted[v] = programs[v].step(round_no, inboxes[v], (seed, v, round_no))
             nbrs = adj[v]
             if msg is None or not nbrs:
                 continue

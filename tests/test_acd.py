@@ -183,7 +183,7 @@ def test_partition_every_node_exactly_once():
 
 def test_epsilon_out_of_range_rejected():
     g = generate("matched_cliques", 8, seed=0)
-    for eps in (Fraction(0), Fraction(1, 2), Fraction(-1, 8)):
+    for eps in (Fraction(0), Fraction(1, 2), Fraction(-1, 8), "abc", None, "1/0"):
         with pytest.raises(BrooksSimError) as err:
             compute_acd(g, eps)
         assert err.value.phase == "config"

@@ -2,7 +2,7 @@ import pytest
 
 from brooks_sim.acd import compute_acd, obs22_check, verify_acd
 from brooks_sim.classify import classify_acs, find_special
-from brooks_sim.errors import UnsupportedFamilyError
+from brooks_sim.errors import BrooksSimError, UnsupportedFamilyError
 from brooks_sim.graph_core import (
     FAMILIES,
     Graph,
@@ -42,6 +42,16 @@ def test_deterministic_in_seed(family, delta):
 def test_unknown_family_rejected():
     with pytest.raises(UnsupportedFamilyError):
         generate("banana", 16)
+
+
+@pytest.mark.parametrize(
+    "delta, seed", [("16", 0), (16.0, 0), (True, 0), (16, None), (16, 1.5), (16, "1")]
+)
+def test_ill_typed_delta_or_seed_rejected(delta, seed):
+    # a None seed would draw the graph from OS entropy, so it could not be rebuilt
+    with pytest.raises(BrooksSimError) as err:
+        generate_instance("random_gnd", delta, seed=seed)
+    assert err.value.phase == "config"
 
 
 def test_below_min_delta_rejected():

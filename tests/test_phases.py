@@ -346,6 +346,20 @@ class TestPipelineContract:
             ("congest_c", -1),
             ("delta_min", -1),
             ("delta_min", -5),
+            # ill-typed values: no traceback mid-run, no silent accept
+            ("epsilon", "abc"),
+            ("epsilon", None),
+            ("epsilon", Fraction(1, 2)),
+            ("p_g", "0.5"),
+            ("p_g", True),
+            ("delta_min", "3"),
+            ("max_retries", 2.5),
+            ("max_retries", True),
+            ("seed", 1.5),
+            ("seed", None),
+            ("congest_c", 2.5),
+            ("strict_congest", "no"),
+            ("strict_congest", 1),
         ],
     )
     def test_config_rejects_bad_values(self, field, value):

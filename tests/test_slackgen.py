@@ -7,7 +7,7 @@ from brooks_sim.acd import compute_acd
 from brooks_sim.classify import classify_acs, fine_partition
 from brooks_sim.errors import BrooksSimError
 from brooks_sim.graph_core import Graph, PartialColoring, generate_instance
-from brooks_sim.sim_engine import StreamRng
+from brooks_sim.sim_engine import keyed
 from brooks_sim.slackgen import check_lemma33, participant_set, run_slack_generation_with_metrics
 from oracles import complete_graph, measure_slack
 
@@ -65,17 +65,17 @@ def test_determinism_across_repeated_runs():
 
 
 def test_keep_rule_matches_stream_replay():
-    # recompute activations and draws straight from the PRF streams and
-    # rederive who must have kept a color
+    # recompute activations and draws straight from the documented keys,
+    # (seed, node, round 0, 0) and (seed, node, round 0, 1), and rederive who
+    # must have kept a color
     inst = generate_instance("random_gnd", 16, seed=4)
     g = inst.graph
     p_g, seed = 0.6, 21
     coloring = run_slack_generation_with_metrics(g, range(g.n), p_g, seed)[0]
     tried: dict[int, int] = {}
     for v in range(g.n):
-        rng = StreamRng(seed, v, 0)
-        activated = rng.uniform() < p_g
-        color = rng.randrange(g.delta)
+        activated = (keyed(seed, v, 0, 0) >> 11) / (1 << 53) < p_g
+        color = (keyed(seed, v, 0, 1) * g.delta) >> 64
         if activated:
             tried[v] = color
     expected = {}
@@ -177,8 +177,6 @@ class TestSlackPropertyReport:
     def test_ordinary_gate_satisfied_within_retries_on_matched16(self):
         # statistical shape of the ordinary-AC slack property at desk scale:
         # a single trial often misses, but retries settle it for >= 90% of seeds.
-        from brooks_sim.phases import _mix
-
         g, acd, cls, part = self._setup("matched_cliques", 16, 0)
         participants = sorted(participant_set(part))
         ok = 0
@@ -186,7 +184,7 @@ class TestSlackPropertyReport:
         for seed in range(seeds):
             for attempt in range(16):
                 coloring, _ = run_slack_generation_with_metrics(
-                    g, participants, 0.5, _mix(seed, attempt)
+                    g, participants, 0.5, keyed(seed, attempt) >> 2  # the attempt seed
                 )
                 report = check_lemma33(g, acd, cls, part, coloring)
                 if all(count > 0 for count in report.ordinary_unit_slack.values()):
