@@ -13,9 +13,15 @@ similar when they share (1-eps')*delta neighbors), then augments: any
 leftover node with (1-4eps)*delta neighbors in a base clique joins it. A
 failed verification raises rather than forcing a decomposition.
 
+One common-neighbour pass (`common_neighbour_pass`, one mask AND per edge)
+feeds both the similarity graph and property (1): compute_acd hands the
+pass's per-node sums to verify_acd, and verify_acd called on its own runs
+the same pass.
+
 Every bound above is read from `thresholds.Thresholds`, which settles each one
 as an exact integer, so the checks compare integer counts only; property (1)
-compares the integer `missing_pairs` = sparsity * delta.
+compares the missing pairs `binom(delta, 2) - edges inside N(v)` (sparsity
+times delta) with `missing_min`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import AcdVerificationError, BrooksSimError
-from .graph_core import Graph, anti_degree, mask_of, missing_pairs, outside_degree
+from .graph_core import Graph, anti_degree, common_neighbour_pass, mask_of, outside_degree
 from .thresholds import Thresholds
 
 # Desk-scale ceiling; the classical analysis assumes < 1/20, but small-delta
@@ -111,15 +117,7 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
         raise BrooksSimError(f"compute_acd needs delta >= 3, got {delta}", phase="precondition")
     t = Thresholds.of(epsilon, delta)
 
-    similar: list[list[int]] = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        mu = g.masks[u]
-        for v in g.adj[u]:
-            if v < u:
-                continue
-            if (mu & g.masks[v]).bit_count() >= t.similar_min:
-                similar[u].append(v)
-                similar[v].append(u)
+    similar, inside_twice = common_neighbour_pass(g, t.similar_min)
     dense = [len(similar[v]) >= t.similar_min for v in range(g.n)]
 
     # base cliques = similarity components over dense nodes, size-filtered
@@ -164,7 +162,7 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
 
     cliques = tuple(frozenset(c) | frozenset(e) for c, e in zip(base, extras))
     acd = AlmostCliqueDecomposition.build(epsilon, frozenset(sparse_nodes), cliques, g.n)
-    report = verify_acd(g, acd)
+    report = verify_acd(g, acd, inside_twice)
     if not report.ok:
         raise AcdVerificationError(
             f"ACD verification failed at eps={epsilon}: {report.summary()}",
@@ -184,11 +182,19 @@ def outsider_counts(g: Graph, acd: AlmostCliqueDecomposition, idx: int) -> list[
     return [(u, (g.masks[u] & cmask).bit_count()) for u in sorted(around - clique)]
 
 
-def verify_acd(g: Graph, acd: AlmostCliqueDecomposition) -> PropertyReport:
+def verify_acd(
+    g: Graph, acd: AlmostCliqueDecomposition, inside_twice: list[int] | None = None
+) -> PropertyReport:
+    """Check the four properties. `inside_twice[v]` is twice the number of
+    edges inside N(v), as `common_neighbour_pass` sums it; without it the
+    pass runs here."""
     t = Thresholds.of(acd.epsilon, g.delta)
+    if inside_twice is None:
+        inside_twice = common_neighbour_pass(g, t.similar_min)[1]
     report = PropertyReport()
+    pairs = g.delta * (g.delta - 1) // 2
     for v in sorted(acd.sparse):
-        missing = missing_pairs(g, v)
+        missing = pairs - inside_twice[v] // 2
         if missing < t.missing_min:
             report.add(
                 "1_sparse_nodes_sparse", f"node {v}: {missing} missing pairs < {t.missing_min}"

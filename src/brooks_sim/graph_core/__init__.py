@@ -12,9 +12,9 @@ from .graph import Graph, mask_of
 from .io import load_graph_with_header, save_graph
 from .measures import (
     anti_degree,
+    common_neighbour_pass,
     contains_delta_plus_one_clique,
     is_simplicial,
-    missing_pairs,
     outside_degree,
 )
 
@@ -25,13 +25,13 @@ __all__ = [
     "Graph",
     "PartialColoring",
     "anti_degree",
+    "common_neighbour_pass",
     "contains_delta_plus_one_clique",
     "generate",
     "generate_instance",
     "is_simplicial",
     "load_graph_with_header",
     "mask_of",
-    "missing_pairs",
     "outside_degree",
     "save_graph",
 ]

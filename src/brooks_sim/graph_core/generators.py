@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from ..errors import UnsupportedFamilyError, check_int
@@ -185,6 +186,7 @@ def _coverage_epsilon_max(delta: int, max_coverage: int) -> Fraction:
 
 def _check_deficit(family: str, delta: int, deficit: int) -> None:
     # |C| >= delta - floor(psi) keeps the clique in the difficult size range
+    check_int("deficit", deficit)
     if not 1 <= deficit <= floor_psi(delta):
         raise UnsupportedFamilyError(
             f"{family}({delta}): deficit {deficit} outside [1, {floor_psi(delta)}]"
@@ -278,41 +280,44 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
     rng = random.Random(seed)
     if n is None:
         n = 4 * delta
+    check_int("n", n)
     if n % 2:
         n += 1
-    adj: list[set[int]] = [set() for _ in range(n)]
-
-    def add(u: int, v: int) -> bool:
-        if u == v or v in adj[u]:
-            return False
-        adj[u].add(v)
-        adj[v].add(u)
-        return True
-
+    if n <= delta:
+        raise UnsupportedFamilyError(
+            f"random_gnd({delta}): n must exceed delta, got {n} (rounded up to even)"
+        )
     d = delta - 2
-    for _ in range(d // 2):  # union of random Hamiltonian cycles
-        perm = list(range(n))
+    adj: list[set[int]] = [set() for _ in range(n)]
+    edges: list[tuple[int, int]] = []
+    # union of d // 2 random Hamiltonian cycles, plus a random perfect
+    # matching when d is odd; a pair already joined is skipped. Each
+    # permutation shuffles a copy of one id list, so the edges share one int
+    # object per node id.
+    nodes = list(range(n))
+    for k in range(d // 2 + d % 2):
+        perm = nodes.copy()
         rng.shuffle(perm)
-        for i in range(n):
-            add(perm[i], perm[(i + 1) % n])
-    if d % 2:
-        perm = list(range(n))
-        rng.shuffle(perm)
-        for i in range(0, n - 1, 2):
-            add(perm[i], perm[i + 1])
-    # duplicate skips leave degrees <= delta-2; raise node 0 to exactly delta
-    tries = 0
-    while len(adj[0]) < delta and tries < 50 * n:
-        v = rng.randrange(1, n)
-        if len(adj[v]) <= delta - 2:
-            add(0, v)
-        tries += 1
-    for v in range(1, n):  # deterministic fallback, effectively unreachable
-        if len(adj[0]) >= delta:
-            break
-        if len(adj[v]) <= delta - 2:
-            add(0, v)
-    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+        if k < d // 2:
+            pairs = zip(perm, perm[1:] + perm[:1])
+        else:
+            pairs = zip(perm[0::2], perm[1::2])
+        for u, v in pairs:
+            if v not in adj[u]:
+                adj[u].add(v)
+                adj[v].add(u)
+                edges.append((u, v))
+    # duplicate skips leave degrees <= delta-2; raise node 0 to exactly delta by
+    # 50n random picks, then by a deterministic scan that is effectively unreachable
+    adj0 = adj[0]
+    picks = chain((rng.randrange(1, n) for _ in range(50 * n)), range(1, n))
+    for v in picks:
+        if len(adj[v]) <= delta - 2 and v not in adj0:
+            adj0.add(v)
+            adj[v].add(0)
+            edges.append((0, v))
+            if len(adj0) >= delta:
+                break
     return _Blueprint(
         n=n,
         edges=edges,
@@ -350,8 +355,17 @@ def _mixed(
     components: int = 5,
     kinds: tuple[str, ...] | None = None,
 ) -> _Blueprint:
+    check_int("components", components)
+    if components < 1:
+        raise UnsupportedFamilyError(f"mixed({delta}): components {components} < 1")
     if kinds is None:
         kinds = tuple(_MIXED_CYCLE[i % len(_MIXED_CYCLE)] for i in range(components))
+    elif not (
+        isinstance(kinds, (list, tuple)) and kinds and all(isinstance(k, str) for k in kinds)
+    ):
+        raise UnsupportedFamilyError(
+            f"mixed({delta}): kinds must be a non-empty list of family names, got {kinds!r}"
+        )
     rng = random.Random(seed ^ 0x5EED)
     # degrees and edges are over the union's ids: component i starts at offsets[i]
     parts: list[_Blueprint] = []

@@ -1,10 +1,12 @@
-"""Structural measures: missing pairs, outside degree, anti-degree, the
-simplicial test and the K_{delta+1} test built on it.
+"""Structural measures: the common-neighbour pass, outside degree,
+anti-degree, the simplicial test and the K_{delta+1} test built on it.
 
-`missing_pairs` is the integer numerator of local sparsity (its value times
-delta); the ACD checks compare that count with the integer bounds of
-`thresholds.Thresholds`. Each neighbourhood question is answered by one walk
-over `g.adj[v]`, one mask AND per neighbour.
+`common_neighbour_pass` counts |N(u) & N(v)| with one mask AND per
+undirected edge. The ACD reads each count once for similarity and sums them
+per node: twice the edges inside N(v), which gives property (1)'s integer
+`binom(delta, 2) - edges inside N(v)` (local sparsity times delta). The
+other measures answer one neighbourhood question each, by one walk over
+`g.adj[v]` or one mask expression.
 """
 
 from __future__ import annotations
@@ -12,15 +14,30 @@ from __future__ import annotations
 from .graph import Graph
 
 
-def missing_pairs(g: Graph, v: int) -> int:
-    """binom(delta,2) - edges inside N(v): the pairs N(v) lacks to be a delta-clique.
+def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]:
+    """One mask AND per undirected edge uv counts |N(u) & N(v)|.
 
-    Summing |N(u) & N(v)| over u in N(v) counts each edge inside N(v) twice."""
-    d = g.delta
+    Returns, per node v, the neighbours (ascending) that share at least
+    `at_least` common neighbours with v, and the sum of v's counts, which is
+    twice the number of edges inside N(v): each such edge xy is counted once
+    at x and once at y."""
     masks = g.masks
-    nmask = masks[v]
-    inside_twice = sum((masks[u] & nmask).bit_count() for u in g.adj[v])
-    return d * (d - 1) // 2 - inside_twice // 2
+    close: list[list[int]] = [[] for _ in range(g.n)]
+    inside_twice = [0] * g.n
+    for u, nbrs in enumerate(g.adj):
+        mu = masks[u]
+        total = inside_twice[u]  # the counts of u's smaller neighbours
+        for v in nbrs:
+            if v < u:
+                continue
+            count = (mu & masks[v]).bit_count()
+            total += count
+            inside_twice[v] += count
+            if count >= at_least:
+                close[u].append(v)
+                close[v].append(u)
+        inside_twice[u] = total
+    return close, inside_twice
 
 
 def outside_degree(g: Graph, clique_mask: int, v: int) -> int:

@@ -17,7 +17,9 @@ neighbour, encoded as 2 tag bits plus `value_bits` payload bits; the strict
 budget checks that size and `max_message_bits` records the largest (all the
 CONGEST bound needs).
 
-`keyed` is the one hash behind every random bit of a run. Node v draws
+`keyed` is the one hash behind every random bit of a run. It copies a
+blake2b-64 state made once at import, which is cheaper than building a new
+hash object per draw and gives the same bytes. Node v draws
 `keyed(seed, v, round, 0)` to activate and `keyed(seed, v, round, 1)` for
 its colour, so a run is a pure function of its inputs and a node that draws
 nothing (activation 0) moves no other node's draws. The pipeline's attempt
@@ -40,12 +42,16 @@ Adjacency = Sequence[Sequence[int]]
 
 _PACKERS = {k: struct.Struct(f"<{k}q").pack for k in (2, 4)}
 
+# Initialised once and never updated: each draw hashes a copy of it.
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+
 
 def keyed(*parts: int) -> int:
     """64 pseudo-random bits: the little-endian blake2b-64 of the parts packed
     as little-endian signed 64-bit ints (2 or 4 of them)."""
-    digest = hashlib.blake2b(_PACKERS[len(parts)](*parts), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    h = _BLAKE2B_64.copy()
+    h.update(_PACKERS[len(parts)](*parts))
+    return int.from_bytes(h.digest(), "little")
 
 
 @dataclass

@@ -13,6 +13,9 @@ decides by construction:
 - `solve_greedy_oracle` and `validate_assignment` solve and check a
   (deg+1)-list instance sequentially;
 - `measure_slack` recounts a node's slack from the color array alone;
+- `missing_pairs` counts the pairs N(v) lacks to be a delta-clique node by
+  node, one mask AND per neighbour, as the reference for the sums of
+  `graph_core.common_neighbour_pass` and property (1) of `verify_acd`;
 - `sequential_graph` is the edge-by-edge `Graph` constructor, with a set of
   seen edges, that `Graph(n, edges)` must match in adjacency, masks, edge
   count, max degree and the `GraphInvariantError` it raises;
@@ -205,6 +208,16 @@ def measure_slack(g: Graph, coloring, v: int, subgraph_nodes: Iterable[int]) -> 
     used = {coloring.color[u] for u in g.adj[v] if coloring.color[u] is not None}
     uncolored_deg = sum(1 for u in g.adj[v] if u in sub and coloring.color[u] is None)
     return coloring.delta - len(used) - uncolored_deg
+
+
+def missing_pairs(g: Graph, v: int) -> int:
+    """binom(delta,2) - edges inside N(v): the pairs N(v) lacks to be a delta-clique.
+
+    Summing |N(u) & N(v)| over u in N(v) counts each edge inside N(v) twice."""
+    d = g.delta
+    nmask = g.masks[v]
+    inside_twice = sum((g.masks[u] & nmask).bit_count() for u in g.adj[v])
+    return d * (d - 1) // 2 - inside_twice // 2
 
 
 def sequential_graph(

@@ -3,6 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from brooks_sim import acd as acd_module
 from brooks_sim.acd import (
     AlmostCliqueDecomposition,
     compute_acd,
@@ -11,12 +12,16 @@ from brooks_sim.acd import (
 )
 from brooks_sim.errors import AcdVerificationError, BrooksSimError
 from brooks_sim.graph_core import (
+    FAMILIES,
     Graph,
     anti_degree,
+    common_neighbour_pass,
     generate,
     generate_instance,
     outside_degree,
 )
+from brooks_sim.thresholds import Thresholds
+from oracles import missing_pairs
 
 
 def disjoint_cliques(k: int, count: int) -> Graph:
@@ -212,3 +217,79 @@ def test_verification_failure_raises_with_report():
         compute_acd(g, Fraction(1, 172))
     assert err.value.report is not None
     assert not err.value.report.ok
+
+
+def pass_graphs() -> list[Graph]:
+    """G(n,p) graphs over a range of densities, plus every family at delta 16."""
+    rng = random.Random(12)
+    graphs = []
+    for _ in range(40):
+        n = rng.randrange(2, 60)
+        p = rng.choice((0.05, 0.2, 0.5, 0.9))
+        graphs.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        )
+    graphs += [generate(family, 16, seed) for family in FAMILIES for seed in (0, 1)]
+    return graphs
+
+
+def test_common_neighbour_pass_matches_the_per_node_reference():
+    for g in pass_graphs():
+        at_least = max(1, g.delta - 3)
+        close, inside_twice = common_neighbour_pass(g, at_least)
+        pairs = g.delta * (g.delta - 1) // 2
+        assert inside_twice == [2 * (pairs - missing_pairs(g, v)) for v in range(g.n)]
+        nbrs = [set(a) for a in g.adj]
+        assert close == [
+            [u for u in g.adj[v] if len(nbrs[u] & nbrs[v]) >= at_least] for v in range(g.n)
+        ]
+
+
+def test_verify_alone_gives_the_in_pipeline_report(monkeypatch):
+    # compute_acd must reach verify_acd through the module global, which a
+    # tracer may wrap; the report it gets with its own sums must be the one a
+    # standalone call recomputes
+    real = acd_module.verify_acd
+    seen = []
+
+    def recording(g, acd, *sums):
+        report = real(g, acd, *sums)
+        seen.append((g, acd, sums, report))
+        return report
+
+    monkeypatch.setattr(acd_module, "verify_acd", recording)
+    calls = failures = 0
+    for g in pass_graphs():
+        if g.delta < 3:
+            continue
+        for eps in (Fraction(1, 8), Fraction(1, 4)):
+            calls += 1
+            try:
+                compute_acd(g, eps)
+            except AcdVerificationError:
+                failures += 1
+    assert len(seen) == calls
+    assert failures > 0  # some reports carry violations
+    for g, acd, sums, report in seen:
+        assert len(sums) == 1  # the pipeline hands over its sums
+        assert real(g, acd) == report
+
+
+def test_property_1_reads_the_pass_sums():
+    # a K_9 and a K_9 minus the edge (9, 10), all declared sparse: N(v) is a
+    # K_8 for each K_9 node, which breaks property (1), and a K_8 minus an
+    # edge for nodes 11-17, which sits exactly on its bound
+    k9 = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    g = Graph(18, k9 + [(9 + i, 9 + j) for i, j in k9 if (i, j) != (0, 1)])
+    eps = Fraction(1, 8)
+    bad = AlmostCliqueDecomposition.build(eps, frozenset(range(g.n)), (), g.n)
+    t = Thresholds.of(eps, g.delta)
+    report = verify_acd(g, bad)
+    assert report == verify_acd(g, bad, common_neighbour_pass(g, t.similar_min)[1])
+    assert [missing_pairs(g, v) for v in (0, 9, 11)] == [0, 7, t.missing_min]
+    assert report.violations["1_sparse_nodes_sparse"] == [
+        f"node {v}: {missing_pairs(g, v)} missing pairs < {t.missing_min}"
+        for v in range(g.n)
+        if missing_pairs(g, v) < t.missing_min
+    ]
+    assert len(report.violations["1_sparse_nodes_sparse"]) == 9

@@ -54,6 +54,28 @@ def test_ill_typed_delta_or_seed_rejected(delta, seed):
     assert err.value.phase == "config"
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("random_gnd", {"n": "100"}),
+        ("random_gnd", {"n": 100.5}),
+        ("random_gnd", {"n": 0}),
+        ("random_gnd", {"n": -4}),
+        ("guarded_pair", {"deficit": "1"}),
+        ("mixed", {"components": "3"}),
+        ("mixed", {"components": 0}),
+        ("mixed", {"components": -1}),
+        ("mixed", {"kinds": []}),
+        ("mixed", {"kinds": "random_gnd"}),
+    ],
+)
+def test_ill_typed_or_out_of_range_family_parameter_rejected(family, params):
+    with pytest.raises(BrooksSimError) as err:
+        generate_instance(family, 16, 0, **params)
+    assert err.value.phase == "config"
+    assert next(iter(params)) in str(err.value)  # the message names the parameter
+
+
 def test_below_min_delta_rejected():
     with pytest.raises(UnsupportedFamilyError):
         generate("guarded_pair", 8)

@@ -11,10 +11,16 @@ from brooks_sim.graph_core import (
     generate_instance,
     load_graph_with_header,
     mask_of,
-    missing_pairs,
     save_graph,
 )
-from oracles import complete_graph, cycle_graph, measure_slack, path_graph, sequential_graph
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    measure_slack,
+    missing_pairs,
+    path_graph,
+    sequential_graph,
+)
 
 
 def star(leaves: int) -> Graph:

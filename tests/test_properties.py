@@ -5,13 +5,14 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brooks_sim.graph_core import Graph, load_graph_with_header, missing_pairs, save_graph
+from brooks_sim.graph_core import Graph, load_graph_with_header, save_graph
 from brooks_sim.listcolor import make_unit
 from brooks_sim.slackgen import run_slack_generation_with_metrics
 from oracles import (
     is_k_colorable,
     list_instance,
     measure_slack,
+    missing_pairs,
     solve_greedy_oracle,
     validate_assignment,
 )
