@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
 from . import __version__
-from .acd import compute_acd, obs22_check, verify_acd
+from .acd import compute_acd, obs22_check
 from .classify import classify_acs, fine_partition
 from .errors import BrooksSimError
 from .graph_core import (
@@ -124,14 +124,13 @@ def cmd_gen(args) -> int:
 def cmd_acd(args) -> int:
     g, header = _load(args.graph)
     epsilon = _epsilon_from(args, header)
-    acd = compute_acd(g, epsilon)
-    report = verify_acd(g, acd)
+    acd = compute_acd(g, epsilon)  # verifies, and raises on a failed property
     obs22 = obs22_check(g, acd)
     _dump_json(
         {
             **acd.to_json_dict(),
             "schema_version": SCHEMA_VERSION,
-            "verify_ok": report.ok,
+            "verify_ok": True,
             "obs22_ok": obs22.ok,
             "obs22_violations": obs22.violations,
         },

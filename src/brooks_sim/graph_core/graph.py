@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import operator
+from typing import Iterable, Iterator, NoReturn
 
 from ..errors import GraphInvariantError
 
@@ -11,25 +12,40 @@ class Graph:
     """Simple undirected graph on nodes 0..n-1.
 
     Adjacency is kept two ways: sorted tuples (deterministic iteration) and
-    int bitmasks (edge tests and fast intersection counting).
-    Construction raises GraphInvariantError for the first edge, in input
-    order, that is out of range, a self-loop or a duplicate.
+    int bitmasks (edge tests and fast intersection counting). The tuples hold
+    one plain int object per node id, whatever int or int-like (`__index__`)
+    objects the edge list carried, so they cost one pointer per edge end;
+    each mask still costs n bits. Construction raises GraphInvariantError
+    for a node count that is not an int, and for the first edge, in input
+    order, that is not a pair of int ids, is out of range, a self-loop or a
+    duplicate.
     Immutable after construction; safe for concurrent reads.
     """
 
     __slots__ = ("n", "m", "delta", "adj", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise GraphInvariantError(f"node count {n!r} is not an int") from None
         if n < 0:
             raise GraphInvariantError(f"negative node count {n}")
         self.n = n
         edges = list(edges)
+        # store ids[v], not the caller's object: a builder that offsets ids
+        # (mixed) or parses them (io) hands over a fresh int per endpoint
+        ids = list(range(n))
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                _raise_first_defect(n, edges)
-            adj[u].append(v)
-            adj[v].append(u)
+        try:
+            for u, v in edges:
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    _raise_first_defect(n, edges)
+                adj[u].append(ids[v])
+                adj[v].append(ids[u])
+        except (TypeError, ValueError):
+            # an edge that is not a pair of ints; only the defect scan checks types
+            _raise_first_defect(n, edges)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self.masks: tuple[int, ...] = tuple(mask_of(a) for a in self.adj)
         # a repeated edge repeats a neighbour, which the bitmask counts once
@@ -70,11 +86,19 @@ def mask_of(nodes: Iterable[int]) -> int:
     return mask
 
 
-def _raise_first_defect(n: int, edges: list[tuple[int, int]]) -> None:
-    """Raise for the first edge, in input order, that is out of range, a
-    self-loop or a repeat of an earlier edge."""
+def _raise_first_defect(n: int, edges: list) -> NoReturn:
+    """Raise for the first edge, in input order, that is not a pair of int
+    ids, is out of range, a self-loop or a repeat of an earlier edge."""
     seen: set[tuple[int, int]] = set()
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise GraphInvariantError(f"edge {edge!r} is not a pair of node ids") from None
+        try:
+            u, v = operator.index(u), operator.index(v)
+        except TypeError:
+            raise GraphInvariantError(f"edge ({u!r},{v!r}) has a non-int endpoint") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInvariantError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
@@ -83,3 +107,4 @@ def _raise_first_defect(n: int, edges: list[tuple[int, int]]) -> None:
         if key in seen:
             raise GraphInvariantError(f"duplicate edge ({key[0]},{key[1]})")
         seen.add(key)
+    raise GraphInvariantError(f"edge list rejected for n={n}, but no single edge is at fault")

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import brooks_sim.acd as acd_module
+import brooks_sim.cli as cli_module
 from brooks_sim.cli import main
 
 
@@ -335,3 +337,22 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert gpath.exists()
+
+
+def test_acd_command_verifies_once(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "random_gnd", "--delta", "16", "--out", str(gpath))
+    calls = []
+    verify = acd_module.verify_acd
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(acd_module, "verify_acd", counted)
+    # a name cli imports from acd would bypass the patch above
+    monkeypatch.setattr(cli_module, "verify_acd", counted, raising=False)
+    code, out, _ = run_cli(capsys, "acd", "--graph", str(gpath))
+    assert code == 0
+    assert json.loads(out)["verify_ok"] is True
+    assert len(calls) == 1

@@ -9,6 +9,8 @@ from brooks_sim.graph_core import (
     contains_delta_plus_one_clique,
     generate,
     generate_instance,
+    load_graph_with_header,
+    save_graph,
 )
 
 CASES = [
@@ -37,6 +39,28 @@ def test_generator_postconditions(family, delta):
 @pytest.mark.parametrize("family,delta", CASES)
 def test_deterministic_in_seed(family, delta):
     assert generate(family, delta, 3) == generate(family, delta, 3)
+
+
+def _assert_one_int_object_per_node(g: Graph) -> None:
+    assert all(type(v) is int for row in g.adj for v in row)
+    assert len({id(v) for row in g.adj for v in row}) <= g.n
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("delta", [16, 27, 64])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_adjacency_holds_one_int_object_per_node(family, delta, seed):
+    # mixed offsets every endpoint with a fresh int; Graph must not keep them
+    _assert_one_int_object_per_node(generate(family, delta, seed))
+
+
+def test_loaded_graph_holds_one_int_object_per_node(tmp_path):
+    g = generate("mixed", 64, 0)
+    path = tmp_path / "mixed.txt"
+    save_graph(g, path)
+    loaded = load_graph_with_header(path)[0]
+    assert loaded == g
+    _assert_one_int_object_per_node(loaded)
 
 
 def test_unknown_family_rejected():

@@ -47,12 +47,35 @@ class TestGraph:
             ([(0, 1), (1, 0), (0, 5)], "duplicate edge (0,1)"),
             ([(0, 5), (0, 1), (1, 0)], "edge (0,5) out of range for n=3"),
             ([(0, 1), (0, 1), (2, 2)], "duplicate edge (0,1)"),
+            ([(1.0, 2)], "edge (1.0,2) has a non-int endpoint"),
+            ([("1", 2)], "edge ('1',2) has a non-int endpoint"),
+            ([(None, 2)], "edge (None,2) has a non-int endpoint"),
+            ([(0, 1), (1, 2, 3)], "edge (1, 2, 3) is not a pair of node ids"),
+            ([(0, 1), 2], "edge 2 is not a pair of node ids"),
+            ([(1.0, 2), (0, 5)], "edge (1.0,2) has a non-int endpoint"),
+            ([(0, 5), (1.0, 2)], "edge (0,5) out of range for n=3"),
+            ([(0, 1), (1, 0), ("1", 2)], "duplicate edge (0,1)"),
         ],
     )
     def test_error_names_first_bad_edge_in_input_order(self, edges, message):
         with pytest.raises(GraphInvariantError) as err:
             Graph(3, edges)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", [5.0, "5", None])
+    def test_rejects_non_int_node_count(self, n):
+        with pytest.raises(GraphInvariantError) as err:
+            Graph(n, [])
+        assert str(err.value) == f"node count {n!r} is not an int"
+
+    def test_int_like_endpoints_give_the_plain_int_graph(self):
+        np = pytest.importorskip("numpy")
+        edges = [(0, 70), (1, 70), (70, 79)]
+        g = Graph(np.int64(80), [(np.int64(u), np.int64(v)) for u, v in edges])
+        plain = Graph(80, edges)
+        assert (g.n, g.adj, g.masks) == (plain.n, plain.adj, plain.masks)
+        assert all(type(v) is int for row in g.adj for v in row)
+        assert g.has_edge(0, 70) and g.has_edge(70, 79) and not g.has_edge(0, 1)
 
     def test_accepts_an_iterator_of_edges(self):
         g = Graph(4, ((v, v + 1) for v in range(3)))
