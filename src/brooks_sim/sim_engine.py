@@ -17,20 +17,26 @@ neighbour, encoded as 2 tag bits plus `value_bits` payload bits; the strict
 budget checks that size and `max_message_bits` records the largest (all the
 CONGEST bound needs).
 
-`keyed` is the one hash behind every random bit of a run. It copies a
-blake2b-64 state made once at import, which is cheaper than building a new
-hash object per draw and gives the same bytes. Node v draws
-`keyed(seed, v, round, 0)` to activate and `keyed(seed, v, round, 1)` for
-its colour, so a run is a pure function of its inputs and a node that draws
-nothing (activation 0) moves no other node's draws. The pipeline's attempt
-seed is `keyed(seed, attempt) >> 2`, each instance's `keyed(attempt_seed,
-plan index) >> 2`.
+Every random bit of a run is a blake2b-64 digest of little-endian signed
+64-bit ints, read little-endian. Node v draws the digest of
+(seed, v, round, 0) to activate and of (seed, v, round, 1) for its colour,
+so a run is a pure function of its inputs and a node that draws nothing
+(activation 0) moves no other node's draws. blake2b is a streaming hash:
+`run_protocol` checks the seed and primes one state with it at entry,
+copies that state and adds (v, round) once per node that draws in a try
+round, then finishes a copy with tag 0 and the state itself with tag 1.
+`keyed(*parts)` hashes its packed parts at once and gives the same bytes;
+it draws the pipeline's attempt seed, `keyed(seed, attempt) >> 2`, and
+each instance's, `keyed(attempt_seed, plan index) >> 2`, and is the
+reference the tests check the engine's draws against. blake2b comes from
+`_blake2`, the module CPython's `hashlib` takes it from, so the package
+never loads OpenSSL's libcrypto.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
+from _blake2 import blake2b
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,9 +47,11 @@ TAG_BITS = 2
 Adjacency = Sequence[Sequence[int]]
 
 _PACKERS = {k: struct.Struct(f"<{k}q").pack for k in (2, 4)}
+_PACK_ONE = struct.Struct("<q").pack
+_ACTIVATE, _COLOUR = _PACK_ONE(0), _PACK_ONE(1)
 
-# Initialised once and never updated: each draw hashes a copy of it.
-_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+# Initialised once and never updated: each `keyed` call hashes a copy of it.
+_BLAKE2B_64 = blake2b(digest_size=8)
 
 
 def keyed(*parts: int) -> int:
@@ -87,14 +95,19 @@ def run_protocol(
     Returns each node's kept colour or None, plus metrics. Raises
     RoundLimitExceeded naming the nodes still live, MessageSizeViolation in
     strict mode when a broadcast overflows the budget, ValueError when a
-    colour overflows `value_bits`, and AssertionError when a node that may
-    still try has no colour left.
+    colour overflows `value_bits` or `seed` is not a signed 64-bit int, and
+    AssertionError when a node that may still try has no colour left.
     """
     n = len(adj)
     if len(palettes) != n or len(activation) != n:
         raise ValueError(f"need {n} palettes and activations: {len(palettes)}, {len(activation)}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not -(1 << 63) <= seed < 1 << 63:
+        raise ValueError(f"seed must be a signed 64-bit int, got {seed!r}")
+    seeded = blake2b(_PACK_ONE(seed), digest_size=8)
+    pack_key = _PACKERS[2]
+    from_bytes = int.from_bytes
     metrics = RoundMetrics()
     bits = TAG_BITS + value_bits
     value_limit = 1 << value_bits
@@ -126,15 +139,21 @@ def run_protocol(
                     raise AssertionError("palette exhausted despite deg+1 invariant")
                 c = None
                 p = activation[v]
-                # 53-bit uniform activation draw; with p = 0 it cannot succeed
-                if p > 0 and (keyed(seed, v, round_no, 0) >> 11) / (1 << 53) < p:
-                    c = avail[(keyed(seed, v, round_no, 1) * len(avail)) >> 64]
-                    nbrs = adj[v]  # an isolated node sends, and checks, nothing
-                    if nbrs and not 0 <= c < value_limit:
-                        raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
-                    if nbrs and over_budget:
-                        raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
-                    sent += len(nbrs)
+                if p > 0:  # with p = 0 the activation draw cannot succeed
+                    state = seeded.copy()
+                    state.update(pack_key(v, round_no))
+                    draw = state.copy()
+                    draw.update(_ACTIVATE)
+                    # 53-bit uniform activation draw
+                    if (from_bytes(draw.digest(), "little") >> 11) / (1 << 53) < p:
+                        state.update(_COLOUR)
+                        c = avail[(from_bytes(state.digest(), "little") * len(avail)) >> 64]
+                        nbrs = adj[v]  # an isolated node sends, and checks, nothing
+                        if nbrs and not 0 <= c < value_limit:
+                            raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
+                        if nbrs and over_budget:
+                            raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
+                        sent += len(nbrs)
                 cand[v] = c
             continue
         # A KEEP repeats the checked TRY value to the same neighbours. A

@@ -217,6 +217,22 @@ class TestIO:
             load_graph_with_header(path)[0]
         assert err.value.line == 4
 
+    @pytest.mark.parametrize(
+        "data, line, message",
+        [
+            (b"3 3\n0 1\n1 2\n0 1\n0 x\n", 4, "duplicate edge"),
+            (b"3 3\n0 1\n0 x\n1 2\n0 1\n", 3, "non-integer edge"),
+            # invalid UTF-8 past the first read chunk, after the duplicate
+            (b"3 2\n0 1\n0 1\n" + b"# pad\n" * 3000 + b"\xff\n", 3, "duplicate edge"),
+        ],
+    )
+    def test_first_defect_in_file_order_is_reported(self, tmp_path, data, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(GraphFormatError, match=message) as err:
+            load_graph_with_header(path)
+        assert err.value.line == line
+
     def test_rejects_u_ge_v(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n2 1\n")

@@ -1,8 +1,13 @@
 """The colour-trial engine `run_protocol`: its behaviour on hand-built
 inputs, and equality with per-message delivery (`oracles.trial_by_messages`)
-on seeded random list instances and slack-generation trials."""
+on seeded random list instances and slack-generation trials; its seed
+checks, and that neither it nor the pipeline loads OpenSSL."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,8 @@ from brooks_sim.listcolor import ListInstance, make_unit, solve_distributed, tri
 from brooks_sim.sim_engine import color_value_bits, congest_budget, keyed, run_protocol
 from brooks_sim.slackgen import run_slack_generation_with_metrics
 from oracles import complete_graph, list_instance, path_graph, trial_by_messages
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def uniform(*key):
@@ -151,6 +158,31 @@ def test_rejects_mismatched_inputs():
         run_protocol(((),), ([0],), (1.0,), 0, 0)
 
 
+@pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1, True, 1.5, "7", None])
+@pytest.mark.parametrize("p", [1.0, 0.0])
+def test_rejects_a_seed_that_is_not_a_signed_64_bit_int(seed, p):
+    # checked at entry, also when no node draws (p = 0)
+    with pytest.raises(ValueError, match="seed"):
+        run_protocol([(1,), (0,)], [(0, 1), (0, 1)], [p, p], seed, 8)
+
+
+def test_footprint_import_and_run_leave_openssl_unloaded():
+    # hashlib's blake2b comes from _blake2; reaching it through hashlib maps
+    # OpenSSL's libcrypto (_hashlib, 3.6-3.7 MB of RSS) for nothing
+    script = (
+        "import sys\n"
+        "from brooks_sim import PipelineConfig, generate_instance, run_pipeline\n"
+        "inst = generate_instance('random_gnd', 16, seed=0)\n"
+        "run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon, seed=0))\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
+
+
 def outcome(run, *args, **kwargs):
     """Colours and metrics of a run, or the identifying fields of its error."""
     try:
@@ -222,6 +254,18 @@ def test_engine_matches_message_delivery_on_list_instances(strict):
         kinds.add(expected[0])
     wanted = {"ok", "RoundLimitExceeded", "AssertionError", "ValueError"}
     assert kinds == (wanted | {"MessageSizeViolation"} if strict else wanted)
+
+
+@pytest.mark.parametrize("seed", [-(1 << 63), (1 << 63) - 1])
+def test_engine_matches_message_delivery_at_the_extreme_seeds(seed):
+    rng = random.Random(seed)
+    for case in range(100):
+        inst = random_list_instance(rng, short=case % 4 == 3)
+        k = len(inst.units)
+        activation = [rng.choice((0.0, 0.3, 0.5, 1.0)) for _ in range(k)]
+        args = (inst.adj, inst.palettes, activation, seed, rng.randrange(1, 12))
+        kwargs = dict(trials=rng.choice((None, 1, 2, 3)), value_bits=color_value_bits(inst.delta))
+        assert outcome(run_protocol, *args, **kwargs) == outcome(trial_by_messages, *args, **kwargs)
 
 
 @pytest.mark.parametrize("strict", [False, True])
