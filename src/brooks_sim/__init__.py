@@ -15,7 +15,6 @@ from .graph_core import (
     PartialColoring,
     anti_degree,
     contains_delta_plus_one_clique,
-    generate,
     generate_instance,
     outside_degree,
     save_graph,
@@ -60,7 +59,6 @@ __all__ = [
     "contains_delta_plus_one_clique",
     "find_special",
     "fine_partition",
-    "generate",
     "generate_instance",
     "is_easy",
     "obs22_check",

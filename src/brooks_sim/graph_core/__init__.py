@@ -5,7 +5,6 @@ from .generators import (
     DEFAULT_EPSILON,
     FAMILIES,
     GeneratedGraph,
-    generate,
     generate_instance,
 )
 from .graph import Graph, mask_of
@@ -27,7 +26,6 @@ __all__ = [
     "anti_degree",
     "common_neighbour_pass",
     "contains_delta_plus_one_clique",
-    "generate",
     "generate_instance",
     "is_simplicial",
     "load_graph_with_header",

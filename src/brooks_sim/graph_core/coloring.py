@@ -21,9 +21,9 @@ class PartialColoring:
 
     __slots__ = ("graph", "delta", "color", "uncolored_mask")
 
-    def __init__(self, graph: Graph, delta: int | None = None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.delta = graph.delta if delta is None else delta
+        self.delta = graph.delta
         self.color: list[int | None] = [None] * graph.n
         self.uncolored_mask: int = (1 << graph.n) - 1
 

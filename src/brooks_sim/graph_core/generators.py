@@ -20,14 +20,18 @@ delta, contain no K_{delta+1}, and record construction counts in meta for
 test cross-checks. epsilon_min/epsilon_max bound the admissible ACD epsilon
 for the family at this delta.
 
-Each family's builder returns a _Blueprint: node count, edge list, epsilon
-bounds and meta. generate_instance builds the one Graph from it and checks
-the max degree and the absence of a K_{delta+1} on that Graph; mixed joins
-its components' edge lists and builds no Graph per component.
+One table names each family's builder and smallest delta; a keyword
+parameter that the builder does not take raises UnsupportedFamilyError, as
+an unknown family does. Each builder returns a _Blueprint: node count, edge
+list, epsilon bounds and meta. generate_instance builds the one Graph from
+it and checks the max degree and the absence of a K_{delta+1} on that
+Graph; mixed joins its components' edge lists and builds no Graph per
+component.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,15 +42,6 @@ from ..errors import UnsupportedFamilyError, check_int
 from ..thresholds import ceil_phi, floor_psi
 from .graph import Graph
 from .measures import contains_delta_plus_one_clique
-
-FAMILIES = (
-    "clique_minus_edge",
-    "matched_cliques",
-    "guarded_pair",
-    "runaway_pair",
-    "random_gnd",
-    "mixed",
-)
 
 # Desk-scale default; inside every family's admissible range for delta >= 3.
 DEFAULT_EPSILON = Fraction(1, 8)
@@ -83,10 +78,6 @@ class _Blueprint(NamedTuple):
     meta: dict
 
 
-def generate(family: str, delta: int, seed: int = 0, **params) -> Graph:
-    return generate_instance(family, delta, seed, **params).graph
-
-
 def generate_instance(family: str, delta: int, seed: int = 0, **params) -> GeneratedGraph:
     check_int("delta", delta)
     check_int("seed", seed)  # an OS-entropy seed would make the graph irreproducible
@@ -107,15 +98,17 @@ def generate_instance(family: str, delta: int, seed: int = 0, **params) -> Gener
 
 
 def _blueprint(family: str, delta: int, seed: int, **params) -> _Blueprint:
-    try:
-        builder = _BUILDERS[family]
-    except KeyError:
-        raise UnsupportedFamilyError(f"unknown family {family!r}") from None
-    if delta < _MIN_DELTA[family]:
+    spec = _FAMILIES.get(family) if isinstance(family, str) else None
+    if spec is None:
+        raise UnsupportedFamilyError(f"unknown family {family!r}")
+    unknown = sorted(params.keys() - spec.params)
+    if unknown:
+        raise UnsupportedFamilyError(f"family {family!r} takes no parameter {unknown[0]!r}")
+    if delta < spec.min_delta:
         raise UnsupportedFamilyError(
-            f"family {family!r} needs delta >= {_MIN_DELTA[family]}, got {delta}"
+            f"family {family!r} needs delta >= {spec.min_delta}, got {delta}"
         )
-    return builder(delta, seed, **params)
+    return spec.build(delta, seed, **params)
 
 
 def _check_max_degree(family: str, delta: int, max_degree: int) -> None:
@@ -327,15 +320,6 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
     )
 
 
-_MIXED_CYCLE = (
-    "clique_minus_edge",
-    "matched_cliques",
-    "guarded_pair",
-    "runaway_pair",
-    "random_gnd",
-)
-
-
 def _spare_node(
     kind: str, part: _Blueprint, offset: int, degrees: list[int], delta: int
 ) -> int | None:
@@ -410,20 +394,22 @@ def _mixed(
     )
 
 
-_BUILDERS: dict[str, Callable[..., _Blueprint]] = {
-    "clique_minus_edge": _clique_minus_edge,
-    "matched_cliques": _matched_cliques,
-    "guarded_pair": _guarded_pair,
-    "runaway_pair": _runaway_pair,
-    "random_gnd": _random_gnd,
-    "mixed": _mixed,
-}
+class _Family(NamedTuple):
+    build: Callable[..., _Blueprint]
+    min_delta: int
+    params: frozenset[str]  # the builder's keyword parameters after (delta, seed)
 
-_MIN_DELTA = {
-    "clique_minus_edge": 3,
-    "matched_cliques": 3,
-    "guarded_pair": 12,
-    "runaway_pair": 12,
-    "random_gnd": 6,
-    "mixed": 12,
+
+_FAMILIES = {
+    name: _Family(build, min_delta, frozenset(list(inspect.signature(build).parameters)[2:]))
+    for name, build, min_delta in (
+        ("clique_minus_edge", _clique_minus_edge, 3),
+        ("matched_cliques", _matched_cliques, 3),
+        ("guarded_pair", _guarded_pair, 12),
+        ("runaway_pair", _runaway_pair, 12),
+        ("random_gnd", _random_gnd, 6),
+        ("mixed", _mixed, 12),
+    )
 }
+FAMILIES = tuple(_FAMILIES)
+_MIXED_CYCLE = tuple(f for f in FAMILIES if f != "mixed")  # mixed's default components

@@ -19,20 +19,31 @@ decides by construction:
 - `sequential_graph` is the edge-by-edge `Graph` constructor, with a set of
   seen edges, that `Graph(n, edges)` must match in adjacency, masks, edge
   count, max degree and the `GraphInvariantError` it raises;
+- `scan_graph_file` is the line-by-line graph file reader, with a set of
+  seen edges, that `graph_core.load_graph_with_header` must match in graph,
+  header hints and the message and line of the `GraphFormatError` it
+  raises; on invalid UTF-8 it lets the `UnicodeDecodeError` through;
 - `trial_by_messages` runs the colour trial the way `sim_engine.run_protocol`
   is specified, as per-node `TrialProgram`s that exchange TRY and KEEP
   messages through per-receiver inboxes (`run_message_protocol`); the engine
   must match it in colours, metrics and errors.
 
-Bad arguments raise `ValueError`, except in `sequential_graph`. Only the standard library and the package
-itself are imported.
+Bad arguments raise `ValueError`, except in `sequential_graph` and
+`scan_graph_file`. Only the standard library and the package itself are
+imported.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Iterable, Sequence
 
-from brooks_sim.errors import GraphInvariantError, MessageSizeViolation, RoundLimitExceeded
+from brooks_sim.errors import (
+    GraphFormatError,
+    GraphInvariantError,
+    MessageSizeViolation,
+    RoundLimitExceeded,
+)
 from brooks_sim.graph_core import Graph
 from brooks_sim.listcolor import ListInstance
 from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, keyed
@@ -243,6 +254,57 @@ def sequential_graph(
     adj = tuple(tuple(sorted(a)) for a in nbrs)
     masks = tuple(sum(1 << w for w in a) for a in adj)
     return adj, masks, len(seen), max((len(a) for a in adj), default=0)
+
+
+def scan_graph_file(path: str | os.PathLike) -> tuple[Graph, dict[str, str]]:
+    """The graph and `# key=value` hints of a graph file, checking each line
+    as it comes: the first offending line raises GraphFormatError, then a
+    missing header or an edge count that differs from the header's."""
+    header: dict[str, str] = {}
+    n = m = None
+    seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body and " " not in body.split("=", 1)[0]:
+                    key, _, value = body.partition("=")
+                    header[key.strip()] = value.strip()
+                continue
+            parts = line.split()
+            if n is None:
+                if len(parts) != 2:
+                    raise GraphFormatError("expected header 'n m'", line=lineno)
+                try:
+                    n, m = int(parts[0]), int(parts[1])
+                except ValueError:
+                    raise GraphFormatError("non-integer header", line=lineno) from None
+                if n < 0 or m < 0:
+                    raise GraphFormatError("negative n or m", line=lineno)
+                continue
+            if len(parts) != 2:
+                raise GraphFormatError("expected edge 'u v'", line=lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError("non-integer edge", line=lineno) from None
+            if u == v:
+                raise GraphFormatError(f"self-loop ({u},{v})", line=lineno)
+            if not (0 <= u < v < n):
+                raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n", line=lineno)
+            if (u, v) in seen:
+                raise GraphFormatError(f"duplicate edge ({u},{v})", line=lineno)
+            seen.add((u, v))
+            edges.append((u, v))
+    if n is None:
+        raise GraphFormatError("empty file, no 'n m' header", line=1)
+    if len(edges) != m:
+        raise GraphFormatError(f"header declared m={m} but found {len(edges)} edges")
+    return Graph(n, edges), header
 
 
 def complete_graph(k: int) -> Graph:

@@ -16,7 +16,6 @@ from brooks_sim.graph_core import (
     Graph,
     anti_degree,
     common_neighbour_pass,
-    generate,
     generate_instance,
     outside_degree,
 )
@@ -69,7 +68,7 @@ def test_low_density_random_graph_all_sparse():
 
 
 def test_matched_cliques_two_acs():
-    g = generate("matched_cliques", 8, seed=0)
+    g = generate_instance("matched_cliques", 8, seed=0).graph
     acd = compute_acd(g, Fraction(1, 8))
     assert len(acd.cliques) == 2
     assert sorted(len(c) for c in acd.cliques) == [8, 8]
@@ -119,7 +118,7 @@ def test_obs22_disjoint_cliques_pass():
 def test_obs22_epsilon_tension_on_matched_cliques():
     # e(u)=1 for every member; at eps=1/172 the 4*eps*delta bound is 0.186
     # so the check fails, while eps=1/4 passes.
-    g = generate("matched_cliques", 8, seed=0)
+    g = generate_instance("matched_cliques", 8, seed=0).graph
     tight = AlmostCliqueDecomposition.build(
         Fraction(1, 172),
         frozenset(),
@@ -187,7 +186,7 @@ def test_partition_every_node_exactly_once():
 
 
 def test_epsilon_out_of_range_rejected():
-    g = generate("matched_cliques", 8, seed=0)
+    g = generate_instance("matched_cliques", 8, seed=0).graph
     for eps in (Fraction(0), Fraction(1, 2), Fraction(-1, 8), "abc", None, "1/0"):
         with pytest.raises(BrooksSimError) as err:
             compute_acd(g, eps)
@@ -229,7 +228,9 @@ def pass_graphs() -> list[Graph]:
         graphs.append(
             Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         )
-    graphs += [generate(family, 16, seed) for family in FAMILIES for seed in (0, 1)]
+    graphs += [
+        generate_instance(family, 16, seed).graph for family in FAMILIES for seed in (0, 1)
+    ]
     return graphs
 
 

@@ -222,6 +222,15 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert error["phase"] == "input"
 
 
+def test_invalid_utf8_graph_is_a_format_error(tmp_path, capsys):
+    gpath = tmp_path / "bad.txt"
+    gpath.write_bytes(b"3 1\n0 1\n\xff\n")
+    error = _error_for(capsys, "color", "--graph", str(gpath), "--seed", "0")
+    assert error["type"] == "GraphFormatError"
+    assert error["phase"] == "input"
+    assert "UTF-8" in error["message"]
+
+
 def test_epsilon_outside_range_names_config(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))

@@ -7,7 +7,6 @@ from brooks_sim.graph_core import (
     FAMILIES,
     Graph,
     contains_delta_plus_one_clique,
-    generate,
     generate_instance,
     load_graph_with_header,
     save_graph,
@@ -31,14 +30,14 @@ CASES = [
 @pytest.mark.parametrize("family,delta", CASES)
 def test_generator_postconditions(family, delta):
     for seed in (0, 1, 5):
-        g = generate(family, delta, seed)
+        g = generate_instance(family, delta, seed).graph
         assert g.delta == delta
         assert not contains_delta_plus_one_clique(g)
 
 
 @pytest.mark.parametrize("family,delta", CASES)
 def test_deterministic_in_seed(family, delta):
-    assert generate(family, delta, 3) == generate(family, delta, 3)
+    assert generate_instance(family, delta, 3).graph == generate_instance(family, delta, 3).graph
 
 
 def _assert_one_int_object_per_node(g: Graph) -> None:
@@ -51,11 +50,11 @@ def _assert_one_int_object_per_node(g: Graph) -> None:
 @pytest.mark.parametrize("family", FAMILIES)
 def test_adjacency_holds_one_int_object_per_node(family, delta, seed):
     # mixed offsets every endpoint with a fresh int; Graph must not keep them
-    _assert_one_int_object_per_node(generate(family, delta, seed))
+    _assert_one_int_object_per_node(generate_instance(family, delta, seed).graph)
 
 
 def test_loaded_graph_holds_one_int_object_per_node(tmp_path):
-    g = generate("mixed", 64, 0)
+    g = generate_instance("mixed", 64, 0).graph
     path = tmp_path / "mixed.txt"
     save_graph(g, path)
     loaded = load_graph_with_header(path)[0]
@@ -65,7 +64,7 @@ def test_loaded_graph_holds_one_int_object_per_node(tmp_path):
 
 def test_unknown_family_rejected():
     with pytest.raises(UnsupportedFamilyError):
-        generate("banana", 16)
+        generate_instance("banana", 16)
 
 
 @pytest.mark.parametrize(
@@ -91,20 +90,24 @@ def test_ill_typed_delta_or_seed_rejected(delta, seed):
         ("mixed", {"components": -1}),
         ("mixed", {"kinds": []}),
         ("mixed", {"kinds": "random_gnd"}),
+        ("clique_minus_edge", {"n": 5}),  # a parameter the family does not take
+        ("guarded_pair", {"foo": 1}),
+        (["x"], {}),  # a family name that cannot be a dict key
     ],
 )
 def test_ill_typed_or_out_of_range_family_parameter_rejected(family, params):
     with pytest.raises(BrooksSimError) as err:
         generate_instance(family, 16, 0, **params)
     assert err.value.phase == "config"
-    assert next(iter(params)) in str(err.value)  # the message names the parameter
+    # the message names the parameter, or the family when there is none
+    assert str(next(iter(params), family)) in str(err.value)
 
 
 def test_below_min_delta_rejected():
     with pytest.raises(UnsupportedFamilyError):
-        generate("guarded_pair", 8)
+        generate_instance("guarded_pair", 8)
     with pytest.raises(UnsupportedFamilyError):
-        generate("clique_minus_edge", 2)
+        generate_instance("clique_minus_edge", 2)
 
 
 def test_clique_minus_edge_shape():

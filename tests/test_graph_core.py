@@ -1,3 +1,5 @@
+import builtins
+import contextlib
 import itertools
 import random
 
@@ -19,6 +21,7 @@ from oracles import (
     measure_slack,
     missing_pairs,
     path_graph,
+    scan_graph_file,
     sequential_graph,
 )
 
@@ -252,11 +255,129 @@ class TestIO:
         assert g.m == 1
         assert header == {"family": "clique_minus_edge", "delta": "4"}
 
+    def test_invalid_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"3 1\n0 1\n\xff\n")
+        with pytest.raises(GraphFormatError, match="UTF-8") as err:
+            load_graph_with_header(path)
+        assert err.value.phase == "input"
+        assert err.value.line is None  # decoding is chunked, so no line is claimed
+
+    @pytest.mark.parametrize(
+        "data", [b"3 2\n0 1\n1 2\n", b"3 3\n0 1\n1 2\n0 1\n"], ids=["valid", "duplicate"]
+    )
+    def test_file_is_opened_once(self, tmp_path, monkeypatch, data):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        with contextlib.suppress(GraphFormatError):
+            load_graph_with_header(path)
+        assert opened == [path]
+
+    def test_matches_line_by_line_reference_on_corrupted_files(self, tmp_path):
+        # The loader reads a file in one pass and looks for an earlier repeated
+        # edge only when it raises; the reference checks every line as it comes.
+        # Both must give the same graph and hints, or the same message and line.
+        # Invalid UTF-8 is the one intended difference: the reference lets the
+        # UnicodeDecodeError through, the loader raises a line-less error.
+        rng = random.Random(20261019)
+        path = tmp_path / "g.txt"
+        seen = set()
+        for _ in range(2000):
+            path.write_bytes(corrupted_graph_file(rng))
+            expected = load_outcome(scan_graph_file, path)
+            got = load_outcome(load_graph_with_header, path)
+            if expected == ("undecodable",):
+                assert got[0] == "error" and "UTF-8" in got[1], got
+                assert got[2:] == (None, "input")
+            else:
+                assert got == expected, path.read_bytes()
+            seen.add(expected[0] if expected[0] != "error" else defect_kind(expected[1]))
+        assert seen == {"graph", "undecodable", *GRAPH_FILE_DEFECTS}
+
+
+GRAPH_FILE_DEFECTS = (
+    "expected header",
+    "non-integer header",
+    "negative n or m",
+    "empty file",
+    "expected edge",
+    "non-integer edge",
+    "self-loop",
+    "violates",
+    "duplicate edge",
+    "header declared",
+)
+
+
+def defect_kind(message: str) -> str:
+    return next(kind for kind in GRAPH_FILE_DEFECTS if kind in message)
+
+
+def load_outcome(load, path) -> tuple:
+    try:
+        g, header = load(path)
+    except GraphFormatError as exc:
+        return ("error", str(exc), exc.line, exc.phase)
+    except UnicodeDecodeError:
+        return ("undecodable",)
+    return ("graph", g, header)
+
+
+def corrupted_graph_file(rng: random.Random) -> bytes:
+    """A small graph file with up to four random defects or distractions."""
+    n = rng.randrange(1, 8)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lines = [f"{u} {v}" for u, v in rng.sample(pairs, rng.randrange(len(pairs) + 1))]
+    lines.insert(0, f"{n} {len(lines)}")
+    for _ in range(rng.randrange(5)):
+        at = rng.randrange(len(lines) + 1)
+        kind = rng.randrange(8)
+        if kind == 0 and len(lines) > 1:  # a repeated line, maybe with its ids swapped
+            tokens = rng.choice(lines[1:]).split()
+            if rng.random() < 0.5:
+                tokens.reverse()
+            lines.insert(at, " ".join(tokens))
+        elif kind == 1 and lines:  # a bad token, or a token too many or too few
+            i = rng.randrange(len(lines))
+            tokens = lines[i].split() or ["0"]
+            tokens[rng.randrange(len(tokens))] = rng.choice(("x", "1.5", "-1", "+1", "\u0663"))
+            if rng.random() < 0.3:
+                tokens = tokens[:1] if rng.random() < 0.5 else tokens + ["2"]
+            lines[i] = " ".join(tokens)
+        elif kind == 2:  # a self-loop, an id out of range or ids out of order
+            u = rng.randrange(-1, n + 2)
+            lines.insert(at, rng.choice((f"{u} {u}", f"{u} {n}", f"{u} {u - 1}")))
+        elif kind == 3 and lines:  # a header count off by one
+            tokens = lines[0].split()
+            if len(tokens) == 2 and tokens[1].isdigit():
+                lines[0] = f"{tokens[0]} {int(tokens[1]) + rng.choice((-1, 1))}"
+        elif kind == 4:  # a comment, which may be a header hint
+            lines.insert(at, rng.choice(("# family=mixed", "#", "  # k = v", "#a b=c", "#d=4")))
+        elif kind == 5:  # a blank line
+            lines.insert(at, rng.choice(("", "   ", "\t")))
+        elif kind == 6 and lines:  # the header, or the first line, dropped
+            del lines[0]
+        elif kind == 7:  # a bad header if it lands first, a bad edge after
+            lines.insert(at, rng.choice(("-1 0", "3", "a b", "2 -1")))
+    data = (rng.choice(("\n", "\r\n")).join(lines) + "\n").encode()
+    if rng.random() < 0.15:  # an undecodable byte anywhere
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
 
 class TestPartialColoring:
     def test_propriety_enforced(self):
         g = path_graph(3)
-        col = PartialColoring(g, delta=2)
+        col = PartialColoring(g)
         col.assign(0, 1)
         with pytest.raises(ImproperColoringError):
             col.assign(1, 1)
@@ -265,12 +386,12 @@ class TestPartialColoring:
         assert col.is_total()
 
     def test_color_range_enforced(self):
-        col = PartialColoring(path_graph(2), delta=1)
+        col = PartialColoring(path_graph(2))
         with pytest.raises(ImproperColoringError):
             col.assign(0, 1)
 
     def test_no_double_assign(self):
-        col = PartialColoring(path_graph(2), delta=2)
+        col = PartialColoring(path_graph(3))
         col.assign(0, 0)
         with pytest.raises(ImproperColoringError):
             col.assign(0, 1)

@@ -130,7 +130,7 @@ class TestColorGrayThenWhite:
 
     def test_gray_without_white_neighbor_rejected(self):
         g = complete_graph(3)
-        coloring = PartialColoring(g, delta=4)
+        coloring = PartialColoring(g)
         steps = bare_steps(g, coloring)
         with pytest.raises(PartitionViolationError) as err:
             steps.gray_then_white("nice_c_gray", "nice_c_white", [((0,), 0)])
@@ -148,16 +148,18 @@ class TestColorGrayThenWhite:
         assert len(steps.ledger) == 0 and coloring.uncolored_mask == (1 << g.n) - 1
 
     def test_gray_colored_before_white(self):
-        # grays get their instance first; whites stay uncolored meanwhile
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-        coloring = PartialColoring(g, delta=4)
+        # grays get their instance first; whites stay uncolored meanwhile. A
+        # disjoint star K_{1,4} raises Delta to 4, so node 0 has unit slack.
+        star = [(4, leaf) for leaf in range(5, 9)]
+        g = Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)] + star)
+        coloring = PartialColoring(g)
         steps = bare_steps(g, coloring)
         steps.gray_then_white("ordinary_gray", "ordinary_white", [(range(4), 1 << 0)])
         assert [(r.kind, r.units) for r in steps.ledger] == [
             ("ordinary_gray", 3),
             ("ordinary_white", 1),
         ]
-        assert coloring.is_total()
+        assert coloring.uncolored_in(range(g.n)) == [4, 5, 6, 7, 8]
 
     def test_stalled_neighbor_justifies_white(self):
         # K_3 at delta 2: node 2 is stalled (colored in a later step), so the
