@@ -69,13 +69,6 @@ class AlmostCliqueDecomposition:
             raise BrooksSimError("sparse set and almost-cliques do not partition V", phase="acd")
         return AlmostCliqueDecomposition(epsilon, sparse, cliques)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "sparse": sorted(self.sparse),
-            "cliques": [sorted(c) for c in self.cliques],
-        }
-
 
 @dataclass
 class PropertyReport:

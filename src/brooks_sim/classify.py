@@ -12,7 +12,7 @@ guarded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .acd import AlmostCliqueDecomposition, outsider_counts
@@ -27,7 +27,7 @@ NICE, ORDINARY, GUARDED, RUNAWAY = "nice", "ordinary", "guarded", "runaway"
 class ACClassification:
     labels: tuple[str, ...]
     easy: tuple[bool, ...]
-    special_sets: tuple[frozenset[int], ...]
+    specials: tuple[frozenset[int], ...]
     picked: tuple[int | None, ...]  # per difficult AC; None elsewhere
     protectors: frozenset[int]
     escapes: frozenset[int]
@@ -43,16 +43,6 @@ class ACClassification:
             )
         return node
 
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "easy": list(self.easy),
-            "specials": [sorted(s) for s in self.special_sets],
-            "picked": list(self.picked),
-            "protectors": sorted(self.protectors),
-            "escapes": sorted(self.escapes),
-        }
-
 
 @dataclass(frozen=True)
 class FinePartition:
@@ -67,24 +57,13 @@ class FinePartition:
     G: frozenset[int]
 
     def sets(self) -> dict[str, frozenset[int]]:
-        return {
-            "P": self.P,
-            "E": self.E,
-            "Vstar": self.Vstar,
-            "O": self.O,
-            "R": self.R,
-            "N": self.N,
-            "G": self.G,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def mask(self, *names: str) -> int:
         total = 0
         for name in names:
             total |= mask_of(self.sets()[name])
         return total
-
-    def to_json_dict(self) -> dict:
-        return {k: sorted(v) for k, v in self.sets().items()}
 
 
 def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> frozenset[int]:
@@ -142,7 +121,7 @@ def classify_acs(g: Graph, acd: AlmostCliqueDecomposition) -> ACClassification:
     return ACClassification(
         labels=tuple(labels),
         easy=easy,
-        special_sets=specials,
+        specials=specials,
         picked=tuple(picked),
         protectors=protectors,
         escapes=escapes,

@@ -10,6 +10,11 @@ Usage:
 
 Single runs emit JSON, sweeps emit CSV; both carry a schema_version field.
 Identical flags (and seed) produce byte-identical outputs.
+
+Defaults live in the library: the epsilon of a graph file with no
+`# epsilon=` header is `thresholds.DEFAULT_EPSILON`, and color's and
+experiment's flags default to `PipelineConfig`'s fields. Library objects
+reach JSON through one encoder, `_plain`, so their field names are the keys.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
@@ -35,11 +41,9 @@ from .graph_core import (
 )
 from .oracle_validate import validate_coloring
 from .phases import PIPELINE_PLAN, PipelineConfig, run_pipeline
+from .thresholds import DEFAULT_EPSILON
 
 SCHEMA_VERSION = 1
-
-# Desk-scale default; the classical 1/172 assumes delta far above log^2 n.
-CLI_DEFAULT_EPSILON = "1/8"
 
 T = TypeVar("T")
 
@@ -50,6 +54,22 @@ def _emit(text: str, out: str | None) -> None:
         with _writing(out), open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     sys.stdout.write(text)
+
+
+def _plain(value):
+    """value as JSON data: a dataclass becomes a dict of its fields, a set a
+    sorted list, a Fraction a string, and dict keys become strings."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
 def _dump_json(payload: dict, out: str | None) -> None:
@@ -92,7 +112,7 @@ def _epsilon_from(args, header: dict[str, str]) -> Fraction:
         return _parse(Fraction, args.epsilon, "--epsilon")
     if "epsilon" in header:
         return _parse(Fraction, header["epsilon"], "epsilon header")
-    return Fraction(CLI_DEFAULT_EPSILON)
+    return DEFAULT_EPSILON
 
 
 def cmd_gen(args) -> int:
@@ -128,7 +148,7 @@ def cmd_acd(args) -> int:
     obs22 = obs22_check(g, acd)
     _dump_json(
         {
-            **acd.to_json_dict(),
+            **_plain(acd),
             "schema_version": SCHEMA_VERSION,
             "verify_ok": True,
             "obs22_ok": obs22.ok,
@@ -149,9 +169,9 @@ def cmd_classify(args) -> int:
         {
             "schema_version": SCHEMA_VERSION,
             "epsilon": str(epsilon),
-            "acd": acd.to_json_dict(),
-            "classification": cls.to_json_dict(),
-            "partition": part.to_json_dict(),
+            "acd": _plain(acd),
+            "classification": _plain(cls),
+            "partition": _plain(part),
         },
         args.out,
     )
@@ -167,13 +187,9 @@ def _run_result_payload(g, result, epsilon: Fraction) -> dict:
         "valid": validate_coloring(g, result.coloring.as_list(), g.delta),
         "coloring": result.coloring.as_list(),
         "retries": result.retries,
-        "ledger": result.ledger.to_json_list(),
-        "metrics": {
-            "rounds_elapsed": result.metrics.rounds_elapsed,
-            "messages_sent": result.metrics.messages_sent,
-            "max_message_bits": result.metrics.max_message_bits,
-        },
-        "slack_report": result.slack_report.to_json_dict(),
+        "ledger": _plain(result.ledger.records),
+        "metrics": _plain(result.metrics),
+        "slack_report": _plain(result.slack_report),
     }
 
 
@@ -184,7 +200,6 @@ def cmd_color(args) -> int:
         epsilon=epsilon,
         p_g=args.pg,
         max_retries=args.max_retries,
-        delta_min=args.delta_min,
         seed=args.seed,
         strict_congest=args.strict_congest,
         congest_c=args.congest_c,
@@ -229,9 +244,7 @@ def experiment_row(family: str, delta: int, seed: int, *, pg: float, max_retries
     }
     for kind in _CSV_MIN_LIST_KINDS:
         row[f"min_list_{kind}"] = ""
-    config = PipelineConfig(
-        epsilon=epsilon, p_g=pg, max_retries=max_retries, delta_min=min(8, delta), seed=seed
-    )
+    config = PipelineConfig(epsilon=epsilon, p_g=pg, max_retries=max_retries, seed=seed)
     try:
         result = run_pipeline(g, config)
     except BrooksSimError as exc:
@@ -299,12 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_color = sub.add_parser("color", help="run the full pipeline")
     p_color.add_argument("--graph", required=True)
     p_color.add_argument("--epsilon", default=None)
-    p_color.add_argument("--pg", type=float, default=0.5)
-    p_color.add_argument("--seed", type=int, default=0)
-    p_color.add_argument("--max-retries", type=int, default=16)
-    p_color.add_argument("--delta-min", type=int, default=3)
+    p_color.add_argument("--pg", type=float, default=PipelineConfig.p_g)
+    p_color.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    p_color.add_argument("--max-retries", type=int, default=PipelineConfig.max_retries)
     p_color.add_argument("--strict-congest", action="store_true")
-    p_color.add_argument("--congest-c", type=int, default=4)
+    p_color.add_argument("--congest-c", type=int, default=PipelineConfig.congest_c)
     p_color.add_argument("--out", default=None)
     p_color.set_defaults(func=cmd_color)
 
@@ -319,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--families", default="all")
     p_exp.add_argument("--deltas", default="16,27,64")
     p_exp.add_argument("--seeds", type=int, default=10)
-    p_exp.add_argument("--pg", type=float, default=0.5)
-    p_exp.add_argument("--max-retries", type=int, default=16)
+    p_exp.add_argument("--pg", type=float, default=PipelineConfig.p_g)
+    p_exp.add_argument("--max-retries", type=int, default=PipelineConfig.max_retries)
     p_exp.add_argument("--format", choices=("json", "csv"), default="csv")
     p_exp.add_argument("--out", default=None)
     p_exp.set_defaults(func=cmd_experiment)

@@ -2,7 +2,6 @@
 
 from .coloring import PartialColoring
 from .generators import (
-    DEFAULT_EPSILON,
     FAMILIES,
     GeneratedGraph,
     generate_instance,
@@ -18,7 +17,6 @@ from .measures import (
 )
 
 __all__ = [
-    "DEFAULT_EPSILON",
     "FAMILIES",
     "GeneratedGraph",
     "Graph",

@@ -39,12 +39,9 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from ..errors import UnsupportedFamilyError, check_int
-from ..thresholds import ceil_phi, floor_psi
+from ..thresholds import DEFAULT_EPSILON, ceil_phi, floor_psi
 from .graph import Graph
 from .measures import contains_delta_plus_one_clique
-
-# Desk-scale default; inside every family's admissible range for delta >= 3.
-DEFAULT_EPSILON = Fraction(1, 8)
 
 
 @dataclass(frozen=True)
@@ -59,13 +56,9 @@ class GeneratedGraph:
 
     @property
     def epsilon(self) -> Fraction:
-        """The family's declared epsilon at this delta."""
-        eps = DEFAULT_EPSILON
-        if eps < self.epsilon_min:
-            eps = self.epsilon_min
-        if eps > self.epsilon_max:
-            eps = self.epsilon_max
-        return eps
+        """The family's declared epsilon at this delta: DEFAULT_EPSILON clamped
+        into [epsilon_min, epsilon_max]."""
+        return min(max(DEFAULT_EPSILON, self.epsilon_min), self.epsilon_max)
 
 
 class _Blueprint(NamedTuple):

@@ -142,17 +142,6 @@ class InstanceRecord:
     tag: str
     declared_min: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "units": self.units,
-            "min_palette": self.min_palette,
-            "max_degree": self.max_degree,
-            "rounds": self.rounds,
-            "tag": self.tag,
-            "declared_min": self.declared_min,
-        }
-
 
 @dataclass
 class InstanceLedger:
@@ -171,6 +160,3 @@ class InstanceLedger:
 
     def __iter__(self):
         return iter(self.records)
-
-    def to_json_list(self) -> list[dict]:
-        return [r.to_json_dict() for r in self.records]

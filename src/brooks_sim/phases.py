@@ -64,6 +64,7 @@ from .slackgen import (
     participant_set,
     run_slack_generation_with_metrics,
 )
+from .thresholds import DEFAULT_EPSILON
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,9 @@ _PLAN_INDEX = {spec.kind: i for i, spec in enumerate(PIPELINE_PLAN)}
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    epsilon: Fraction = Fraction(1, 172)
+    epsilon: Fraction = DEFAULT_EPSILON
     p_g: float = 0.5
     max_retries: int = 16
-    delta_min: int = 8
     seed: int = 0
     strict_congest: bool = False
     congest_c: int = 4
@@ -112,11 +112,11 @@ class PipelineConfig:
         check_int("seed", self.seed)
         if not -(1 << 63) <= self.seed < 1 << 63:  # seeds are hashed as signed 64-bit
             raise BrooksSimError(f"seed must fit in signed 64 bits: {self.seed}", phase="config")
-        for name, low in (("max_retries", 1), ("congest_c", 1), ("delta_min", 0)):
+        for name in ("max_retries", "congest_c"):
             value = getattr(self, name)
             check_int(name, value)
-            if value < low:
-                raise BrooksSimError(f"{name} must be >= {low}, got {value}", phase="config")
+            if value < 1:
+                raise BrooksSimError(f"{name} must be >= 1, got {value}", phase="config")
         if not isinstance(self.strict_congest, bool):
             raise BrooksSimError(
                 f"strict_congest must be a bool, got {self.strict_congest!r}", phase="config"
@@ -191,19 +191,17 @@ class PipelineSteps:
         white_kind: str,
         groups: Iterable[tuple[Iterable[int], int]],
         stall_mask: int = 0,
-        slack_mask: int | None = None,
     ) -> None:
         """Split the uncolored nodes of each (nodes, white_mask) group into
         white (bit set in the mask) and gray, validate the split, then color
-        the grays before the whites. Whites need unit slack in slack_mask
-        (default: V minus the stalled nodes) or a stalled neighbor."""
+        the grays before the whites. Whites need unit slack in V minus the
+        stalled nodes, or a stalled neighbor."""
         white: list[int] = []
         gray: list[int] = []
         for nodes, white_mask in groups:
             for v in self.coloring.uncolored_in(nodes):
                 (white if (white_mask >> v) & 1 else gray).append(v)
-        if slack_mask is None:
-            slack_mask = self.full_mask & ~stall_mask
+        slack_mask = self.full_mask & ~stall_mask
         masks, coloring = self.g.masks, self.coloring
         for v in white:
             if coloring.slack_in(v, slack_mask) >= 1:
@@ -269,14 +267,15 @@ class PipelineSteps:
         self.solve_units("sparse", units)
 
     def step5_ordinary(self) -> None:
-        # white: unit slack in G[V* u O]
+        # white: unit slack in G[V* u O]; every node outside V* u O is
+        # colored in a later step, so it is stalled here
         vo_mask = self.part.mask("Vstar", "O")
         slack = self.coloring.slack_in
         groups = []
         for idx in self.cliques_with_label(ORDINARY):
             clique = self.acd.cliques[idx]
             groups.append((clique, mask_of(v for v in clique if slack(v, vo_mask) >= 1)))
-        self.gray_then_white("ordinary_gray", "ordinary_white", groups, slack_mask=vo_mask)
+        self.gray_then_white("ordinary_gray", "ordinary_white", groups, self.full_mask & ~vo_mask)
 
     def step6_runaway(self) -> None:
         # white: N(escape); the escape is stalled until step 9
@@ -380,10 +379,6 @@ class PipelineSteps:
 
 
 def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
-    if g.delta < config.delta_min:
-        raise BrooksSimError(
-            f"delta {g.delta} below configured minimum {config.delta_min}", phase="precondition"
-        )
     if contains_delta_plus_one_clique(g):
         raise DeltaPlusOneCliquePresent(
             f"graph contains a K_{g.delta + 1}", phase="precondition"

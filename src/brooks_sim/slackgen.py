@@ -80,19 +80,6 @@ class SlackReport:
     def gate_ok(self) -> bool:
         return not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sparse_slack": {str(k): v for k, v in sorted(self.sparse_slack.items())},
-            "escape_slack": {str(k): v for k, v in sorted(self.escape_slack.items())},
-            "ordinary_unit_slack": {
-                str(k): v for k, v in sorted(self.ordinary_unit_slack.items())
-            },
-            "difficult_colored_fraction": {
-                str(k): str(v) for k, v in sorted(self.difficult_colored_fraction.items())
-            },
-            "violations": list(self.violations),
-        }
-
 
 def check_lemma33(
     g: Graph,

@@ -20,6 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+# The ACD epsilon of the library, the CLI and the families when none is given.
+# Desk scale: the classical 1/172 assumes delta far above log^2 n, and every
+# family admits 1/8 for delta >= 3.
+DEFAULT_EPSILON = Fraction(1, 8)
+
 # (1/4) * (1/108)^2, from the proof constant eta = eps/108 and sparsity (eta^2/4)*delta.
 C_SPARSE = Fraction(1, 4) * Fraction(1, 108) ** 2
 

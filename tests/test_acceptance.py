@@ -67,9 +67,7 @@ def sweep():
             structural_ok = verify_acd(g, acd).ok and obs22_check(g, acd).ok
             cls = classify_acs(g, acd)
             fine_partition(g, acd, cls)  # raises on any partition-shape violation
-            config = PipelineConfig(
-                epsilon=inst.epsilon, seed=seed, max_retries=MAX_RETRIES, delta_min=8
-            )
+            config = PipelineConfig(epsilon=inst.epsilon, seed=seed, max_retries=MAX_RETRIES)
             try:
                 result = run_pipeline(g, config)
             except RetryExhausted:
@@ -105,7 +103,7 @@ def test_criterion_2_forced_pair():
     for delta in (4, 8, 16):
         for seed in range(100):
             inst = generate_instance("clique_minus_edge", delta, seed=seed)
-            config = PipelineConfig(epsilon=inst.epsilon, seed=seed, delta_min=3)
+            config = PipelineConfig(epsilon=inst.epsilon, seed=seed)
             result = run_pipeline(inst.graph, config)
             colors = result.coloring.as_list()
             assert validate_coloring(inst.graph, colors, delta)

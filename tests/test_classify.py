@@ -165,7 +165,7 @@ class TestClassify:
         acd = compute_acd(inst.graph, inst.epsilon)
         cls = classify_acs(inst.graph, acd)
         assert cls.labels == ("ordinary", "ordinary")
-        assert cls.special_sets == (frozenset(), frozenset())
+        assert cls.specials == (frozenset(), frozenset())
 
     def test_picked_special_is_in_special_set(self):
         for family in ("guarded_pair", "runaway_pair"):
@@ -174,8 +174,8 @@ class TestClassify:
             cls = classify_acs(inst.graph, acd)
             for idx, picked in enumerate(cls.picked):
                 if picked is not None:
-                    assert picked in cls.special_sets[idx]
-                    assert picked == min(cls.special_sets[idx])
+                    assert picked in cls.specials[idx]
+                    assert picked == min(cls.specials[idx])
 
 
 class TestFinePartition:
@@ -216,7 +216,7 @@ class TestFinePartition:
         bad = ACClassification(
             labels=cls.labels,
             easy=cls.easy,
-            special_sets=cls.special_sets,
+            specials=cls.specials,
             picked=cls.picked,
             protectors=frozenset({3}),
             escapes=cls.escapes,

@@ -192,13 +192,20 @@ def test_out_of_range_color_config_is_an_error_object(tmp_path, capsys, argv, fi
     assert field in error["message"]
 
 
-def test_negative_delta_min_is_an_error_object(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, error_type",
+    [
+        ("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", "BrooksSimError"),  # C_5: compute_acd needs delta >= 3
+        ("3 3\n0 1\n0 2\n1 2\n", "DeltaPlusOneCliquePresent"),  # K_3 at delta 2
+    ],
+    ids=["C_5", "K_3"],
+)
+def test_delta_two_graph_is_a_precondition_error(tmp_path, capsys, text, error_type):
     gpath = tmp_path / "g.txt"
-    run_cli(capsys, "gen", "--family", "clique_minus_edge", "--delta", "4", "--out", str(gpath))
-    error = _error_for(capsys, "color", "--graph", str(gpath), "--delta-min", "-5")
-    assert error["type"] == "BrooksSimError"
-    assert error["phase"] == "config"
-    assert "delta_min" in error["message"]
+    gpath.write_text(text)
+    error = _error_for(capsys, "color", "--graph", str(gpath))
+    assert error["type"] == error_type
+    assert error["phase"] == "precondition"
 
 
 def test_negative_seed_count_is_an_error_object(capsys):

@@ -115,7 +115,7 @@ def test_validated_coloring_witnesses_colorability():
     from brooks_sim.phases import PipelineConfig, run_pipeline
 
     inst = generate_instance("clique_minus_edge", 4, seed=0)
-    result = run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon, delta_min=3))
+    result = run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon))
     assert validate_coloring(inst.graph, result.coloring.as_list(), 4)
     assert is_k_colorable(inst.graph.masks, 4)
 

@@ -7,7 +7,7 @@ from brooks_sim.errors import (
     PartitionViolationError,
     RetryExhausted,
 )
-from brooks_sim.graph_core import Graph, PartialColoring, generate_instance
+from brooks_sim.graph_core import FAMILIES, Graph, PartialColoring, generate_instance
 from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import (
     PIPELINE_PLAN,
@@ -17,14 +17,20 @@ from brooks_sim.phases import (
 )
 from brooks_sim.sim_engine import RoundMetrics
 from brooks_sim.thresholds import ceil_phi
-from oracles import complete_graph, recount_instance, solve_greedy_oracle, validate_assignment
+from oracles import (
+    complete_graph,
+    cycle_graph,
+    recount_instance,
+    solve_greedy_oracle,
+    validate_assignment,
+)
 
 ALL_KINDS = tuple(spec.kind for spec in PIPELINE_PLAN)
 
 
 def run_family(family, delta, seed=0, **cfg):
     inst = generate_instance(family, delta, seed=seed)
-    config = PipelineConfig(epsilon=inst.epsilon, seed=seed, delta_min=3, **cfg)
+    config = PipelineConfig(epsilon=inst.epsilon, seed=seed, **cfg)
     return inst, run_pipeline(inst.graph, config)
 
 
@@ -242,17 +248,32 @@ class TestPipelineFamilies:
                 "guarded_pairs", "escape"} <= kinds
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_default_epsilon_colors_every_family(family):
+    # PipelineConfig's own epsilon, not the family's hint, at Delta 16 and 64
+    for delta in (16, 64):
+        for seed in range(5):
+            g = generate_instance(family, delta, seed).graph
+            result = run_pipeline(g, PipelineConfig(seed=seed))
+            assert validate_coloring(g, result.coloring.as_list(), delta), (delta, seed)
+
+
 class TestPipelineStructuralPaths:
     def test_k_delta_plus_one_rejected(self):
         g = complete_graph(9)
         with pytest.raises(DeltaPlusOneCliquePresent):
             run_pipeline(g, PipelineConfig(epsilon=Fraction(1, 8)))
 
-    def test_delta_min_enforced(self):
-        inst = generate_instance("clique_minus_edge", 4, seed=0)
-        with pytest.raises(Exception) as err:
-            run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon, delta_min=8))
-        assert getattr(err.value, "phase", None) == "precondition"
+    def test_delta_two_cycle_fails_the_acd_precondition(self):
+        with pytest.raises(BrooksSimError) as err:
+            run_pipeline(cycle_graph(5), PipelineConfig())
+        assert type(err.value) is BrooksSimError
+        assert err.value.phase == "precondition"
+
+    def test_triangle_is_a_delta_plus_one_clique(self):
+        with pytest.raises(DeltaPlusOneCliquePresent) as err:
+            run_pipeline(complete_graph(3), PipelineConfig())
+        assert err.value.phase == "precondition"
 
     def test_nice_b_deferred_node(self):
         g = nice_b_graph(16)
@@ -346,15 +367,12 @@ class TestPipelineContract:
             ("seed", -(1 << 63) - 1),
             ("congest_c", 0),
             ("congest_c", -1),
-            ("delta_min", -1),
-            ("delta_min", -5),
             # ill-typed values: no traceback mid-run, no silent accept
+            ("p_g", "0.5"),
+            ("p_g", True),
             ("epsilon", "abc"),
             ("epsilon", None),
             ("epsilon", Fraction(1, 2)),
-            ("p_g", "0.5"),
-            ("p_g", True),
-            ("delta_min", "3"),
             ("max_retries", 2.5),
             ("max_retries", True),
             ("seed", 1.5),
@@ -372,7 +390,6 @@ class TestPipelineContract:
     def test_config_accepts_boundary_values(self):
         PipelineConfig(p_g=0.0, max_retries=1)
         PipelineConfig(p_g=1.0, congest_c=1)
-        PipelineConfig(delta_min=0)
 
     @pytest.mark.parametrize("seed", [(1 << 63) - 1, -(1 << 63)])
     def test_extreme_seeds_run(self, seed):
@@ -408,7 +425,7 @@ class TestPipelineContract:
         _, a = run_family("mixed", 16, seed=7)
         _, b = run_family("mixed", 16, seed=7)
         assert a.coloring.as_list() == b.coloring.as_list()
-        assert a.ledger.to_json_list() == b.ledger.to_json_list()
+        assert a.ledger.records == b.ledger.records
         assert a.retries == b.retries
 
     def test_strict_congest_within_budget(self):
