@@ -13,10 +13,10 @@ similar when they share (1-eps')*delta neighbors), then augments: any
 leftover node with (1-4eps)*delta neighbors in a base clique joins it. A
 failed verification raises rather than forcing a decomposition.
 
-One common-neighbour pass (`common_neighbour_pass`, one mask AND per edge)
-feeds both the similarity graph and property (1): compute_acd hands the
-pass's per-node sums to verify_acd, and verify_acd called on its own runs
-the same pass.
+One common-neighbour pass (`common_neighbour_pass`: one mask AND per edge,
+or a triangle listing on a graph that keeps no masks) feeds both the
+similarity graph and property (1): compute_acd hands the pass's per-node
+sums to verify_acd, and verify_acd called on its own runs the same pass.
 
 Every bound above is read from `thresholds.Thresholds`, which settles each one
 as an exact integer, so the checks compare integer counts only; property (1)

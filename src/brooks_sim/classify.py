@@ -13,6 +13,7 @@ guarded).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterator
 
 from .acd import AlmostCliqueDecomposition, outsider_counts
@@ -59,11 +60,12 @@ class FinePartition:
     def sets(self) -> dict[str, frozenset[int]]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def mask(self, *names: str) -> int:
-        total = 0
-        for name in names:
-            total |= mask_of(self.sets()[name])
-        return total
+    @cached_property
+    def outside_vo_mask(self) -> int:
+        """Bitmask of V minus (V* u O): the nodes colored after steps 4 and
+        5, which the slack gate and step 5 leave out of G[V* u O]. It is 0
+        on a graph with no almost-clique."""
+        return mask_of(self.P | self.E | self.R | self.N | self.G)
 
 
 def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> frozenset[int]:

@@ -12,11 +12,15 @@ class PartialColoring:
     """Proper partial coloring; colors are ints in [0, delta).
 
     The colour list `color` is the only record of who has which colour:
-    `palette(*nodes)` and `slack_in(v, mask)` read the colours of the
+    `palette(*nodes)` and `slack_in(v, left_out)` read the colours of the
     neighbours from it on every call, in O(deg) per node. Beside it sits
-    `uncolored_mask`, one bit per uncolored node, so `slack_in` reads an
-    uncolored degree inside a subgraph as one AND and a popcount. The tests
-    cross-check palettes and slacks against a from-scratch recount.
+    `uncolored_mask`, one bit per uncolored node. Where the graph keeps its
+    n-bit masks (`Graph.small_masks`, n <= 64*Delta, where a mask is no
+    larger than a neighbour tuple), `slack_in` reads an uncolored degree
+    inside a subgraph as one AND and a popcount. Elsewhere it counts the
+    uncolored neighbours in the colour list and takes off those the
+    subgraph leaves out, so a sparse graph's masks are never built. The
+    tests cross-check palettes and slacks against a from-scratch recount.
     """
 
     __slots__ = ("graph", "delta", "color", "uncolored_mask")
@@ -48,16 +52,25 @@ class PartialColoring:
         used = {color[u] for v in nodes for u in adj[v]}
         return tuple([c for c in range(self.delta) if c not in used])
 
-    def slack_in(self, v: int, subgraph_mask: int) -> int:
-        """Slack of v in the induced subgraph: palette size minus uncolored
-        degree within the subgraph; v must be uncolored for the value to
-        mean anything, callers enforce that.
+    def slack_in(self, v: int, left_out: int = 0) -> int:
+        """Slack of v in the subgraph induced by V minus the nodes of the
+        `left_out` mask: palette size minus uncolored degree within the
+        subgraph; v must be uncolored for the value to mean anything,
+        callers enforce that.
         """
-        color = self.color
-        used = {color[u] for u in self.graph.adj[v]}
-        used.discard(None)
-        uncolored = (self.graph.masks[v] & subgraph_mask & self.uncolored_mask).bit_count()
-        return self.delta - len(used) - uncolored
+        color, graph = self.color, self.graph
+        nbrs = graph.adj[v]
+        if graph.small_masks:
+            used = {color[u] for u in nbrs}
+            used.discard(None)
+            uncolored = (graph.masks[v] & ~left_out & self.uncolored_mask).bit_count()
+            return self.delta - len(used) - uncolored
+        cols = list(map(color.__getitem__, nbrs))
+        uncolored = cols.count(None)
+        used = len(set(cols)) - (uncolored > 0)
+        if left_out:
+            uncolored -= sum(1 for u in nbrs if color[u] is None and left_out >> u & 1)
+        return self.delta - used - uncolored
 
     def uncolored_in(self, nodes: Iterable[int]) -> list[int]:
         return sorted(v for v in nodes if self.color[v] is None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from typing import Iterable, Iterator, NoReturn
 
 from ..errors import GraphInvariantError
@@ -14,15 +15,20 @@ class Graph:
     Adjacency is kept two ways: sorted tuples (deterministic iteration) and
     int bitmasks (edge tests and fast intersection counting). The tuples hold
     one plain int object per node id, whatever int or int-like (`__index__`)
-    objects the edge list carried, so they cost one pointer per edge end;
-    each mask still costs n bits. Construction raises GraphInvariantError
-    for a node count that is not an int, and for the first edge, in input
-    order, that is not a pair of int ids, is out of range, a self-loop or a
-    duplicate.
-    Immutable after construction; safe for concurrent reads.
+    objects the edge list carried, so they cost one pointer per edge end.
+    A mask costs n bits, n/8 bytes, against the 8*Delta bytes of a tuple of
+    up to Delta pointers, so the masks are built in construction only where
+    they are no larger: `small_masks` is n <= 64*Delta. Elsewhere `masks` is
+    built on first read, and only almost-clique code reads it, so a sparse
+    graph with no almost-clique keeps linear memory. Construction raises
+    GraphInvariantError for a node count that is not an int, and for the
+    first edge, in input order, that is not a pair of int ids, is out of
+    range, a self-loop or a duplicate.
+    Immutable after construction, apart from that one-time mask build,
+    whose result does not depend on who runs it; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "m", "delta", "adj", "masks")
+    __slots__ = ("n", "m", "delta", "adj", "small_masks", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -47,18 +53,29 @@ class Graph:
             # an edge that is not a pair of ints; only the defect scan checks types
             _raise_first_defect(n, edges)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self.masks: tuple[int, ...] = tuple(mask_of(a) for a in self.adj)
-        # a repeated edge repeats a neighbour, which the bitmask counts once
-        if any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj)):
-            _raise_first_defect(n, edges)
         self.m = len(edges)
         self.delta = max((len(a) for a in self.adj), default=0)
+        # n/8 <= 8*Delta bytes: a mask is no larger than a neighbour tuple
+        self.small_masks: bool = n <= 64 * self.delta
+        # a repeated edge repeats a neighbour, which a bitmask or a set counts once
+        if self.small_masks:
+            self.masks: tuple[int, ...] = tuple(mask_of(a) for a in self.adj)
+            repeated = any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj))
+        else:
+            repeated = any(len(set(a)) < len(a) for a in self.adj)
+            self.__class__ = _MasksOnFirstRead
+        if repeated:
+            _raise_first_defect(n, edges)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.masks[u] >> v) & 1)
+        if self.small_masks:
+            return bool((self.masks[u] >> v) & 1)
+        nbrs = self.adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -74,8 +91,27 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
 
+    def __reduce__(self) -> tuple:
+        # rebuilt from its edges, so a copy neither carries nor builds masks
+        return Graph, (self.n, list(self.edges()))
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
+
+
+class _MasksOnFirstRead(Graph):
+    """A Graph whose `masks` slot is not yet set. The first read builds the
+    masks and turns the object back into a plain Graph. Graph itself has no
+    `__getattr__`, which would slow every attribute read of every graph."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        if name != "masks":
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        self.masks = tuple(mask_of(a) for a in self.adj)
+        self.__class__ = Graph
+        return self.masks
 
 
 def mask_of(nodes: Iterable[int]) -> int:

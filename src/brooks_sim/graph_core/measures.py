@@ -1,26 +1,38 @@
 """Structural measures: the common-neighbour pass, outside degree,
 anti-degree, the simplicial test and the K_{delta+1} test built on it.
 
-`common_neighbour_pass` counts |N(u) & N(v)| with one mask AND per
-undirected edge. The ACD reads each count once for similarity and sums them
-per node: twice the edges inside N(v), which gives property (1)'s integer
+`common_neighbour_pass` counts |N(u) & N(v)| for every undirected edge.
+The ACD reads each count once for similarity and sums them per node: twice
+the edges inside N(v), which gives property (1)'s integer
 `binom(delta, 2) - edges inside N(v)` (local sparsity times delta). The
 other measures answer one neighbourhood question each, by one walk over
 `g.adj[v]` or one mask expression.
+
+The pass and `is_simplicial` read the n-bit masks only where the graph
+keeps them (`Graph.small_masks`, n <= 64*Delta: a mask is no larger than a
+neighbour tuple). Elsewhere the pass lists triangles over later-neighbour
+sets and `is_simplicial` intersects sets, so a sparse graph never builds
+its masks; the results are the same on both sides.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from collections import defaultdict
 
 from .graph import Graph
 
 
 def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]:
-    """One mask AND per undirected edge uv counts |N(u) & N(v)|.
+    """|N(u) & N(v)| for every undirected edge uv: one mask AND per edge,
+    or without masks, one triangle listing.
 
     Returns, per node v, the neighbours (ascending) that share at least
     `at_least` common neighbours with v, and the sum of v's counts, which is
     twice the number of edges inside N(v): each such edge xy is counted once
     at x and once at y."""
+    if not g.small_masks:
+        return _triangle_pass(g, at_least)
     masks = g.masks
     close: list[list[int]] = [[] for _ in range(g.n)]
     inside_twice = [0] * g.n
@@ -40,6 +52,40 @@ def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], lis
     return close, inside_twice
 
 
+def _triangle_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]:
+    """`common_neighbour_pass` without masks. Each triangle u < v < w is
+    found once, at edge uv, in the intersection of the two later-neighbour
+    sets; most edges of a sparse graph close none, and `isdisjoint` rejects
+    them without building a set."""
+    later = [frozenset(nbrs[bisect_right(nbrs, u):]) for u, nbrs in enumerate(g.adj)]
+    # shared[u][v] = |N(u) & N(v)| for each edge uv, u < v, in some triangle
+    shared: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for u, lu in enumerate(later):
+        for v in lu:
+            lv = later[v]
+            if lu.isdisjoint(lv):
+                continue
+            common = lu & lv
+            row_u, row_v = shared[u], shared[v]
+            row_u[v] = row_u.get(v, 0) + len(common)
+            for w in common:
+                row_u[w] = row_u.get(w, 0) + 1
+                row_v[w] = row_v.get(w, 0) + 1
+    # an edge in no triangle is close only when at_least < 1
+    close = [list(a) if at_least < 1 else [] for a in g.adj]
+    inside_twice = [0] * g.n
+    for u, row in shared.items():
+        for v, count in row.items():
+            inside_twice[u] += count
+            inside_twice[v] += count
+            if 1 <= at_least <= count:
+                close[u].append(v)
+                close[v].append(u)
+    for row in close:
+        row.sort()
+    return close, inside_twice
+
+
 def outside_degree(g: Graph, clique_mask: int, v: int) -> int:
     """Neighbors of v outside its almost-clique, given as a node bitmask."""
     return (g.masks[v] & ~clique_mask).bit_count()
@@ -52,6 +98,10 @@ def anti_degree(g: Graph, clique_mask: int, v: int) -> int:
 
 def is_simplicial(g: Graph, v: int) -> bool:
     """True iff N(v) induces a clique (in the whole graph)."""
+    if not g.small_masks:
+        # each neighbour u must see N[v] = N(v) + v, all of it but u itself
+        closed = {v, *g.adj[v]}
+        return all(len(closed.intersection(g.adj[u])) == len(closed) - 1 for u in g.adj[v])
     nmask = g.masks[v]
     return all((nmask & ~(1 << u)) & ~g.masks[u] == 0 for u in g.adj[v])
 

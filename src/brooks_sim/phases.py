@@ -162,7 +162,6 @@ class PipelineSteps:
         self.metrics = metrics
         self.attempt_seed = attempt_seed
         self.ledger = InstanceLedger()
-        self.full_mask = (1 << g.n) - 1
         self.bit_budget = config.bit_budget(g.n)
 
     def solve_units(self, kind: str, units: Iterable[Unit]) -> None:
@@ -195,18 +194,18 @@ class PipelineSteps:
         """Split the uncolored nodes of each (nodes, white_mask) group into
         white (bit set in the mask) and gray, validate the split, then color
         the grays before the whites. Whites need unit slack in V minus the
-        stalled nodes, or a stalled neighbor."""
+        stalled nodes, or a stalled neighbor. With no groups nothing reads
+        the graph's masks."""
         white: list[int] = []
         gray: list[int] = []
         for nodes, white_mask in groups:
             for v in self.coloring.uncolored_in(nodes):
                 (white if (white_mask >> v) & 1 else gray).append(v)
-        slack_mask = self.full_mask & ~stall_mask
-        masks, coloring = self.g.masks, self.coloring
+        g, coloring = self.g, self.coloring
         for v in white:
-            if coloring.slack_in(v, slack_mask) >= 1:
+            if coloring.slack_in(v, stall_mask) >= 1:
                 continue
-            if masks[v] & stall_mask & coloring.uncolored_mask == 0:
+            if g.masks[v] & stall_mask & coloring.uncolored_mask == 0:
                 raise PartitionViolationError(
                     f"white node {v} has neither unit slack nor a stalled neighbor",
                     node=v,
@@ -214,7 +213,7 @@ class PipelineSteps:
                 )
         all_white = mask_of(white)
         for v in gray:
-            if masks[v] & all_white & coloring.uncolored_mask == 0:
+            if g.masks[v] & all_white & coloring.uncolored_mask == 0:
                 raise PartitionViolationError(
                     f"gray node {v} has no white neighbor", node=v, phase=gray_kind
                 )
@@ -269,13 +268,13 @@ class PipelineSteps:
     def step5_ordinary(self) -> None:
         # white: unit slack in G[V* u O]; every node outside V* u O is
         # colored in a later step, so it is stalled here
-        vo_mask = self.part.mask("Vstar", "O")
+        outside_vo = self.part.outside_vo_mask
         slack = self.coloring.slack_in
         groups = []
         for idx in self.cliques_with_label(ORDINARY):
             clique = self.acd.cliques[idx]
-            groups.append((clique, mask_of(v for v in clique if slack(v, vo_mask) >= 1)))
-        self.gray_then_white("ordinary_gray", "ordinary_white", groups, self.full_mask & ~vo_mask)
+            groups.append((clique, mask_of(v for v in clique if slack(v, outside_vo) >= 1)))
+        self.gray_then_white("ordinary_gray", "ordinary_white", groups, outside_vo)
 
     def step6_runaway(self) -> None:
         # white: N(escape); the escape is stalled until step 9
@@ -327,8 +326,8 @@ class PipelineSteps:
         # c) non-edge toeholds: same-color the pair u, w first; then
         # N(u) & N(w) is white with permanent slack.
         self.solve_units("nice_c_pairs", [pair for _, pair in sub_c])
-        masks = self.g.masks
-        groups = [(self.acd.cliques[i], masks[u] & masks[w]) for i, (u, w) in sub_c]
+        g = self.g
+        groups = [(self.acd.cliques[i], g.masks[u] & g.masks[w]) for i, (u, w) in sub_c]
         self.gray_then_white("nice_c_gray", "nice_c_white", groups)
 
     def step8_guarded(self) -> None:

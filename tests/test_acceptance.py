@@ -254,17 +254,18 @@ def test_criterion_7_slack_accounting_identity():
             continue
         seed = rng.randrange(1 << 30)
         coloring, _ = run_slack_generation_with_metrics(g, range(n), 0.5, seed)
-        submask = 0
+        left_out = 0
         sub = []
         for v in range(n):
             if rng.random() < 0.6:
-                submask |= 1 << v
                 sub.append(v)
+            else:
+                left_out |= 1 << v
         for v in range(n):
             if coloring.is_colored(v):
                 continue
             pairs_checked += 1
-            if measure_slack(g, coloring, v, sub) != coloring.slack_in(v, submask):
+            if measure_slack(g, coloring, v, sub) != coloring.slack_in(v, left_out):
                 mismatches += 1
     assert mismatches == 0
     print(

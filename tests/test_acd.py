@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -219,7 +220,9 @@ def test_verification_failure_raises_with_report():
 
 
 def pass_graphs() -> list[Graph]:
-    """G(n,p) graphs over a range of densities, plus every family at delta 16."""
+    """G(n,p) graphs over a range of densities, plus every family at delta 16,
+    plus graphs with n > 64*Delta, which keep no masks: a sparse random_gnd,
+    dense 6-node blobs under shuffled ids and a farm of near-cliques."""
     rng = random.Random(12)
     graphs = []
     for _ in range(40):
@@ -231,19 +234,30 @@ def pass_graphs() -> list[Graph]:
     graphs += [
         generate_instance(family, 16, seed).graph for family in FAMILIES for seed in (0, 1)
     ]
+    ids = list(range(400))
+    rng.shuffle(ids)
+    blobs = [ids[i : i + 6] for i in range(0, 240, 6)]
+    graphs.append(
+        Graph(400, [e for b in blobs for e in itertools.combinations(b, 2) if rng.random() < 0.8])
+    )
+    graphs.append(generate_instance("random_gnd", 16, 0, n=1100).graph)
+    farm = ("clique_minus_edge", "guarded_pair") * 32
+    graphs.append(generate_instance("mixed", 16, 0, components=64, kinds=farm).graph)
+    assert not any(g.small_masks for g in graphs[-3:])
     return graphs
 
 
 def test_common_neighbour_pass_matches_the_per_node_reference():
     for g in pass_graphs():
-        at_least = max(1, g.delta - 3)
-        close, inside_twice = common_neighbour_pass(g, at_least)
         pairs = g.delta * (g.delta - 1) // 2
-        assert inside_twice == [2 * (pairs - missing_pairs(g, v)) for v in range(g.n)]
+        expected_sums = [2 * (pairs - missing_pairs(g, v)) for v in range(g.n)]
         nbrs = [set(a) for a in g.adj]
-        assert close == [
-            [u for u in g.adj[v] if len(nbrs[u] & nbrs[v]) >= at_least] for v in range(g.n)
-        ]
+        for at_least in (max(1, g.delta - 3), 0):
+            close, inside_twice = common_neighbour_pass(g, at_least)
+            assert inside_twice == expected_sums
+            assert close == [
+                [u for u in g.adj[v] if len(nbrs[u] & nbrs[v]) >= at_least] for v in range(g.n)
+            ]
 
 
 def test_verify_alone_gives_the_in_pipeline_report(monkeypatch):

@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from brooks_sim.graph_core import (
     PartialColoring,
     contains_delta_plus_one_clique,
     generate_instance,
+    is_simplicial,
     load_graph_with_header,
     mask_of,
     save_graph,
@@ -38,6 +40,9 @@ class TestGraph:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(GraphInvariantError):
             Graph(3, [(0, 1), (1, 0)])
+        # n > 64*Delta: the repeat is found without masks
+        with pytest.raises(GraphInvariantError, match=r"duplicate edge \(0,199\)"):
+            Graph(200, [(0, 199), (5, 6), (199, 0)])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphInvariantError):
@@ -116,6 +121,17 @@ class TestGraph:
         for u in range(4):
             for v in g.adj[u]:
                 assert u in g.adj[v]
+        # n > 64*Delta: has_edge searches the sorted tuple, and a copy is
+        # the same graph before and after the masks are built
+        g = Graph(300, [(0, 299), (5, 6), (6, 7)])
+        assert not g.small_masks and pickle.loads(pickle.dumps(g)) == g
+        assert [g.has_edge(0, 299), g.has_edge(299, 0), g.has_edge(5, 7), g.has_edge(0, 298)] == [
+            True,
+            True,
+            False,
+            False,
+        ]
+        assert g.masks[0] == 1 << 299 and pickle.loads(pickle.dumps(g)).masks == g.masks
 
     def test_delta(self):
         assert star(4).delta == 4
@@ -155,14 +171,38 @@ class TestSparsity:
         assert missing_pairs(g, 0) == delta * (delta - 1) // 2 - d * (d - 1) // 2
 
 
+def hidden_in_prism(edges: list[tuple[int, int]], k: int) -> Graph:
+    """A k-node graph hidden, under shuffled ids, beside the triangle-free
+    3-regular prism C_100 x K_2: Delta=3 and 200 + k > 64*3 nodes, so the
+    graph keeps no masks."""
+    prism = [(i, (i + 1) % 100) for i in range(100)]
+    prism += [(100 + u, 100 + v) for u, v in prism] + [(i, 100 + i) for i in range(100)]
+    prism += [(200 + u, 200 + v) for u, v in edges]
+    ids = list(range(200 + k))
+    random.Random(k).shuffle(ids)
+    g = Graph(200 + k, [(ids[u], ids[v]) for u, v in prism])
+    assert g.delta == 3 and not g.small_masks
+    return g
+
+
 class TestDeltaPlusOneClique:
     def test_k5(self):
         assert contains_delta_plus_one_clique(complete_graph(5))
+        k4 = list(itertools.combinations(range(4), 2))
+        assert contains_delta_plus_one_clique(hidden_in_prism(k4, 4))
 
     def test_k5_minus_edge(self):
         g = complete_graph(5)
         h = Graph(5, [e for e in g.edges() if e != (0, 1)])
         assert not contains_delta_plus_one_clique(h)
+        # K_4 minus an edge: its two degree-3 nodes miss the edge in N(v),
+        # its two degree-2 nodes are simplicial but below Delta
+        k4_minus = [e for e in itertools.combinations(range(4), 2) if e != (0, 1)]
+        g = hidden_in_prism(k4_minus, 4)
+        assert sorted(v for v in range(g.n) if is_simplicial(g, v)) == sorted(
+            v for v in range(g.n) if g.degree(v) == 2
+        )
+        assert not contains_delta_plus_one_clique(g)
 
     def test_c5(self):
         assert not contains_delta_plus_one_clique(cycle_graph(5))
@@ -413,22 +453,30 @@ class TestPartialColoring:
         g = star(4)
         col = PartialColoring(g)
         full = (1 << g.n) - 1
-        # in the empty subgraph the slack is the palette size, so the drop
+        # with every node left out the slack is the palette size, so the drop
         # from it to the slack in G is the uncolored degree
-        assert col.slack_in(0, 0) - col.slack_in(0, full) == 4
+        assert col.slack_in(0, full) - col.slack_in(0) == 4
         col.assign(1, 0)
-        assert col.slack_in(0, 0) - col.slack_in(0, full) == 3
-        assert col.slack_in(0, full) == 4 - 1 - 3  # palette 3, uncolored degree 3
+        assert col.slack_in(0, full) - col.slack_in(0) == 3
+        assert col.slack_in(0) == 4 - 1 - 3  # palette 3, uncolored degree 3
 
     @pytest.mark.parametrize(
-        "family, delta",
-        [("clique_minus_edge", 8), ("matched_cliques", 6), ("guarded_pair", 12), ("random_gnd", 8)],
+        "family, delta, params",
+        [
+            pytest.param("clique_minus_edge", 8, {}, id="clique_minus_edge-8"),
+            pytest.param("matched_cliques", 6, {}, id="matched_cliques-6"),
+            pytest.param("guarded_pair", 12, {}, id="guarded_pair-12"),
+            pytest.param("random_gnd", 8, {}, id="random_gnd-8"),
+            # n > 64*Delta: no masks, slack counted from the colour list
+            pytest.param("random_gnd", 8, {"n": 600}, id="random_gnd-8-n600"),
+        ],
     )
-    def test_palettes_and_slack_match_recount(self, family, delta):
+    def test_palettes_and_slack_match_recount(self, family, delta, params):
         rng = random.Random(delta)
-        base = generate_instance(family, delta, seed=1).graph
+        base = generate_instance(family, delta, seed=1, **params).graph
         lone = base.n  # a neighbourless extra node
         g = Graph(base.n + 1, base.edges())
+        assert g.small_masks == (not params)
         for _ in range(5):
             col = PartialColoring(g)
             for v in rng.sample(range(g.n), g.n):
@@ -443,5 +491,7 @@ class TestPartialColoring:
                 both = tuple(sorted(set(col.palette(u)) & set(col.palette(w))))
                 assert col.palette(u, w) == both
             sub = [v for v in range(g.n) if rng.random() < 0.7]
+            left_out = mask_of(set(range(g.n)) - set(sub))
             for v in col.uncolored_in(range(g.n)):
-                assert col.slack_in(v, mask_of(sub)) == measure_slack(g, col, v, sub)
+                assert col.slack_in(v, left_out) == measure_slack(g, col, v, sub)
+                assert col.slack_in(v) == measure_slack(g, col, v, range(g.n))

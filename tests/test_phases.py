@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ from brooks_sim.errors import (
     RetryExhausted,
 )
 from brooks_sim.graph_core import FAMILIES, Graph, PartialColoring, generate_instance
+from brooks_sim.graph_core import graph as graph_module
 from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import (
     PIPELINE_PLAN,
@@ -201,6 +205,29 @@ class TestPipelineFamilies:
         inst, result = run_family("random_gnd", 16, seed=1)
         assert executed_kinds(result) == ["sparse"]
         assert validate_coloring(inst.graph, result.coloring.as_list(), 16)
+
+    def test_sparse_graph_colors_without_masks(self, monkeypatch):
+        # n = 2000 > 64*Delta: the graph keeps no n-bit masks, and with no
+        # almost-clique nothing asks for them. The pinned outputs are those
+        # the masks gave.
+        def no_masks(nodes):
+            raise AssertionError("the n-bit masks of a sparse graph were built")
+
+        monkeypatch.setattr(graph_module, "mask_of", no_masks)
+        inst = generate_instance("random_gnd", 16, seed=0, n=2000)
+        g = inst.graph
+        result = run_pipeline(g, PipelineConfig(epsilon=inst.epsilon, seed=0))
+        colors = result.coloring.as_list()
+        assert not g.small_masks and not result.acd.cliques
+        assert validate_coloring(g, colors, 16)
+        metrics = result.metrics
+        digest = hashlib.sha256(json.dumps(colors).encode()).hexdigest()
+        assert (result.retries, metrics.rounds_elapsed, metrics.messages_sent, digest) == (
+            0,
+            23,
+            50948,
+            "66ca4b632edaa6d3f98c5e19dc1e1dfc76055ad6e99c6bbd7aaaeb3d11e93eaf",
+        )
 
     def test_runaway_pair_escape_colored_last(self):
         inst, result = run_family("runaway_pair", 64, seed=0)

@@ -124,15 +124,16 @@ class TestMeasureSlack:
             if g.delta == 0:
                 continue
             coloring = run_slack_generation_with_metrics(g, range(n), 0.5, trial)[0]
-            submask = 0
+            left_out = 0
             sub = []
             for v in range(n):
                 if rng.random() < 0.7:
-                    submask |= 1 << v
                     sub.append(v)
+                else:
+                    left_out |= 1 << v
             for v in range(n):
                 if not coloring.is_colored(v):
-                    assert measure_slack(g, coloring, v, sub) == coloring.slack_in(v, submask)
+                    assert measure_slack(g, coloring, v, sub) == coloring.slack_in(v, left_out)
 
 
 class TestSlackPropertyReport:
@@ -217,8 +218,8 @@ def test_slack_decomposition_identity():
             repetitions = len(nbr_colors) - len(set(nbr_colors))
             expected = (coloring.delta - g.degree(v)) + repetitions + outside_uncolored
             assert measure_slack(g, coloring, v, subset) == expected
-            submask = sum(1 << u for u in subset)
-            assert coloring.slack_in(v, submask) == expected
+            left_out = sum(1 << u for u in range(n) if u not in subset)
+            assert coloring.slack_in(v, left_out) == expected
 
 
 def test_metrics_cover_three_rounds():
