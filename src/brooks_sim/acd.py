@@ -140,12 +140,14 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
     # augmentation: leftover nodes with >= inside_min neighbors in some base
     extras: list[list[int]] = [[] for _ in base]
     sparse_nodes: list[int] = []
+    # with no base clique every leftover node is sparse and no mask is read
+    masks = g.masks if base else ()
     for v in range(g.n):
         if (in_base >> v) & 1:
             continue
         best_idx, best_count = -1, -1
         for idx, mask in enumerate(base_masks):
-            count = (g.masks[v] & mask).bit_count()
+            count = (masks[v] & mask).bit_count()
             if count > best_count:
                 best_idx, best_count = idx, count
         if best_idx >= 0 and best_count >= max(t.inside_min, 1):
@@ -168,11 +170,11 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
 def outsider_counts(g: Graph, acd: AlmostCliqueDecomposition, idx: int) -> list[tuple[int, int]]:
     """(u, |N(u) & C|) for every node u outside AC idx with a neighbor in it, by id."""
     clique = acd.cliques[idx]
-    cmask = acd.clique_masks[idx]
+    cmask, masks = acd.clique_masks[idx], g.masks
     around: set[int] = set()
     for v in clique:
         around.update(g.adj[v])
-    return [(u, (g.masks[u] & cmask).bit_count()) for u in sorted(around - clique)]
+    return [(u, (masks[u] & cmask).bit_count()) for u in sorted(around - clique)]
 
 
 def verify_acd(

@@ -76,8 +76,9 @@ def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> f
 
 def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[tuple[int, int]]:
     """The non-adjacent pairs (u, w), u < w, of the clique in id order."""
+    masks = g.masks
     for u in sorted(clique):
-        missing = cmask & ~g.masks[u] & ~((2 << u) - 1)
+        missing = cmask & ~masks[u] & ~((2 << u) - 1)
         while missing:
             low = missing & -missing
             yield u, low.bit_length() - 1

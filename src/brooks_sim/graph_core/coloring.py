@@ -16,7 +16,7 @@ class PartialColoring:
     neighbours from it on every call, in O(deg) per node. Beside it sits
     `uncolored_mask`, one bit per uncolored node. Where the graph keeps its
     n-bit masks (`Graph.small_masks`, n <= 64*Delta, where a mask is no
-    larger than a neighbour tuple), `slack_in` reads an uncolored degree
+    larger than the largest neighbour tuple), `slack_in` reads an uncolored degree
     inside a subgraph as one AND and a popcount. Elsewhere it counts the
     uncolored neighbours in the colour list and takes off those the
     subgraph leaves out, so a sparse graph's masks are never built. The

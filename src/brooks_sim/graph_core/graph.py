@@ -12,15 +12,19 @@ from ..errors import GraphInvariantError
 class Graph:
     """Simple undirected graph on nodes 0..n-1.
 
-    Adjacency is kept two ways: sorted tuples (deterministic iteration) and
-    int bitmasks (edge tests and fast intersection counting). The tuples hold
-    one plain int object per node id, whatever int or int-like (`__index__`)
-    objects the edge list carried, so they cost one pointer per edge end.
-    A mask costs n bits, n/8 bytes, against the 8*Delta bytes of a tuple of
-    up to Delta pointers, so the masks are built in construction only where
-    they are no larger: `small_masks` is n <= 64*Delta. Elsewhere `masks` is
-    built on first read, and only almost-clique code reads it, so a sparse
-    graph with no almost-clique keeps linear memory. Construction raises
+    Adjacency is kept as sorted tuples (deterministic iteration, and a
+    bisect for `has_edge`) and as int bitmasks (fast intersection
+    counting). The tuples hold one plain int object per node id, whatever
+    int or int-like (`__index__`) objects the edge list carried, so they
+    cost one pointer per edge end. A mask costs n bits, n/8 bytes, against
+    the 8*Delta bytes of the largest tuple, so the masks are built in
+    construction only where one mask is no larger than that tuple:
+    `small_masks` is n <= 64*Delta. Elsewhere `masks` is built on first
+    read, and only almost-clique code reads it, so a graph with
+    Delta < n/64 and no almost-clique keeps memory linear in its edges.
+    The rule weighs one mask against the largest tuple, not all masks
+    against all tuples: a single node of degree n/64 in an otherwise sparse
+    graph still gets all n masks built. Construction raises
     GraphInvariantError for a node count that is not an int, and for the
     first edge, in input order, that is not a pair of int ids, is out of
     range, a self-loop or a duplicate.
@@ -28,7 +32,7 @@ class Graph:
     whose result does not depend on who runs it; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "m", "delta", "adj", "small_masks", "masks")
+    __slots__ = ("n", "m", "delta", "adj", "small_masks", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -55,24 +59,28 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self.m = len(edges)
         self.delta = max((len(a) for a in self.adj), default=0)
-        # n/8 <= 8*Delta bytes: a mask is no larger than a neighbour tuple
+        # n/8 <= 8*Delta bytes: a mask is no larger than the largest tuple
         self.small_masks: bool = n <= 64 * self.delta
+        self._masks: tuple[int, ...] | None = None
         # a repeated edge repeats a neighbour, which a bitmask or a set counts once
         if self.small_masks:
-            self.masks: tuple[int, ...] = tuple(mask_of(a) for a in self.adj)
             repeated = any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj))
         else:
             repeated = any(len(set(a)) < len(a) for a in self.adj)
-            self.__class__ = _MasksOnFirstRead
         if repeated:
             _raise_first_defect(n, edges)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """One n-bit neighbour mask per node, built on first read."""
+        if self._masks is None:
+            self._masks = tuple(mask_of(a) for a in self.adj)
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self.small_masks:
-            return bool((self.masks[u] >> v) & 1)
         nbrs = self.adj[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
@@ -91,27 +99,8 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
 
-    def __reduce__(self) -> tuple:
-        # rebuilt from its edges, so a copy neither carries nor builds masks
-        return Graph, (self.n, list(self.edges()))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
-
-
-class _MasksOnFirstRead(Graph):
-    """A Graph whose `masks` slot is not yet set. The first read builds the
-    masks and turns the object back into a plain Graph. Graph itself has no
-    `__getattr__`, which would slow every attribute read of every graph."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str) -> tuple[int, ...]:
-        if name != "masks":
-            raise AttributeError(f"'Graph' object has no attribute {name!r}")
-        self.masks = tuple(mask_of(a) for a in self.adj)
-        self.__class__ = Graph
-        return self.masks
 
 
 def mask_of(nodes: Iterable[int]) -> int:

@@ -9,10 +9,14 @@ other measures answer one neighbourhood question each, by one walk over
 `g.adj[v]` or one mask expression.
 
 The pass and `is_simplicial` read the n-bit masks only where the graph
-keeps them (`Graph.small_masks`, n <= 64*Delta: a mask is no larger than a
-neighbour tuple). Elsewhere the pass lists triangles over later-neighbour
-sets and `is_simplicial` intersects sets, so a sparse graph never builds
-its masks; the results are the same on both sides.
+keeps them (`Graph.small_masks`, n <= 64*Delta: a mask is no larger than the
+largest neighbour tuple). Elsewhere the pass lists triangles over
+later-neighbour sets and `is_simplicial` intersects sets, so a sparse graph
+never builds its masks. The listing pays per triangle where the masks pay
+per edge, so once it has found more triangles than it has walked edges it
+stops and the pass reads the masks after all; such a graph is locally
+dense, and its almost-cliques read them anyway. The results are the same
+on every path.
 """
 
 from __future__ import annotations
@@ -25,14 +29,17 @@ from .graph import Graph
 
 def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]:
     """|N(u) & N(v)| for every undirected edge uv: one mask AND per edge,
-    or without masks, one triangle listing.
+    or, on a graph that keeps no masks and has few triangles, one triangle
+    listing.
 
     Returns, per node v, the neighbours (ascending) that share at least
     `at_least` common neighbours with v, and the sum of v's counts, which is
     twice the number of edges inside N(v): each such edge xy is counted once
     at x and once at y."""
     if not g.small_masks:
-        return _triangle_pass(g, at_least)
+        listed = _triangle_pass(g, at_least)
+        if listed is not None:
+            return listed
     masks = g.masks
     close: list[list[int]] = [[] for _ in range(g.n)]
     inside_twice = [0] * g.n
@@ -52,25 +59,31 @@ def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], lis
     return close, inside_twice
 
 
-def _triangle_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]:
+def _triangle_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]] | None:
     """`common_neighbour_pass` without masks. Each triangle u < v < w is
     found once, at edge uv, in the intersection of the two later-neighbour
     sets; most edges of a sparse graph close none, and `isdisjoint` rejects
-    them without building a set."""
+    them without building a set. None as soon as the triangles found
+    outnumber the edges walked: there one mask AND per edge is cheaper."""
     later = [frozenset(nbrs[bisect_right(nbrs, u):]) for u, nbrs in enumerate(g.adj)]
     # shared[u][v] = |N(u) & N(v)| for each edge uv, u < v, in some triangle
     shared: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    walked = found = 0
     for u, lu in enumerate(later):
+        walked += len(lu)
         for v in lu:
             lv = later[v]
             if lu.isdisjoint(lv):
                 continue
             common = lu & lv
+            found += len(common)
             row_u, row_v = shared[u], shared[v]
             row_u[v] = row_u.get(v, 0) + len(common)
             for w in common:
                 row_u[w] = row_u.get(w, 0) + 1
                 row_v[w] = row_v.get(w, 0) + 1
+        if found > walked:
+            return None
     # an edge in no triangle is close only when at_least < 1
     close = [list(a) if at_least < 1 else [] for a in g.adj]
     inside_twice = [0] * g.n
@@ -102,8 +115,9 @@ def is_simplicial(g: Graph, v: int) -> bool:
         # each neighbour u must see N[v] = N(v) + v, all of it but u itself
         closed = {v, *g.adj[v]}
         return all(len(closed.intersection(g.adj[u])) == len(closed) - 1 for u in g.adj[v])
-    nmask = g.masks[v]
-    return all((nmask & ~(1 << u)) & ~g.masks[u] == 0 for u in g.adj[v])
+    masks = g.masks
+    nmask = masks[v]
+    return all((nmask & ~(1 << u)) & ~masks[u] == 0 for u in g.adj[v])
 
 
 def contains_delta_plus_one_clique(g: Graph) -> bool:

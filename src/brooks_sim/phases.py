@@ -194,18 +194,19 @@ class PipelineSteps:
         """Split the uncolored nodes of each (nodes, white_mask) group into
         white (bit set in the mask) and gray, validate the split, then color
         the grays before the whites. Whites need unit slack in V minus the
-        stalled nodes, or a stalled neighbor. With no groups nothing reads
-        the graph's masks."""
+        stalled nodes, or a stalled neighbor. With no node to split nothing
+        reads the graph's masks."""
         white: list[int] = []
         gray: list[int] = []
         for nodes, white_mask in groups:
             for v in self.coloring.uncolored_in(nodes):
                 (white if (white_mask >> v) & 1 else gray).append(v)
-        g, coloring = self.g, self.coloring
+        coloring = self.coloring
+        masks = self.g.masks if white or gray else ()
         for v in white:
             if coloring.slack_in(v, stall_mask) >= 1:
                 continue
-            if g.masks[v] & stall_mask & coloring.uncolored_mask == 0:
+            if masks[v] & stall_mask & coloring.uncolored_mask == 0:
                 raise PartitionViolationError(
                     f"white node {v} has neither unit slack nor a stalled neighbor",
                     node=v,
@@ -213,7 +214,7 @@ class PipelineSteps:
                 )
         all_white = mask_of(white)
         for v in gray:
-            if g.masks[v] & all_white & coloring.uncolored_mask == 0:
+            if masks[v] & all_white & coloring.uncolored_mask == 0:
                 raise PartitionViolationError(
                     f"gray node {v} has no white neighbor", node=v, phase=gray_kind
                 )
@@ -326,8 +327,8 @@ class PipelineSteps:
         # c) non-edge toeholds: same-color the pair u, w first; then
         # N(u) & N(w) is white with permanent slack.
         self.solve_units("nice_c_pairs", [pair for _, pair in sub_c])
-        g = self.g
-        groups = [(self.acd.cliques[i], g.masks[u] & g.masks[w]) for i, (u, w) in sub_c]
+        masks = self.g.masks if sub_c else ()
+        groups = [(self.acd.cliques[i], masks[u] & masks[w]) for i, (u, w) in sub_c]
         self.gray_then_white("nice_c_gray", "nice_c_white", groups)
 
     def step8_guarded(self) -> None:

@@ -221,8 +221,11 @@ def test_verification_failure_raises_with_report():
 
 def pass_graphs() -> list[Graph]:
     """G(n,p) graphs over a range of densities, plus every family at delta 16,
-    plus graphs with n > 64*Delta, which keep no masks: a sparse random_gnd,
-    dense 6-node blobs under shuffled ids and a farm of near-cliques."""
+    plus graphs with n > 64*Delta, which keep no masks: 4-node cliques and a
+    sparse random_gnd, whose triangles the pass lists, and dense 6-node
+    blobs and a farm of near-cliques, whose triangles outnumber their edges
+    so that the pass falls back to the masks. Blobs and cliques sit under
+    shuffled ids."""
     rng = random.Random(12)
     graphs = []
     for _ in range(40):
@@ -240,10 +243,12 @@ def pass_graphs() -> list[Graph]:
     graphs.append(
         Graph(400, [e for b in blobs for e in itertools.combinations(b, 2) if rng.random() < 0.8])
     )
+    quads = [ids[i : i + 4] for i in range(0, 240, 4)]
+    graphs.append(Graph(400, [e for q in quads for e in itertools.combinations(q, 2)]))
     graphs.append(generate_instance("random_gnd", 16, 0, n=1100).graph)
     farm = ("clique_minus_edge", "guarded_pair") * 32
     graphs.append(generate_instance("mixed", 16, 0, components=64, kinds=farm).graph)
-    assert not any(g.small_masks for g in graphs[-3:])
+    assert not any(g.small_masks for g in graphs[-4:])
     return graphs
 
 
