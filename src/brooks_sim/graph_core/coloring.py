@@ -43,7 +43,7 @@ class PartialColoring:
             if self.color[u] == c:
                 raise ImproperColoringError(f"edge ({u},{v}) would be monochromatic in {c}")
         self.color[v] = c
-        self.uncolored_mask &= ~(1 << v)
+        self.uncolored_mask ^= 1 << v  # v was uncolored, so its bit is set
 
     def palette(self, *nodes: int) -> tuple[int, ...]:
         """Ascending colours of [delta] held by no neighbour of any given

@@ -46,9 +46,7 @@ def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], lis
     for u, nbrs in enumerate(g.adj):
         mu = masks[u]
         total = inside_twice[u]  # the counts of u's smaller neighbours
-        for v in nbrs:
-            if v < u:
-                continue
+        for v in nbrs[bisect_right(nbrs, u):]:
             count = (mu & masks[v]).bit_count()
             total += count
             inside_twice[v] += count

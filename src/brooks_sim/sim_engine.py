@@ -10,31 +10,38 @@ node, halts the live nodes at the next try round before any palette check.
 messages: a try round writes each live node's candidate (or None) into one
 array, and the resolve round compares a candidate with the neighbours'
 entries, which are exactly the TRY messages its inbox would hold. A kept
-colour sets a bit in each neighbour's `blocked` int, which the neighbour
-removes from its palette at its next try round, as the KEEP messages would
-make it. A broadcast from a node with neighbours counts one message per
-neighbour, encoded as 2 tag bits plus `value_bits` payload bits; the strict
-budget checks that size and `max_message_bits` records the largest (all the
-CONGEST bound needs).
+colour sets a bit in the `blocked` int of each neighbour not yet coloured,
+as the KEEP messages would. The bits pile up until the node activates,
+when it removes them from its palette before drawing its colour; a node
+that sits out filters only once its palette is no longer than its count of
+blocked bits, the first try round at which it may have no colour left, so
+the palette check fails at the node and round where per-round filtering
+would fail it. A broadcast from a node with neighbours counts one message
+per neighbour, encoded as 2 tag bits plus `value_bits` payload bits; the
+strict budget checks that size and `max_message_bits` records the largest
+(all the CONGEST bound needs).
 
 Every random bit of a run is a blake2b-64 digest of little-endian signed
-64-bit ints, read little-endian. Node v draws the digest of
+64-bit ints, read little-endian. Node v draws the digest h of
 (seed, v, round, 0) to activate and of (seed, v, round, 1) for its colour,
 so a run is a pure function of its inputs and a node that draws nothing
-(activation 0) moves no other node's draws. blake2b is a streaming hash:
-`run_protocol` checks the seed and primes one state with it at entry,
-copies that state and adds (v, round) once per node that draws in a try
-round, then finishes a copy with tag 0 and the state itself with tag 1.
-`keyed(*parts)` hashes its packed parts at once and gives the same bytes;
-it draws the pipeline's attempt seed, `keyed(seed, attempt) >> 2`, and
-each instance's, `keyed(attempt_seed, plan index) >> 2`, and is the
-reference the tests check the engine's draws against. blake2b comes from
-`_blake2`, the module CPython's `hashlib` takes it from, so the package
-never loads OpenSSL's libcrypto.
+(activation 0) moves no other node's draws. It activates when the 53-bit
+float `(h >> 11) / 2**53` is below its probability p, which the engine
+tests as `h < ceil(p * 2**53) << 11`, one integer limit per distinct p.
+blake2b is a streaming hash: `run_protocol` checks the seed and primes one
+state with it at entry, and draws each key from a copy of that state
+updated once with the packed (v, round, tag). `keyed(*parts)` hashes its
+packed parts at once and gives the same bytes; it draws the pipeline's
+attempt seed, `keyed(seed, attempt) >> 2`, and each instance's,
+`keyed(attempt_seed, plan index) >> 2`, and is the reference the tests
+check the engine's draws against. blake2b comes from `_blake2`, the module
+CPython's `hashlib` takes it from, so the package never loads OpenSSL's
+libcrypto.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from _blake2 import blake2b
 from dataclasses import dataclass
@@ -46,9 +53,8 @@ TAG_BITS = 2
 
 Adjacency = Sequence[Sequence[int]]
 
-_PACKERS = {k: struct.Struct(f"<{k}q").pack for k in (2, 4)}
+_PACKERS = {k: struct.Struct(f"<{k}q").pack for k in (2, 3, 4)}
 _PACK_ONE = struct.Struct("<q").pack
-_ACTIVATE, _COLOUR = _PACK_ONE(0), _PACK_ONE(1)
 
 # Initialised once and never updated: each `keyed` call hashes a copy of it.
 _BLAKE2B_64 = blake2b(digest_size=8)
@@ -56,10 +62,19 @@ _BLAKE2B_64 = blake2b(digest_size=8)
 
 def keyed(*parts: int) -> int:
     """64 pseudo-random bits: the little-endian blake2b-64 of the parts packed
-    as little-endian signed 64-bit ints (2 or 4 of them)."""
+    as little-endian signed 64-bit ints (2 to 4 of them)."""
     h = _BLAKE2B_64.copy()
     h.update(_PACKERS[len(parts)](*parts))
     return int.from_bytes(h.digest(), "little")
+
+
+def _activation_limit(p: float) -> int:
+    """The activation draw h succeeds iff h < this: `(h >> 11) / 2**53 < p`
+    holds iff the integer `h >> 11` is below `ceil(p * 2**53)`, and
+    `p * 2**53` is exact for a float or a Fraction."""
+    if not p > 0:
+        return 0
+    return math.ceil(min(p, 1) * (1 << 53)) << 11
 
 
 @dataclass
@@ -106,14 +121,16 @@ def run_protocol(
     if isinstance(seed, bool) or not isinstance(seed, int) or not -(1 << 63) <= seed < 1 << 63:
         raise ValueError(f"seed must be a signed 64-bit int, got {seed!r}")
     seeded = blake2b(_PACK_ONE(seed), digest_size=8)
-    pack_key = _PACKERS[2]
+    pack_key = _PACKERS[3]
     from_bytes = int.from_bytes
+    limits = {p: _activation_limit(p) for p in set(activation)}
+    limit = [limits[p] for p in activation]
     metrics = RoundMetrics()
     bits = TAG_BITS + value_bits
     value_limit = 1 << value_bits
     over_budget = strict_bit_budget is not None and bits > strict_bit_budget
     available = list(palettes)  # replaced by a filtered copy once a colour is blocked
-    blocked = [0] * n  # bit c: a neighbour kept colour c since v's last try round
+    blocked = [0] * n  # bit c: a neighbour kept colour c since v's palette was filtered
     cand: list[int | None] = [None] * n  # colour tried in the last try round
     colors: list[int | None] = [None] * n
     live = list(range(n))
@@ -131,29 +148,29 @@ def run_protocol(
                 trials_left -= 1
             for v in live:
                 avail = available[v]
-                if blocked[v]:
-                    mask = blocked[v]
+                mask = blocked[v]
+                tries = False
+                if limit[v]:  # with p <= 0 the activation draw cannot succeed
+                    draw = seeded.copy()
+                    draw.update(pack_key(v, round_no, 0))
+                    tries = from_bytes(draw.digest(), "little") < limit[v]
+                # a node that sits out filters only once its blocks may cover its palette
+                if mask and (tries or len(avail) <= mask.bit_count()):
                     avail = available[v] = [c for c in avail if not mask >> c & 1]
                     blocked[v] = 0
                 if not avail:
                     raise AssertionError("palette exhausted despite deg+1 invariant")
                 c = None
-                p = activation[v]
-                if p > 0:  # with p = 0 the activation draw cannot succeed
-                    state = seeded.copy()
-                    state.update(pack_key(v, round_no))
-                    draw = state.copy()
-                    draw.update(_ACTIVATE)
-                    # 53-bit uniform activation draw
-                    if (from_bytes(draw.digest(), "little") >> 11) / (1 << 53) < p:
-                        state.update(_COLOUR)
-                        c = avail[(from_bytes(state.digest(), "little") * len(avail)) >> 64]
-                        nbrs = adj[v]  # an isolated node sends, and checks, nothing
-                        if nbrs and not 0 <= c < value_limit:
-                            raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
-                        if nbrs and over_budget:
-                            raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
-                        sent += len(nbrs)
+                if tries:
+                    draw = seeded.copy()
+                    draw.update(pack_key(v, round_no, 1))
+                    c = avail[(from_bytes(draw.digest(), "little") * len(avail)) >> 64]
+                    nbrs = adj[v]  # an isolated node sends, and checks, nothing
+                    if nbrs and not 0 <= c < value_limit:
+                        raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
+                    if nbrs and over_budget:
+                        raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
+                    sent += len(nbrs)
                 cand[v] = c
             continue
         # A KEEP repeats the checked TRY value to the same neighbours. A
@@ -163,16 +180,22 @@ def run_protocol(
         still = []
         for v in live:
             c = cand[v]
-            nbrs = adj[v]
-            if c is None or c in map(cand.__getitem__, nbrs):
+            if c is None:
                 still.append(v)
                 continue
-            colors[v] = c
-            sent += len(nbrs)
-            if block and nbrs:
-                bit = 1 << c
-                for u in nbrs:
-                    blocked[u] |= bit
+            nbrs = adj[v]
+            for u in nbrs:
+                if cand[u] == c:
+                    still.append(v)
+                    break
+            else:
+                colors[v] = c
+                sent += len(nbrs)
+                if block and nbrs:
+                    bit = 1 << c
+                    for u in nbrs:
+                        if colors[u] is None:  # a coloured node tries no more
+                            blocked[u] |= bit
         live = still
     if live:
         pending = tuple(live)

@@ -3,10 +3,12 @@ inputs, and equality with per-message delivery (`oracles.trial_by_messages`)
 on seeded random list instances and slack-generation trials; its seed
 checks, and that neither it nor the pipeline loads OpenSSL."""
 
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -196,11 +198,14 @@ def outcome(run, *args, **kwargs):
     return ("ok", colors, m.rounds_elapsed, m.messages_sent, m.max_message_bits)
 
 
-def random_list_instance(rng: random.Random, *, short: bool) -> ListInstance:
+def random_list_instance(rng: random.Random, *, short: bool, dense: bool = False) -> ListInstance:
     """A random instance whose palettes have deg+1 colours or more; with
-    `short`, some units get one colour less."""
+    `short`, some units get one colour less, or with `dense` (each edge in
+    with probability at least 1/2) 1 to deg colours."""
     k = rng.randrange(1, 30)
     density = rng.random()
+    if dense:
+        density = (1 + density) / 2
     edges = tuple((i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < density)
     deg = [0] * k
     for i, j in edges:
@@ -211,7 +216,7 @@ def random_list_instance(rng: random.Random, *, short: bool) -> ListInstance:
     for v in range(k):
         size = min(delta, deg[v] + 1 + rng.randrange(2))
         if short and rng.random() < 0.3:
-            size -= 1
+            size = rng.randint(1, max(1, deg[v])) if dense else size - 1
         palettes.append(frozenset(rng.sample(range(delta), size)))
     units = tuple(make_unit(v) for v in range(k))
     return list_instance(units, edges, palettes, delta=delta, name="random")
@@ -268,8 +273,13 @@ def test_engine_matches_message_delivery_at_the_extreme_seeds(seed):
         assert outcome(run_protocol, *args, **kwargs) == outcome(trial_by_messages, *args, **kwargs)
 
 
+# the bounds of [0, 1], the least positive float, the largest float below 1,
+# and an exact rational
+EDGE_PROBABILITIES = [0.0, 5e-324, 0.3, 0.5, 1 - 2**-53, 1.0, Fraction(1, 3)]
+
+
 @pytest.mark.parametrize("strict", [False, True])
-@pytest.mark.parametrize("p_g", [0.0, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("p_g", [0.25, *EDGE_PROBABILITIES])
 def test_engine_matches_message_delivery_on_slack_generation(strict, p_g):
     rng = random.Random(int(p_g * 4) + 10 * strict)
     for family in FAMILIES:
@@ -301,6 +311,77 @@ def test_engine_matches_message_delivery_on_slack_generation(strict, p_g):
         if got[0] == "ok":
             got = ("ok", got[1].as_list(), *got[2:])
         assert got == expected
+
+
+@pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+def test_engine_matches_message_delivery_at_the_edge_probabilities(p):
+    rng = random.Random(repr(p))
+    for case in range(60):
+        inst = random_list_instance(rng, short=case % 4 == 3)
+        k = len(inst.units)
+        args = (inst.adj, inst.palettes, [p] * k, rng.randrange(1 << 32), rng.randrange(1, 12))
+        kwargs = dict(trials=rng.choice((None, 1, 2)), value_bits=color_value_bits(inst.delta))
+        assert outcome(run_protocol, *args, **kwargs) == outcome(trial_by_messages, *args, **kwargs)
+
+
+def test_activation_flips_exactly_above_the_drawn_value():
+    # a lone node activates iff its draw u is below p: not at p = u, but at
+    # the next float above u and at a Fraction just above u. Each u is the
+    # value of 2**11 draws h; at seeds 164 and 2880 h is the least of them,
+    # at 2611 and 2705 the greatest.
+    assert [keyed(s, 0, 0, 0) % 2**11 for s in (164, 2880, 2611, 2705)] == [0, 0, 2047, 2047]
+    g = Graph(1, [])
+    for seed in (*range(30), 164, 2880, 2611, 2705):
+        u = uniform(seed, 0, 0, 0)
+        for p, tries in (
+            (u, False),
+            (math.nextafter(u, 1), True),
+            (Fraction(u), False),
+            (Fraction(u) + Fraction(1, 1 << 60), True),
+        ):
+            args = (g.adj, [[0]], [p], seed, 3)
+            expected = ("ok", [0] if tries else [None], 3 - tries, 0, 0)
+            assert outcome(run_protocol, *args, trials=1) == expected
+            assert outcome(trial_by_messages, *args, trials=1) == expected
+
+
+def exhaustion_round(run, *args, **kwargs):
+    """The round in which `run` raises "palette exhausted", by bisection on
+    max_rounds: with fewer rounds the run stops before it."""
+    lo, hi = 1, args[-1]  # the assertion fires within hi rounds, not within lo - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if outcome(run, *args[:-1], mid, **kwargs)[0] == "AssertionError":
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_engine_matches_message_delivery_when_blocks_pile_up(seed):
+    # dense instances at activation 0.05-0.1: a node sits out most try
+    # rounds while its neighbours keep colours, so blocked colours pile up
+    # before it filters its palette; short palettes run out after such
+    # waits, and one list shared by every node must come out unchanged
+    rng = random.Random(100 + seed)
+    late_exhaustions = 0
+    for case in range(180):
+        inst = random_list_instance(rng, short=case % 3 == 1, dense=True)
+        k = len(inst.units)
+        shared = list(range(inst.delta))
+        palettes = [shared] * k if case % 3 == 2 else inst.palettes
+        activation = [rng.uniform(0.05, 0.1) for _ in range(k)]
+        args = (inst.adj, palettes, activation, rng.randrange(1 << 32), 400)
+        kwargs = dict(value_bits=color_value_bits(inst.delta))
+        expected = outcome(trial_by_messages, *args, **kwargs)
+        assert outcome(run_protocol, *args, **kwargs) == expected
+        assert shared == list(range(inst.delta))
+        if expected[0] == "AssertionError":
+            fired = exhaustion_round(trial_by_messages, *args, **kwargs)
+            assert exhaustion_round(run_protocol, *args, **kwargs) == fired
+            late_exhaustions += fired >= 4  # after two earlier try rounds
+    assert late_exhaustions > 0
 
 
 class TestCongestBudget:
