@@ -61,6 +61,19 @@ class MessageSizeViolation(BrooksSimError):
         self.budget = budget
 
 
+class PaletteExhausted(BrooksSimError):
+    """A node that may still try a colour has none left: the deg+1
+    invariant of its list instance does not hold."""
+
+    def __init__(self, node: int, round_no: int, *, phase: str | None = None):
+        super().__init__(
+            f"node {node}: palette exhausted despite deg+1 invariant in round {round_no}",
+            phase=phase,
+        )
+        self.node = node
+        self.round_no = round_no
+
+
 class AcdVerificationError(BrooksSimError):
     """The computed decomposition fails one of the four contract properties."""
 

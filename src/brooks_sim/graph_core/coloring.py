@@ -13,23 +13,22 @@ class PartialColoring:
 
     The colour list `color` is the only record of who has which colour:
     `palette(*nodes)` and `slack_in(v, left_out)` read the colours of the
-    neighbours from it on every call, in O(deg) per node. Beside it sits
-    `uncolored_mask`, one bit per uncolored node. Where the graph keeps its
-    n-bit masks (`Graph.small_masks`, n <= 64*Delta, where a mask is no
-    larger than the largest neighbour tuple), `slack_in` reads an uncolored degree
+    neighbours from it on every call, in O(deg) per node. Beside it sits a
+    private mask with one bit per uncolored node. Where the graph keeps its
+    n-bit masks (`Graph.small_masks`), `slack_in` reads an uncolored degree
     inside a subgraph as one AND and a popcount. Elsewhere it counts the
     uncolored neighbours in the colour list and takes off those the
     subgraph leaves out, so a sparse graph's masks are never built. The
     tests cross-check palettes and slacks against a from-scratch recount.
     """
 
-    __slots__ = ("graph", "delta", "color", "uncolored_mask")
+    __slots__ = ("graph", "delta", "color", "_uncolored")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.delta = graph.delta
         self.color: list[int | None] = [None] * graph.n
-        self.uncolored_mask: int = (1 << graph.n) - 1
+        self._uncolored: int = (1 << graph.n) - 1
 
     def is_colored(self, v: int) -> bool:
         return self.color[v] is not None
@@ -43,7 +42,7 @@ class PartialColoring:
             if self.color[u] == c:
                 raise ImproperColoringError(f"edge ({u},{v}) would be monochromatic in {c}")
         self.color[v] = c
-        self.uncolored_mask ^= 1 << v  # v was uncolored, so its bit is set
+        self._uncolored ^= 1 << v  # v was uncolored, so its bit is set
 
     def palette(self, *nodes: int) -> tuple[int, ...]:
         """Ascending colours of [delta] held by no neighbour of any given
@@ -63,7 +62,7 @@ class PartialColoring:
         if graph.small_masks:
             used = {color[u] for u in nbrs}
             used.discard(None)
-            uncolored = (graph.masks[v] & ~left_out & self.uncolored_mask).bit_count()
+            uncolored = (graph.masks[v] & ~left_out & self._uncolored).bit_count()
             return self.delta - len(used) - uncolored
         cols = list(map(color.__getitem__, nbrs))
         uncolored = cols.count(None)
@@ -76,7 +75,7 @@ class PartialColoring:
         return sorted(v for v in nodes if self.color[v] is None)
 
     def is_total(self) -> bool:
-        return self.uncolored_mask == 0
+        return self._uncolored == 0
 
     def as_list(self) -> list[int | None]:
         return list(self.color)

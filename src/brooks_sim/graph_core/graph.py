@@ -16,15 +16,13 @@ class Graph:
     bisect for `has_edge`) and as int bitmasks (fast intersection
     counting). The tuples hold one plain int object per node id, whatever
     int or int-like (`__index__`) objects the edge list carried, so they
-    cost one pointer per edge end. A mask costs n bits, n/8 bytes, against
-    the 8*Delta bytes of the largest tuple, so the masks are built in
-    construction only where one mask is no larger than that tuple:
-    `small_masks` is n <= 64*Delta. Elsewhere `masks` is built on first
-    read, and only almost-clique code reads it, so a graph with
-    Delta < n/64 and no almost-clique keeps memory linear in its edges.
-    The rule weighs one mask against the largest tuple, not all masks
-    against all tuples: a single node of degree n/64 in an otherwise sparse
-    graph still gets all n masks built. Construction raises
+    cost one pointer per edge end. All n masks cost n^2/8 bytes against the
+    16m bytes of the tuples' 2m entries, so the masks are built in
+    construction only where they are no larger than the tuples:
+    `small_masks` is n*n <= 128*m. Elsewhere `masks` is built on first
+    read, and only graph_core, the ACD and classification read it, so a
+    graph with n*n > 128*m and no almost-clique keeps memory linear in its
+    edges. Construction raises
     GraphInvariantError for a node count that is not an int, and for the
     first edge, in input order, that is not a pair of int ids, is out of
     range, a self-loop or a duplicate.
@@ -59,8 +57,8 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
         self.m = len(edges)
         self.delta = max((len(a) for a in self.adj), default=0)
-        # n/8 <= 8*Delta bytes: a mask is no larger than the largest tuple
-        self.small_masks: bool = n <= 64 * self.delta
+        # n*n/8 <= 16*m bytes: the masks are no larger than the tuples
+        self.small_masks: bool = n * n <= 128 * self.m
         self._masks: tuple[int, ...] | None = None
         # a repeated edge repeats a neighbour, which a bitmask or a set counts once
         if self.small_masks:

@@ -9,8 +9,7 @@ other measures answer one neighbourhood question each, by one walk over
 `g.adj[v]` or one mask expression.
 
 The pass and `is_simplicial` read the n-bit masks only where the graph
-keeps them (`Graph.small_masks`, n <= 64*Delta: a mask is no larger than the
-largest neighbour tuple). Elsewhere the pass lists triangles over
+keeps them (`Graph.small_masks`). Elsewhere the pass lists triangles over
 later-neighbour sets and `is_simplicial` intersects sets, so a sparse graph
 never builds its masks. The listing pays per triangle where the masks pay
 per edge, so once it has found more triangles than it has walked edges it

@@ -7,12 +7,14 @@ records all 16 kinds in the ledger, executed or empty, so the reduction's
 instance count is structurally constant.
 
 Steps 5-8 share one white/gray split (`PipelineSteps.gray_then_white`): each
-step names groups of nodes and, per group, the mask of nodes that are white
+step names groups of nodes and, per group, the set of nodes that are white
 (unit slack in G[V* u O]; N(escape); N(min anchor); the deferred node;
 N(u) & N(w); N(protector)). The uncolored rest is gray and is colored first:
 each gray has an uncolored white neighbor, each white has unit slack or an
 uncolored stalled neighbor (a node colored in a later step). A split that
 breaks this raises PartitionViolationError with the gray kind as its phase.
+The steps build their sets from `Graph.adj`, the almost-cliques and the
+colour list, so they read no n-bit masks.
 
 Slack generation is retryable: if the measured slack report violates a
 property a later phase needs, or an instance build hits a deg+1 violation,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Container, Iterable
 
 from .acd import AlmostCliqueDecomposition, check_epsilon, compute_acd
 from .classify import (
@@ -188,33 +190,31 @@ class PipelineSteps:
         self,
         gray_kind: str,
         white_kind: str,
-        groups: Iterable[tuple[Iterable[int], int]],
+        groups: Iterable[tuple[Iterable[int], Container[int]]],
         stall_mask: int = 0,
     ) -> None:
-        """Split the uncolored nodes of each (nodes, white_mask) group into
-        white (bit set in the mask) and gray, validate the split, then color
-        the grays before the whites. Whites need unit slack in V minus the
-        stalled nodes, or a stalled neighbor. With no node to split nothing
-        reads the graph's masks."""
+        """Split the uncolored nodes of each (nodes, white set) group into
+        white (in the set) and gray, validate the split, then color the
+        grays before the whites. Whites need unit slack in V minus the
+        stalled nodes of `stall_mask`, or an uncolored stalled neighbor."""
         white: list[int] = []
         gray: list[int] = []
-        for nodes, white_mask in groups:
+        for nodes, white_nodes in groups:
             for v in self.coloring.uncolored_in(nodes):
-                (white if (white_mask >> v) & 1 else gray).append(v)
-        coloring = self.coloring
-        masks = self.g.masks if white or gray else ()
+                (white if v in white_nodes else gray).append(v)
+        color, adj = self.coloring.color, self.g.adj
         for v in white:
-            if coloring.slack_in(v, stall_mask) >= 1:
+            if self.coloring.slack_in(v, stall_mask) >= 1:
                 continue
-            if masks[v] & stall_mask & coloring.uncolored_mask == 0:
+            if not any(stall_mask >> u & 1 and color[u] is None for u in adj[v]):
                 raise PartitionViolationError(
                     f"white node {v} has neither unit slack nor a stalled neighbor",
                     node=v,
                     phase=gray_kind,
                 )
-        all_white = mask_of(white)
+        all_white = set(white)  # uncolored: nothing is colored before the grays
         for v in gray:
-            if masks[v] & all_white & coloring.uncolored_mask == 0:
+            if all_white.isdisjoint(adj[v]):
                 raise PartitionViolationError(
                     f"gray node {v} has no white neighbor", node=v, phase=gray_kind
                 )
@@ -241,14 +241,13 @@ class PipelineSteps:
 
         All members are uncolored when sub-phase c starts, so each gray then
         has an uncolored white neighbor."""
-        masks = self.g.masks
+        adj = self.g.adj
         clique = self.acd.cliques[idx]
-        cmask = self.acd.clique_masks[idx]
         tried = 0
-        for u, w in non_edges(self.g, clique, cmask):
-            common = masks[u] & masks[w] & cmask
-            rest = cmask & ~common & ~(1 << u) & ~(1 << w)
-            if all(masks[x] & common for x in clique if (rest >> x) & 1):
+        for u, w in non_edges(self.g, clique, self.acd.clique_masks[idx]):
+            common = clique.intersection(adj[u], adj[w])
+            rest = clique - common - {u, w}
+            if all(not common.isdisjoint(adj[x]) for x in rest):
                 return (u, w)
             tried += 1
         if tried:
@@ -274,7 +273,7 @@ class PipelineSteps:
         groups = []
         for idx in self.cliques_with_label(ORDINARY):
             clique = self.acd.cliques[idx]
-            groups.append((clique, mask_of(v for v in clique if slack(v, outside_vo) >= 1)))
+            groups.append((clique, {v for v in clique if slack(v, outside_vo) >= 1}))
         self.gray_then_white("ordinary_gray", "ordinary_white", groups, outside_vo)
 
     def step6_runaway(self) -> None:
@@ -284,7 +283,7 @@ class PipelineSteps:
         for idx in self.cliques_with_label(RUNAWAY):
             escape = self.uncolored_special(idx, "runaway_gray")
             stall |= 1 << escape
-            groups.append((self.acd.cliques[idx], self.g.masks[escape]))
+            groups.append((self.acd.cliques[idx], frozenset(self.g.adj[escape])))
         self.gray_then_white("runaway_gray", "runaway_white", groups, stall)
 
     def step7_nice(self) -> None:
@@ -303,7 +302,7 @@ class PipelineSteps:
 
         # a) ACs containing an escape or protector: N(min anchor) is white,
         # the anchors are stalled.
-        groups = [(clique - pe, self.g.masks[min(clique & pe)]) for clique in sub_a]
+        groups = [(clique - pe, frozenset(self.g.adj[min(clique & pe)])) for clique in sub_a]
         stall = mask_of(v for clique in sub_a for v in clique & pe)
         self.gray_then_white("nice_a_gray", "nice_a_white", groups, stall)
 
@@ -312,23 +311,22 @@ class PipelineSteps:
         groups = []
         stall = 0
         for idx in sub_b:
-            cmask = self.acd.clique_masks[idx]
-            clique = sorted(self.acd.cliques[idx])
-            u = next((v for v in clique if self.g.masks[v] & ~cmask == 0), None)
+            clique = self.acd.cliques[idx]
+            u = next((v for v in sorted(clique) if clique.issuperset(self.g.adj[v])), None)
             if u is None:
                 raise PartitionViolationError(
                     f"nice AC {idx} has no non-edge but no zero-outside-degree node",
                     phase="nice_b_gray",
                 )
             stall |= 1 << u
-            groups.append((clique, 1 << u))
+            groups.append((clique, (u,)))
         self.gray_then_white("nice_b_gray", "nice_b_deferred", groups, stall)
 
         # c) non-edge toeholds: same-color the pair u, w first; then
         # N(u) & N(w) is white with permanent slack.
         self.solve_units("nice_c_pairs", [pair for _, pair in sub_c])
-        masks = self.g.masks if sub_c else ()
-        groups = [(self.acd.cliques[i], masks[u] & masks[w]) for i, (u, w) in sub_c]
+        adj = self.g.adj
+        groups = [(self.acd.cliques[i], set(adj[u]).intersection(adj[w])) for i, (u, w) in sub_c]
         self.gray_then_white("nice_c_gray", "nice_c_white", groups)
 
     def step8_guarded(self) -> None:
@@ -339,15 +337,15 @@ class PipelineSteps:
         for idx in self.cliques_with_label(GUARDED):
             clique = self.acd.cliques[idx]
             protector = self.uncolored_special(idx, "guarded_pairs")
-            pmask = self.g.masks[protector]
-            non_nbrs = self.coloring.uncolored_in(v for v in clique if not (pmask >> v) & 1)
+            nbrs = frozenset(self.g.adj[protector])
+            non_nbrs = self.coloring.uncolored_in(clique - nbrs)
             if not non_nbrs:
                 raise PartitionViolationError(
                     f"guarded AC {idx}: protector {protector} has no uncolored non-neighbor",
                     phase="guarded_pairs",
                 )
             pairs.append(make_unit(non_nbrs[0], protector))
-            groups.append((clique, pmask))
+            groups.append((clique, nbrs))
         self.solve_units("guarded_pairs", pairs)
         self.gray_then_white("guarded_gray", "guarded_white", groups)
         for v in self.part.P:

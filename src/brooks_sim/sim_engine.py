@@ -47,7 +47,7 @@ from _blake2 import blake2b
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MessageSizeViolation, RoundLimitExceeded
+from .errors import MessageSizeViolation, PaletteExhausted, RoundLimitExceeded
 
 TAG_BITS = 2
 
@@ -111,7 +111,8 @@ def run_protocol(
     RoundLimitExceeded naming the nodes still live, MessageSizeViolation in
     strict mode when a broadcast overflows the budget, ValueError when a
     colour overflows `value_bits` or `seed` is not a signed 64-bit int, and
-    AssertionError when a node that may still try has no colour left.
+    PaletteExhausted, naming the node, the round and `phase`, when a node
+    that may still try has no colour left.
     """
     n = len(adj)
     if len(palettes) != n or len(activation) != n:
@@ -159,7 +160,7 @@ def run_protocol(
                     avail = available[v] = [c for c in avail if not mask >> c & 1]
                     blocked[v] = 0
                 if not avail:
-                    raise AssertionError("palette exhausted despite deg+1 invariant")
+                    raise PaletteExhausted(v, round_no, phase=phase)
                 c = None
                 if tries:
                     draw = seeded.copy()

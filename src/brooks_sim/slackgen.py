@@ -119,10 +119,9 @@ def check_lemma33(
     for idx in range(len(acd.cliques)):
         if not cls.is_difficult(idx):
             continue
-        pick = cls.picked_special(idx)
-        inside = g.masks[pick] & acd.clique_masks[idx]
-        total = inside.bit_count()
-        colored = (inside & ~coloring.uncolored_mask).bit_count()
+        inside = acd.cliques[idx].intersection(g.adj[cls.picked_special(idx)])
+        total = len(inside)
+        colored = total - [coloring.color[v] for v in inside].count(None)
         frac = Fraction(colored, total) if total else Fraction(0)
         report.difficult_colored_fraction[idx] = frac
         if 2 * colored > total:

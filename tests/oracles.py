@@ -42,6 +42,7 @@ from brooks_sim.errors import (
     GraphFormatError,
     GraphInvariantError,
     MessageSizeViolation,
+    PaletteExhausted,
     RoundLimitExceeded,
 )
 from brooks_sim.graph_core import Graph
@@ -332,15 +333,23 @@ class TrialProgram:
     with probability p broadcasts a uniform available color; in the resolve
     round it keeps that color if no neighbor tried the same one, announces
     it and halts. `trials` caps the try rounds (None: until colored); a node
-    out of trials halts at its next try round.
+    out of trials halts at its next try round. A node that may still try
+    with no colour left raises PaletteExhausted for `phase`.
     """
 
-    __slots__ = ("available", "p", "trials", "candidate", "color", "halted")
+    __slots__ = ("available", "p", "trials", "phase", "candidate", "color", "halted")
 
-    def __init__(self, palette: Iterable[int], p: float = 0.5, trials: int | None = None):
+    def __init__(
+        self,
+        palette: Iterable[int],
+        p: float = 0.5,
+        trials: int | None = None,
+        phase: str | None = None,
+    ):
         self.available = sorted(palette)
         self.p = p
         self.trials = trials
+        self.phase = phase
         self.candidate: int | None = None
         self.color: int | None = None
         self.halted = False
@@ -356,7 +365,7 @@ class TrialProgram:
             if self.trials == 0:
                 return None, True
             if not self.available:
-                raise AssertionError("palette exhausted despite deg+1 invariant")
+                raise PaletteExhausted(key[1], round_no, phase=self.phase)
             if self.trials is not None:
                 self.trials -= 1
             self.candidate = None
@@ -431,6 +440,7 @@ def run_message_protocol(
 def trial_by_messages(adj, palettes, activation, seed, max_rounds, *, trials=None, **kwargs):
     """`sim_engine.run_protocol`'s inputs and outputs, computed by message
     delivery between `TrialProgram`s."""
-    programs = [TrialProgram(pal, p, trials) for pal, p in zip(palettes, activation)]
+    phase = kwargs.get("phase")
+    programs = [TrialProgram(pal, p, trials, phase) for pal, p in zip(palettes, activation)]
     final, metrics = run_message_protocol(adj, programs, seed, max_rounds, **kwargs)
     return [prog.color for prog in final], metrics

@@ -20,6 +20,7 @@ from brooks_sim.graph_core import (
     generate_instance,
     outside_degree,
 )
+from brooks_sim.graph_core import graph as graph_module
 from brooks_sim.thresholds import Thresholds
 from oracles import missing_pairs
 
@@ -221,7 +222,7 @@ def test_verification_failure_raises_with_report():
 
 def pass_graphs() -> list[Graph]:
     """G(n,p) graphs over a range of densities, plus every family at delta 16,
-    plus graphs with n > 64*Delta, which keep no masks: 4-node cliques and a
+    plus graphs with n*n > 128*m, which keep no masks: 4-node cliques and a
     sparse random_gnd, whose triangles the pass lists, and dense 6-node
     blobs and a farm of near-cliques, whose triangles outnumber their edges
     so that the pass falls back to the masks. Blobs and cliques sit under
@@ -252,17 +253,36 @@ def pass_graphs() -> list[Graph]:
     return graphs
 
 
+def pass_reference(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]:
+    """`common_neighbour_pass(g, at_least)`, computed node by node."""
+    pairs = g.delta * (g.delta - 1) // 2
+    nbrs = [set(a) for a in g.adj]
+    close = [[u for u in g.adj[v] if len(nbrs[u] & nbrs[v]) >= at_least] for v in range(g.n)]
+    return close, [2 * (pairs - missing_pairs(g, v)) for v in range(g.n)]
+
+
 def test_common_neighbour_pass_matches_the_per_node_reference():
     for g in pass_graphs():
-        pairs = g.delta * (g.delta - 1) // 2
-        expected_sums = [2 * (pairs - missing_pairs(g, v)) for v in range(g.n)]
-        nbrs = [set(a) for a in g.adj]
         for at_least in (max(1, g.delta - 3), 0):
-            close, inside_twice = common_neighbour_pass(g, at_least)
-            assert inside_twice == expected_sums
-            assert close == [
-                [u for u in g.adj[v] if len(nbrs[u] & nbrs[v]) >= at_least] for v in range(g.n)
-            ]
+            assert common_neighbour_pass(g, at_least) == pass_reference(g, at_least)
+
+
+def test_sparse_graph_with_a_hub_keeps_no_masks(monkeypatch):
+    # random_gnd plus one node of degree n/64 + 1: all n masks would take
+    # n^2/8 bytes against the 16m bytes of the neighbour tuples, so neither
+    # construction nor the pass builds them
+    def no_masks(nodes):
+        raise AssertionError("the n-bit masks of a sparse graph were built")
+
+    base = generate_instance("random_gnd", 16, 0, n=2000).graph
+    hub = base.n
+    edges = [*base.edges(), *((hub, v) for v in range(hub // 64 + 1))]
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "mask_of", no_masks)
+        g = Graph(hub + 1, edges)
+        got = [common_neighbour_pass(g, at_least) for at_least in (1, 0)]
+    assert not g.small_masks and g.delta == hub // 64 + 1
+    assert got == [pass_reference(g, at_least) for at_least in (1, 0)]
 
 
 def test_verify_alone_gives_the_in_pipeline_report(monkeypatch):

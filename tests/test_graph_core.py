@@ -40,7 +40,7 @@ class TestGraph:
     def test_rejects_duplicate_edge(self):
         with pytest.raises(GraphInvariantError):
             Graph(3, [(0, 1), (1, 0)])
-        # n > 64*Delta: the repeat is found without masks
+        # n*n > 128*m: the repeat is found without masks
         with pytest.raises(GraphInvariantError, match=r"duplicate edge \(0,199\)"):
             Graph(200, [(0, 199), (5, 6), (199, 0)])
 
@@ -121,7 +121,7 @@ class TestGraph:
         for u in range(4):
             for v in g.adj[u]:
                 assert u in g.adj[v]
-        # n > 64*Delta: has_edge searches the sorted tuple, and a copy is
+        # n*n > 128*m: has_edge searches the sorted tuple, and a copy is
         # the same graph before and after the masks are built
         g = Graph(300, [(0, 299), (5, 6), (6, 7)])
         assert not g.small_masks and pickle.loads(pickle.dumps(g)) == g
@@ -467,7 +467,7 @@ class TestPartialColoring:
             pytest.param("matched_cliques", 6, {}, id="matched_cliques-6"),
             pytest.param("guarded_pair", 12, {}, id="guarded_pair-12"),
             pytest.param("random_gnd", 8, {}, id="random_gnd-8"),
-            # n > 64*Delta: no masks, slack counted from the colour list
+            # n*n > 128*m: no masks, slack counted from the colour list
             pytest.param("random_gnd", 8, {"n": 600}, id="random_gnd-8-n600"),
         ],
     )

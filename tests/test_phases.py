@@ -20,6 +20,7 @@ from brooks_sim.phases import (
     run_pipeline,
 )
 from brooks_sim.sim_engine import RoundMetrics
+from brooks_sim.slackgen import run_slack_generation_with_metrics
 from brooks_sim.thresholds import ceil_phi
 from oracles import (
     complete_graph,
@@ -117,6 +118,11 @@ def protected_nice_graph() -> tuple[Graph, dict]:
 # -- gray/white machinery ----------------------------------------------------
 
 
+def no_masks(nodes):
+    """Stands in for `graph_core.graph.mask_of` where no mask may be built."""
+    raise AssertionError("the n-bit masks of a sparse graph were built")
+
+
 def bare_steps(g: Graph, coloring: PartialColoring) -> PipelineSteps:
     """Steps over a hand-made coloring; gray_then_white reads only g and the
     coloring, so the decomposition arguments stay unset."""
@@ -131,7 +137,7 @@ class TestColorGrayThenWhite:
         coloring.assign(1, 2)
         coloring.assign(2, 2)
         steps = bare_steps(g, coloring)
-        steps.gray_then_white("ordinary_gray", "ordinary_white", [((0, 1, 2), 1 << 0)])
+        steps.gray_then_white("ordinary_gray", "ordinary_white", [((0, 1, 2), {0})])
         assert coloring.is_colored(0)
         assert [(r.kind, r.units) for r in steps.ledger] == [
             ("ordinary_gray", 0),
@@ -143,7 +149,7 @@ class TestColorGrayThenWhite:
         coloring = PartialColoring(g)
         steps = bare_steps(g, coloring)
         with pytest.raises(PartitionViolationError) as err:
-            steps.gray_then_white("nice_c_gray", "nice_c_white", [((0,), 0)])
+            steps.gray_then_white("nice_c_gray", "nice_c_white", [((0,), set())])
         assert err.value.phase == "nice_c_gray"
         assert err.value.node == 0
         assert len(steps.ledger) == 0 and not coloring.is_colored(0)
@@ -153,9 +159,9 @@ class TestColorGrayThenWhite:
         coloring = PartialColoring(g)
         steps = bare_steps(g, coloring)
         with pytest.raises(PartitionViolationError) as err:
-            steps.gray_then_white("runaway_gray", "runaway_white", [((0, 1, 2), 0b111)])
+            steps.gray_then_white("runaway_gray", "runaway_white", [((0, 1, 2), {0, 1, 2})])
         assert err.value.phase == "runaway_gray"
-        assert len(steps.ledger) == 0 and coloring.uncolored_mask == (1 << g.n) - 1
+        assert len(steps.ledger) == 0 and coloring.uncolored_in(range(g.n)) == [0, 1, 2]
 
     def test_gray_colored_before_white(self):
         # grays get their instance first; whites stay uncolored meanwhile. A
@@ -164,7 +170,7 @@ class TestColorGrayThenWhite:
         g = Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)] + star)
         coloring = PartialColoring(g)
         steps = bare_steps(g, coloring)
-        steps.gray_then_white("ordinary_gray", "ordinary_white", [(range(4), 1 << 0)])
+        steps.gray_then_white("ordinary_gray", "ordinary_white", [(range(4), {0})])
         assert [(r.kind, r.units) for r in steps.ledger] == [
             ("ordinary_gray", 3),
             ("ordinary_white", 1),
@@ -177,9 +183,28 @@ class TestColorGrayThenWhite:
         g = complete_graph(3)
         coloring = PartialColoring(g)
         steps = bare_steps(g, coloring)
-        steps.gray_then_white("nice_b_gray", "nice_b_deferred", [((0, 1), 1 << 0)], 1 << 2)
+        steps.gray_then_white("nice_b_gray", "nice_b_deferred", [((0, 1), {0})], 1 << 2)
         assert coloring.is_colored(0) and coloring.is_colored(1)
         assert not coloring.is_colored(2)
+
+    def test_sparse_split_builds_no_masks(self, monkeypatch):
+        # the sparse nodes of a graph that keeps no n-bit masks, split after
+        # slack generation: the even-numbered nodes with unit slack are
+        # white, every other uncolored node is gray
+        monkeypatch.setattr(graph_module, "mask_of", no_masks)
+        g = generate_instance("random_gnd", 16, seed=0, n=2000).graph
+        coloring, _ = run_slack_generation_with_metrics(g, range(g.n), 0.5, 0)
+        uncolored = coloring.uncolored_in(range(g.n))
+        white = {v for v in uncolored if v % 2 == 0 and coloring.slack_in(v) >= 1}
+        steps = bare_steps(g, coloring)
+        steps.gray_then_white("ordinary_gray", "ordinary_white", [(uncolored, white)])
+        gray = len(uncolored) - len(white)
+        assert not g.small_masks and gray > 500 and len(white) > 500
+        assert [(r.kind, r.units) for r in steps.ledger] == [
+            ("ordinary_gray", gray),
+            ("ordinary_white", len(white)),
+        ]
+        assert coloring.is_total()
 
 
 # -- per-family pipeline behavior ---------------------------------------------
@@ -207,12 +232,9 @@ class TestPipelineFamilies:
         assert validate_coloring(inst.graph, result.coloring.as_list(), 16)
 
     def test_sparse_graph_colors_without_masks(self, monkeypatch):
-        # n = 2000 > 64*Delta: the graph keeps no n-bit masks, and with no
+        # n*n > 128*m at n = 2000: the graph keeps no n-bit masks, and with no
         # almost-clique nothing asks for them. The pinned outputs are those
         # the masks gave.
-        def no_masks(nodes):
-            raise AssertionError("the n-bit masks of a sparse graph were built")
-
         monkeypatch.setattr(graph_module, "mask_of", no_masks)
         inst = generate_instance("random_gnd", 16, seed=0, n=2000)
         g = inst.graph

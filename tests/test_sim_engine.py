@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from brooks_sim.errors import MessageSizeViolation, RoundLimitExceeded
+from brooks_sim.errors import MessageSizeViolation, PaletteExhausted, RoundLimitExceeded
 from brooks_sim.graph_core import FAMILIES, Graph, generate_instance
 from brooks_sim.listcolor import ListInstance, make_unit, solve_distributed, trial_round_limit
 from brooks_sim.sim_engine import color_value_bits, congest_budget, keyed, run_protocol
@@ -137,8 +137,9 @@ def test_last_trial_halts_before_palette_check():
 
 def test_unlimited_trials_assert_on_exhausted_palette():
     g, palettes, activation = fenced_centre()
-    with pytest.raises(AssertionError, match="palette exhausted"):
-        run_protocol(g.adj, palettes, activation, 0, 8)
+    with pytest.raises(PaletteExhausted, match="palette exhausted") as err:
+        run_protocol(g.adj, palettes, activation, 0, 8, phase="t")
+    assert (err.value.node, err.value.round_no, err.value.phase) == (0, 2, "t")
 
 
 def test_kept_colours_shrink_the_neighbours_palettes():
@@ -193,8 +194,10 @@ def outcome(run, *args, **kwargs):
         return ("RoundLimitExceeded", str(err), err.pending, err.phase)
     except MessageSizeViolation as err:
         return ("MessageSizeViolation", str(err), err.node, err.bits, err.budget, err.phase)
-    except (AssertionError, ValueError) as err:
-        return (type(err).__name__, str(err))
+    except PaletteExhausted as err:
+        return ("PaletteExhausted", str(err), err.node, err.round_no, err.phase)
+    except ValueError as err:
+        return ("ValueError", str(err))
     return ("ok", colors, m.rounds_elapsed, m.messages_sent, m.max_message_bits)
 
 
@@ -257,7 +260,7 @@ def test_engine_matches_message_delivery_on_list_instances(strict):
             expected = outcome(trial_by_messages, *args, **kwargs)
             assert outcome(run_protocol, *args, **kwargs) == expected
         kinds.add(expected[0])
-    wanted = {"ok", "RoundLimitExceeded", "AssertionError", "ValueError"}
+    wanted = {"ok", "RoundLimitExceeded", "PaletteExhausted", "ValueError"}
     assert kinds == (wanted | {"MessageSizeViolation"} if strict else wanted)
 
 
@@ -345,19 +348,6 @@ def test_activation_flips_exactly_above_the_drawn_value():
             assert outcome(trial_by_messages, *args, trials=1) == expected
 
 
-def exhaustion_round(run, *args, **kwargs):
-    """The round in which `run` raises "palette exhausted", by bisection on
-    max_rounds: with fewer rounds the run stops before it."""
-    lo, hi = 1, args[-1]  # the assertion fires within hi rounds, not within lo - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if outcome(run, *args[:-1], mid, **kwargs)[0] == "AssertionError":
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo - 1
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_engine_matches_message_delivery_when_blocks_pile_up(seed):
     # dense instances at activation 0.05-0.1: a node sits out most try
@@ -377,10 +367,9 @@ def test_engine_matches_message_delivery_when_blocks_pile_up(seed):
         expected = outcome(trial_by_messages, *args, **kwargs)
         assert outcome(run_protocol, *args, **kwargs) == expected
         assert shared == list(range(inst.delta))
-        if expected[0] == "AssertionError":
-            fired = exhaustion_round(trial_by_messages, *args, **kwargs)
-            assert exhaustion_round(run_protocol, *args, **kwargs) == fired
-            late_exhaustions += fired >= 4  # after two earlier try rounds
+        if expected[0] == "PaletteExhausted":
+            # both runs named the same node and round; count late ones
+            late_exhaustions += expected[3] >= 4  # after two earlier try rounds
     assert late_exhaustions > 0
 
 
