@@ -74,6 +74,16 @@ class PaletteExhausted(BrooksSimError):
         self.round_no = round_no
 
 
+class ProtocolOutputError(BrooksSimError):
+    """`run_protocol` returned colours its caller rules out: a unit left
+    uncolored after every unit halted, or a colour kept by a node that was
+    not drawing. `node` is the first offending node or unit."""
+
+    def __init__(self, message: str, node, *, phase: str | None = None):
+        super().__init__(f"{message}: {node}", phase=phase)
+        self.node = node
+
+
 class AcdVerificationError(BrooksSimError):
     """The computed decomposition fails one of the four contract properties."""
 

@@ -1,4 +1,4 @@
-"""Partial colorings over [delta]: a colour list plus the uncolored mask."""
+"""Partial colorings over [delta]: a colour list plus an uncolored count."""
 
 from __future__ import annotations
 
@@ -14,21 +14,24 @@ class PartialColoring:
     The colour list `color` is the only record of who has which colour:
     `palette(*nodes)` and `slack_in(v, left_out)` read the colours of the
     neighbours from it on every call, in O(deg) per node. Beside it sits a
-    private mask with one bit per uncolored node. Where the graph keeps its
-    n-bit masks (`Graph.small_masks`), `slack_in` reads an uncolored degree
-    inside a subgraph as one AND and a popcount. Elsewhere it counts the
-    uncolored neighbours in the colour list and takes off those the
+    count of the uncolored nodes, which `is_total` reads. Where the graph
+    keeps its n-bit masks (`Graph.small_masks`), a private mask with one bit
+    per uncolored node sits there too, and `slack_in` reads an uncolored
+    degree inside a subgraph as one AND and a popcount. Elsewhere there is
+    no such mask, whose upkeep costs O(n) per `assign`: `slack_in` counts
+    the uncolored neighbours in the colour list and takes off those the
     subgraph leaves out, so a sparse graph's masks are never built. The
     tests cross-check palettes and slacks against a from-scratch recount.
     """
 
-    __slots__ = ("graph", "delta", "color", "_uncolored")
+    __slots__ = ("graph", "delta", "color", "_uncolored_count", "_uncolored")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.delta = graph.delta
         self.color: list[int | None] = [None] * graph.n
-        self._uncolored: int = (1 << graph.n) - 1
+        self._uncolored_count = graph.n
+        self._uncolored: int | None = (1 << graph.n) - 1 if graph.small_masks else None
 
     def is_colored(self, v: int) -> bool:
         return self.color[v] is not None
@@ -42,7 +45,9 @@ class PartialColoring:
             if self.color[u] == c:
                 raise ImproperColoringError(f"edge ({u},{v}) would be monochromatic in {c}")
         self.color[v] = c
-        self._uncolored ^= 1 << v  # v was uncolored, so its bit is set
+        self._uncolored_count -= 1
+        if self._uncolored is not None:
+            self._uncolored ^= 1 << v  # v was uncolored, so its bit is set
 
     def palette(self, *nodes: int) -> tuple[int, ...]:
         """Ascending colours of [delta] held by no neighbour of any given
@@ -75,7 +80,7 @@ class PartialColoring:
         return sorted(v for v in nodes if self.color[v] is None)
 
     def is_total(self) -> bool:
-        return self._uncolored == 0
+        return self._uncolored_count == 0
 
     def as_list(self) -> list[int | None]:
         return list(self.color)

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from ..errors import UnsupportedFamilyError, check_int
 from ..thresholds import DEFAULT_EPSILON, ceil_phi, floor_psi
-from .graph import Graph
+from .graph import Graph, masks_fit
 from .measures import contains_delta_plus_one_clique
 
 
@@ -274,7 +274,15 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
             f"random_gnd({delta}): n must exceed delta, got {n} (rounded up to even)"
         )
     d = delta - 2
-    adj: list[set[int]] = [set() for _ in range(n)]
+    # the d*n/2 planned edges decide the Graph's side of the mask size rule;
+    # where it keeps no masks, a short neighbour list is smaller and quicker
+    # to build than a set, and on the dense side a set's lookup wins
+    if masks_fit(n, d * n // 2):
+        adj: list = [set() for _ in range(n)]
+        add = set.add
+    else:
+        adj = [[] for _ in range(n)]
+        add = list.append
     edges: list[tuple[int, int]] = []
     # union of d // 2 random Hamiltonian cycles, plus a random perfect
     # matching when d is odd; a pair already joined is skipped. Each
@@ -290,8 +298,8 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
             pairs = zip(perm[0::2], perm[1::2])
         for u, v in pairs:
             if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
+                add(adj[u], v)
+                add(adj[v], u)
                 edges.append((u, v))
     # duplicate skips leave degrees <= delta-2; raise node 0 to exactly delta by
     # 50n random picks, then by a deterministic scan that is effectively unreachable
@@ -299,8 +307,8 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
     picks = chain((rng.randrange(1, n) for _ in range(50 * n)), range(1, n))
     for v in picks:
         if len(adj[v]) <= delta - 2 and v not in adj0:
-            adj0.add(v)
-            adj[v].add(0)
+            add(adj0, v)
+            add(adj[v], 0)
             edges.append((0, v))
             if len(adj0) >= delta:
                 break

@@ -19,10 +19,10 @@ class Graph:
     cost one pointer per edge end. All n masks cost n^2/8 bytes against the
     16m bytes of the tuples' 2m entries, so the masks are built in
     construction only where they are no larger than the tuples:
-    `small_masks` is n*n <= 128*m. Elsewhere `masks` is built on first
-    read, and only graph_core, the ACD and classification read it, so a
-    graph with n*n > 128*m and no almost-clique keeps memory linear in its
-    edges. Construction raises
+    `small_masks` is `masks_fit(n, m)`, n*n <= 128*m, the one home of that
+    rule. Elsewhere `masks` is built on first read, and only graph_core,
+    the ACD and classification read it, so a graph with n*n > 128*m and no
+    almost-clique keeps memory linear in its edges. Construction raises
     GraphInvariantError for a node count that is not an int, and for the
     first edge, in input order, that is not a pair of int ids, is out of
     range, a self-loop or a duplicate.
@@ -54,15 +54,21 @@ class Graph:
         except (TypeError, ValueError):
             # an edge that is not a pair of ints; only the defect scan checks types
             _raise_first_defect(n, edges)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        # each list gives way to its tuple at once, so the two never coexist in full
+        for v, a in enumerate(adj):
+            a.sort()
+            adj[v] = tuple(a)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
         self.m = len(edges)
-        self.delta = max((len(a) for a in self.adj), default=0)
-        # n*n/8 <= 16*m bytes: the masks are no larger than the tuples
-        self.small_masks: bool = n * n <= 128 * self.m
+        self.delta = max(map(len, self.adj), default=0)
+        self.small_masks: bool = masks_fit(n, self.m)
         self._masks: tuple[int, ...] | None = None
-        # a repeated edge repeats a neighbour, which a bitmask or a set counts once
+        # a repeated edge repeats a neighbour, which a set counts once; distinct
+        # powers of two sum to their OR, a repeated one carries and loses a bit
         if self.small_masks:
-            repeated = any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj))
+            pow2 = [1 << v for v in range(n)]
+            self._masks = tuple([sum(map(pow2.__getitem__, a)) for a in self.adj])
+            repeated = any(mask.bit_count() < len(a) for mask, a in zip(self._masks, self.adj))
         else:
             repeated = any(len(set(a)) < len(a) for a in self.adj)
         if repeated:
@@ -99,6 +105,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, delta={self.delta})"
+
+
+def masks_fit(n: int, m: int) -> bool:
+    """The mask size rule: n masks of n bits take n*n/8 bytes, the 2m
+    entries of the neighbour tuples 16*m; a graph keeps its masks from
+    construction on only where they are no larger."""
+    return n * n <= 128 * m
 
 
 def mask_of(nodes: Iterable[int]) -> int:

@@ -9,13 +9,15 @@ other measures answer one neighbourhood question each, by one walk over
 `g.adj[v]` or one mask expression.
 
 The pass and `is_simplicial` read the n-bit masks only where the graph
-keeps them (`Graph.small_masks`). Elsewhere the pass lists triangles over
-later-neighbour sets and `is_simplicial` intersects sets, so a sparse graph
-never builds its masks. The listing pays per triangle where the masks pay
-per edge, so once it has found more triangles than it has walked edges it
-stops and the pass reads the masks after all; such a graph is locally
-dense, and its almost-cliques read them anyway. The results are the same
-on every path.
+keeps them (`Graph.small_masks`). Elsewhere the pass lists triangles and
+`is_simplicial` intersects sets, so a sparse graph never builds its masks.
+The listing holds each node's later neighbours as a tuple slice and
+builds one set at a time, for the node it is at, so its memory is of the
+order of the graph's rather than n sets (Latapy 2008). It pays per
+triangle where the masks pay per edge, so once it has found more triangles
+than it has walked edges it stops and the pass reads the masks after all;
+such a graph is locally dense, and its almost-cliques read them anyway.
+The results are the same on every path.
 """
 
 from __future__ import annotations
@@ -58,21 +60,24 @@ def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], lis
 
 def _triangle_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]] | None:
     """`common_neighbour_pass` without masks. Each triangle u < v < w is
-    found once, at edge uv, in the intersection of the two later-neighbour
-    sets; most edges of a sparse graph close none, and `isdisjoint` rejects
-    them without building a set. None as soon as the triangles found
-    outnumber the edges walked: there one mask AND per edge is cheaper."""
-    later = [frozenset(nbrs[bisect_right(nbrs, u):]) for u, nbrs in enumerate(g.adj)]
+    found once, at edge uv, where v's later neighbours meet the set of u's;
+    only the current u's set exists at a time, the rest stay tuple slices.
+    Most edges of a sparse graph close no triangle, and `isdisjoint`
+    rejects them without building a set. None as soon as the triangles
+    found outnumber the edges walked: there one mask AND per edge is
+    cheaper."""
+    later = [nbrs[bisect_right(nbrs, u):] for u, nbrs in enumerate(g.adj)]
     # shared[u][v] = |N(u) & N(v)| for each edge uv, u < v, in some triangle
     shared: defaultdict[int, dict[int, int]] = defaultdict(dict)
     walked = found = 0
     for u, lu in enumerate(later):
         walked += len(lu)
+        su = set(lu)
         for v in lu:
             lv = later[v]
-            if lu.isdisjoint(lv):
+            if su.isdisjoint(lv):
                 continue
-            common = lu & lv
+            common = su.intersection(lv)
             found += len(common)
             row_u, row_v = shared[u], shared[v]
             row_u[v] = row_u.get(v, 0) + len(common)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import BrooksSimError, DegPlusOneViolation
+from .errors import BrooksSimError, DegPlusOneViolation, ProtocolOutputError
 from .graph_core import Graph, PartialColoring
 from .sim_engine import RoundMetrics, color_value_bits, run_protocol
 
@@ -123,8 +123,9 @@ def solve_distributed(
         phase=instance.name,
     )
     assignment = dict(zip(instance.units, colors))
-    if any(c is None for c in assignment.values()):
-        raise AssertionError("halted with uncolored units")
+    if None in colors:
+        unit = instance.units[colors.index(None)]
+        raise ProtocolOutputError("halted with an uncolored unit", unit, phase=instance.name)
     return assignment, metrics
 
 

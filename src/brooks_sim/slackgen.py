@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .acd import AlmostCliqueDecomposition
 from .classify import ACClassification, FinePartition, ORDINARY
-from .errors import BrooksSimError
+from .errors import BrooksSimError, ProtocolOutputError
 from .graph_core import Graph, PartialColoring
 from .sim_engine import RoundMetrics, color_value_bits, run_protocol
 
@@ -56,7 +56,7 @@ def run_slack_generation_with_metrics(
     for v, c in enumerate(colors):
         if c is not None:
             if v not in pset:
-                raise AssertionError("non-participant kept a color")
+                raise ProtocolOutputError("non-participant kept a color", v, phase="slackgen")
             coloring.assign(v, c)
     return coloring, metrics
 

@@ -17,6 +17,7 @@ from brooks_sim.graph_core import (
     mask_of,
     save_graph,
 )
+from brooks_sim.graph_core.graph import masks_fit
 from oracles import (
     complete_graph,
     cycle_graph,
@@ -43,6 +44,24 @@ class TestGraph:
         # n*n > 128*m: the repeat is found without masks
         with pytest.raises(GraphInvariantError, match=r"duplicate edge \(0,199\)"):
             Graph(200, [(0, 199), (5, 6), (199, 0)])
+
+    @pytest.mark.parametrize("n", [4, 200])
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (0, 2), (2, 3), (1, 0)], "duplicate edge (0,1)"),
+            # node 0's powers of two 2+2+4+8 carry twice, to the single bit 16
+            ([(0, 1), (1, 0), (0, 2), (0, 3)], "duplicate edge (0,1)"),
+            ([(2, 3), (0, 1), (3, 2), (1, 0)], "duplicate edge (2,3)"),
+        ],
+    )
+    def test_repeated_edge_message_is_the_same_on_both_sides_of_the_mask_rule(
+        self, n, edges, message
+    ):
+        assert masks_fit(n, len(edges)) == (n == 4)
+        with pytest.raises(GraphInvariantError) as err:
+            Graph(n, edges)
+        assert str(err.value) == message
 
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphInvariantError):
@@ -423,6 +442,16 @@ class TestPartialColoring:
             col.assign(1, 1)
         col.assign(1, 0)
         col.assign(2, 1)
+        assert col.is_total()
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_is_total_on_both_sides_of_the_mask_rule(self, n):
+        g = path_graph(n)
+        assert g.small_masks == (n == 3)
+        col = PartialColoring(g)
+        for v in range(n):
+            assert not col.is_total()
+            col.assign(v, v % 2)
         assert col.is_total()
 
     def test_color_range_enforced(self):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from brooks_sim.errors import BrooksSimError, DegPlusOneViolation
+from brooks_sim import listcolor
+from brooks_sim.errors import BrooksSimError, DegPlusOneViolation, ProtocolOutputError
 from brooks_sim.graph_core import Graph, PartialColoring
 from brooks_sim.listcolor import build_instance, make_unit, solve_distributed
+from brooks_sim.sim_engine import RoundMetrics
 from oracles import (
     complete_graph,
     list_instance,
@@ -143,6 +145,19 @@ class TestSolveDistributed:
         assignment, metrics = solve_distributed(inst, seed=0)
         assert assignment == {}
         assert metrics.rounds_elapsed == 0
+
+    def test_uncolored_unit_after_halt_is_a_typed_error(self, monkeypatch):
+        # an engine that halts with a unit uncolored breaks the solver's contract
+        monkeypatch.setattr(
+            listcolor, "run_protocol", lambda *args, **kwargs: ([0, None], RoundMetrics())
+        )
+        inst = list_instance(
+            (make_unit(2), make_unit(5)), (), (frozenset({0}), frozenset({1})), delta=4, name="t"
+        )
+        with pytest.raises(ProtocolOutputError) as err:
+            solve_distributed(inst, seed=0)
+        assert str(err.value) == "halted with an uncolored unit: (5,)"
+        assert (err.value.phase, err.value.node) == ("t", (5,))
 
     def test_clique_instance_all_distinct(self):
         k = 6

@@ -3,11 +3,12 @@ import random
 import pytest
 from fractions import Fraction
 
+from brooks_sim import slackgen
 from brooks_sim.acd import compute_acd
 from brooks_sim.classify import classify_acs, fine_partition
-from brooks_sim.errors import BrooksSimError
+from brooks_sim.errors import BrooksSimError, ProtocolOutputError
 from brooks_sim.graph_core import Graph, PartialColoring, generate_instance
-from brooks_sim.sim_engine import keyed
+from brooks_sim.sim_engine import RoundMetrics, keyed
 from brooks_sim.slackgen import check_lemma33, participant_set, run_slack_generation_with_metrics
 from oracles import complete_graph, measure_slack
 
@@ -39,6 +40,16 @@ def test_adjacent_equal_draws_both_discarded():
     g = complete_graph(2)
     coloring = run_slack_generation_with_metrics(g, [0, 1], 1.0, 7)[0]
     assert colored_nodes(coloring) == []
+
+
+def test_color_kept_by_non_participant_is_a_typed_error(monkeypatch):
+    # node 3 drew nothing (activation 0), so an engine that colours it is broken
+    broken = [None, 1, None, 2, None, None]
+    monkeypatch.setattr(slackgen, "run_protocol", lambda *args, **kwargs: (broken, RoundMetrics()))
+    with pytest.raises(ProtocolOutputError) as err:
+        run_slack_generation_with_metrics(star_plus_isolated(), [1, 2], 1.0, 0)
+    assert str(err.value) == "non-participant kept a color: 3"
+    assert (err.value.phase, err.value.node) == ("slackgen", 3)
 
 
 @pytest.mark.parametrize("p_g", [-0.1, 1.5, 2.0, float("nan")])
