@@ -1,4 +1,4 @@
-"""Partial colorings over [delta]: a colour list plus an uncolored count."""
+"""Partial colorings over [delta]: colours, used-colour masks, an uncolored count."""
 
 from __future__ import annotations
 
@@ -11,25 +11,25 @@ from .graph import Graph
 class PartialColoring:
     """Proper partial coloring; colors are ints in [0, delta).
 
-    The colour list `color` is the only record of who has which colour:
-    `palette(*nodes)` and `slack_in(v, left_out)` read the colours of the
-    neighbours from it on every call, in O(deg) per node. Beside it sits a
-    count of the uncolored nodes, which `is_total` reads. Where the graph
-    keeps its n-bit masks (`Graph.small_masks`), a private mask with one bit
-    per uncolored node sits there too, and `slack_in` reads an uncolored
-    degree inside a subgraph as one AND and a popcount. Elsewhere there is
-    no such mask, whose upkeep costs O(n) per `assign`: `slack_in` counts
-    the uncolored neighbours in the colour list and takes off those the
-    subgraph leaves out, so a sparse graph's masks are never built. The
-    tests cross-check palettes and slacks against a from-scratch recount.
+    A set of colours is a delta-bit mask. Beside the colour list `color`,
+    `used[v]` holds the colours of v's neighbours: `assign` ORs the new bit
+    into each neighbour's mask as it walks N(v), so its properness check is
+    one bit test, and `palette_mask` and `slack_in` read masks, not N(v).
+    `is_total` reads a count of the uncolored nodes. Where the graph keeps
+    its n-bit masks (`Graph.small_masks`), a mask of the uncolored nodes
+    gives `slack_in` an uncolored degree as one AND and a popcount; its
+    upkeep would cost O(n) per `assign` elsewhere, so there `slack_in`
+    counts uncolored neighbours in the colour list and the graph's masks
+    are never built. The tests recount palettes and slacks from scratch.
     """
 
-    __slots__ = ("graph", "delta", "color", "_uncolored_count", "_uncolored")
+    __slots__ = ("graph", "delta", "color", "used", "_uncolored_count", "_uncolored")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.delta = graph.delta
         self.color: list[int | None] = [None] * graph.n
+        self.used = [0] * graph.n
         self._uncolored_count = graph.n
         self._uncolored: int | None = (1 << graph.n) - 1 if graph.small_masks else None
 
@@ -41,20 +41,25 @@ class PartialColoring:
             raise ImproperColoringError(f"node {v} already colored")
         if not 0 <= c < self.delta:
             raise ImproperColoringError(f"color {c} outside [0,{self.delta})")
-        for u in self.graph.adj[v]:
-            if self.color[u] == c:
-                raise ImproperColoringError(f"edge ({u},{v}) would be monochromatic in {c}")
+        nbrs = self.graph.adj[v]
+        if self.used[v] >> c & 1:
+            u = next(u for u in nbrs if self.color[u] == c)
+            raise ImproperColoringError(f"edge ({u},{v}) would be monochromatic in {c}")
         self.color[v] = c
+        used, bit = self.used, 1 << c
+        for u in nbrs:
+            used[u] |= bit
         self._uncolored_count -= 1
         if self._uncolored is not None:
             self._uncolored ^= 1 << v  # v was uncolored, so its bit is set
 
-    def palette(self, *nodes: int) -> tuple[int, ...]:
-        """Ascending colours of [delta] held by no neighbour of any given
-        node; for a pair, the intersection of the two palettes."""
-        color, adj = self.color, self.graph.adj
-        used = {color[u] for v in nodes for u in adj[v]}
-        return tuple([c for c in range(self.delta) if c not in used])
+    def palette_mask(self, *nodes: int) -> int:
+        """The colours of [delta] held by no neighbour of any given node,
+        as a mask; for a pair, the intersection of the two palettes."""
+        held = 0
+        for v in nodes:
+            held |= self.used[v]
+        return ((1 << self.delta) - 1) & ~held
 
     def slack_in(self, v: int, left_out: int = 0) -> int:
         """Slack of v in the subgraph induced by V minus the nodes of the
@@ -62,19 +67,15 @@ class PartialColoring:
         subgraph; v must be uncolored for the value to mean anything,
         callers enforce that.
         """
-        color, graph = self.color, self.graph
-        nbrs = graph.adj[v]
+        graph = self.graph
         if graph.small_masks:
-            used = {color[u] for u in nbrs}
-            used.discard(None)
             uncolored = (graph.masks[v] & ~left_out & self._uncolored).bit_count()
-            return self.delta - len(used) - uncolored
-        cols = list(map(color.__getitem__, nbrs))
-        uncolored = cols.count(None)
-        used = len(set(cols)) - (uncolored > 0)
-        if left_out:
-            uncolored -= sum(1 for u in nbrs if color[u] is None and left_out >> u & 1)
-        return self.delta - used - uncolored
+        else:
+            color, nbrs = self.color, graph.adj[v]
+            uncolored = list(map(color.__getitem__, nbrs)).count(None)
+            if left_out:
+                uncolored -= sum(1 for u in nbrs if color[u] is None and left_out >> u & 1)
+        return self.delta - self.used[v].bit_count() - uncolored
 
     def uncolored_in(self, nodes: Iterable[int]) -> list[int]:
         return sorted(v for v in nodes if self.color[v] is None)

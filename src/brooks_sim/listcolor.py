@@ -1,20 +1,20 @@
 """(deg+1)-list coloring: instances and the randomized trial engine.
 
-A unit is one real node or a pair of real nodes that must end up
+A unit is one real node or a pair of distinct real nodes that must end up
 same-colored. Units are adjacent when any two of their members are adjacent
-in G; a unit's palette, `PartialColoring.palette(*unit)`, is [delta] minus
-the colors of colored G-neighbors of any member (so a pair's palette is the
-intersection of its endpoints' palettes). A `ListInstance` holds the unit
-adjacency and the palettes exactly as `run_protocol` takes them.
+in G; a unit's palette mask, `PartialColoring.palette_mask(*unit)`, is
+[delta] minus the colors of colored G-neighbors of any member (so a pair's
+palette is the intersection of its endpoints' palettes). A `ListInstance`
+holds the unit adjacency and the palettes exactly as `run_protocol` takes them.
 
 The distributed solver is the plain synchronous trial loop of
 `sim_engine.run_protocol` (activate w.p. 1/2, try a uniform available color,
 keep on no conflict, until every unit is colored) standing in for the cited
 list-coloring algorithms; it reports rounds but makes no round-complexity
 claim. Each round is resolved by color class: one array of the units'
-candidates per try round, and a blocked-color int per unit for the colors
-its neighbours kept, which is what per-neighbour TRY and KEEP messages would
-tell it. The same loop, limited to one trial, is the slack-generation step.
+candidates per try round, and a kept color clears its bit in each uncolored
+neighbour's palette mask, as per-neighbour TRY and KEEP messages would tell
+it. The same loop, limited to one trial, is the slack-generation step.
 """
 
 from __future__ import annotations
@@ -34,19 +34,19 @@ class ListInstance:
     """One (deg+1)-list instance over `units`, sorted.
 
     `adj[i]` is the ascending tuple of the units adjacent to unit i, so a
-    unit's degree is `len(adj[i])`; `palettes[i]` is its palette as an
-    ascending tuple of colors in [delta].
+    unit's degree is `len(adj[i])`; `palettes[i]` is its palette as a mask
+    with bit c for each color c in [delta].
     """
 
     name: str
     delta: int
     units: tuple[Unit, ...]
     adj: tuple[tuple[int, ...], ...]
-    palettes: tuple[tuple[int, ...], ...]
+    palettes: tuple[int, ...]
 
     @property
     def min_palette(self) -> int | None:
-        return min((len(p) for p in self.palettes), default=None)
+        return min((p.bit_count() for p in self.palettes), default=None)
 
     @property
     def max_degree(self) -> int | None:
@@ -69,6 +69,8 @@ def build_instance(
     units = tuple(sorted(make_unit(*u) for u in units))
     node_to_unit: dict[int, int] = {}
     for idx, unit in enumerate(units):
+        if not (len(unit) == 1 or len(unit) == 2 and unit[0] < unit[1]):  # sorted
+            raise BrooksSimError(f"{name}: unit {unit} is not 1 or 2 distinct nodes", phase=name)
         for v in unit:
             if coloring.is_colored(v):
                 raise BrooksSimError(f"{name}: unit member {v} is already colored", phase=name)
@@ -76,7 +78,7 @@ def build_instance(
                 raise BrooksSimError(f"{name}: node {v} appears in two units", phase=name)
             node_to_unit[v] = idx
 
-    palettes = [coloring.palette(*unit) for unit in units]
+    palettes = tuple(coloring.palette_mask(*unit) for unit in units)
 
     # Without pairs, unit ids ascend with node ids, so a row read off the
     # sorted g.adj[v] is ascending and repeat-free as it stands. A pair can
@@ -92,11 +94,9 @@ def build_instance(
     adj = tuple(rows)
 
     for unit, palette, nbrs in zip(units, palettes, adj):
-        if len(palette) < len(nbrs) + 1:
-            raise DegPlusOneViolation(name, unit, len(palette), len(nbrs))
-    return ListInstance(
-        name=name, delta=coloring.delta, units=units, adj=adj, palettes=tuple(palettes)
-    )
+        if palette.bit_count() < len(nbrs) + 1:
+            raise DegPlusOneViolation(name, unit, palette.bit_count(), len(nbrs))
+    return ListInstance(name=name, delta=coloring.delta, units=units, adj=adj, palettes=palettes)
 
 
 def trial_round_limit(unit_count: int) -> int:

@@ -1,25 +1,22 @@
 """Round-synchronous simulator of the randomized colour trial (Johansson,
 "Simple distributed Delta+1-coloring of graphs", IPL 1999), with bit
-accounting. Even rounds try: a live node drops the colours its neighbours
-just kept and, with its activation probability, broadcasts a uniform colour
-of what is left. Odd rounds resolve: it keeps that colour if no neighbour
-tried the same one, broadcasts it and halts. A trial cap, the same for every
-node, halts the live nodes at the next try round before any palette check.
+accounting. Even rounds try: a live node with no colour left fails, and
+otherwise, with its activation probability, broadcasts a uniform colour of
+its palette. Odd rounds resolve: it keeps that colour if no neighbour tried
+the same one, broadcasts it and halts, and its neighbours strike it from
+their palettes. A trial cap, the same for every node, halts the live nodes
+at the next try round before any palette check.
 
 `run_protocol` resolves rounds by colour class instead of delivering
-messages: a try round writes each live node's candidate (or None) into one
-array, and the resolve round compares a candidate with the neighbours'
-entries, which are exactly the TRY messages its inbox would hold. A kept
-colour sets a bit in the `blocked` int of each neighbour not yet coloured,
-as the KEEP messages would. The bits pile up until the node activates,
-when it removes them from its palette before drawing its colour; a node
-that sits out filters only once its palette is no longer than its count of
-blocked bits, the first try round at which it may have no colour left, so
-the palette check fails at the node and round where per-round filtering
-would fail it. A broadcast from a node with neighbours counts one message
-per neighbour, encoded as 2 tag bits plus `value_bits` payload bits; the
-strict budget checks that size and `max_message_bits` records the largest
-(all the CONGEST bound needs).
+messages. A palette is a mask with bit c for colour c. A try round writes
+each live node's candidate (or None) into one array, and the resolve round
+compares a candidate with the neighbours' entries, which are exactly the
+TRY messages its inbox would hold. A kept colour clears its bit in the mask
+of each neighbour not yet coloured, as the KEEP messages would, so a
+palette has run out when its mask is 0. A broadcast from a node with
+neighbours counts one message per neighbour, encoded as 2 tag bits plus
+`value_bits` payload bits; the strict budget checks that size and
+`max_message_bits` records the largest (all the CONGEST bound needs).
 
 Every random bit of a run is a blake2b-64 digest of little-endian signed
 64-bit ints, read little-endian. Node v draws the digest h of
@@ -28,6 +25,9 @@ so a run is a pure function of its inputs and a node that draws nothing
 (activation 0) moves no other node's draws. It activates when the 53-bit
 float `(h >> 11) / 2**53` is below its probability p, which the engine
 tests as `h < ceil(p * 2**53) << 11`, one integer limit per distinct p.
+With k colours left it tries the set bit of rank `(h * k) >> 64` in its
+mask (found bytewise via `_BYTE_BITS`), the colour an ascending list holds
+at that index, so the draw does not depend on how a palette is stored.
 blake2b is a streaming hash: `run_protocol` checks the seed and primes one
 state with it at entry, and draws each key from a copy of that state
 updated once with the packed (v, round, tag). `keyed(*parts)` hashes its
@@ -55,6 +55,8 @@ Adjacency = Sequence[Sequence[int]]
 
 _PACKERS = {k: struct.Struct(f"<{k}q").pack for k in (2, 3, 4)}
 _PACK_ONE = struct.Struct("<q").pack
+
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
 # Initialised once and never updated: each `keyed` call hashes a copy of it.
 _BLAKE2B_64 = blake2b(digest_size=8)
@@ -91,7 +93,7 @@ class RoundMetrics:
 
 def run_protocol(
     adj: Adjacency,
-    palettes: Sequence[Sequence[int]],
+    palettes: Sequence[int],
     activation: Sequence[float],
     seed: int,
     max_rounds: int,
@@ -104,9 +106,9 @@ def run_protocol(
     """Run trial rounds until every node halts or max_rounds is hit.
 
     `adj[v]` lists v's neighbours (`Graph.adj` or `ListInstance.adj`),
-    `palettes[v]` its colours (ints >= 0) in ascending order (nodes may
-    share one list; it is never mutated) and `activation[v]` its try
-    probability. `trials` caps the try rounds (None: until coloured).
+    `palettes[v]` is its palette as a mask with bit c for colour c, and
+    `activation[v]` its try probability. `trials` caps the try rounds
+    (None: until coloured).
     Returns each node's kept colour or None, plus metrics. Raises
     RoundLimitExceeded naming the nodes still live, MessageSizeViolation in
     strict mode when a broadcast overflows the budget, ValueError when a
@@ -130,8 +132,7 @@ def run_protocol(
     bits = TAG_BITS + value_bits
     value_limit = 1 << value_bits
     over_budget = strict_bit_budget is not None and bits > strict_bit_budget
-    available = list(palettes)  # replaced by a filtered copy once a colour is blocked
-    blocked = [0] * n  # bit c: a neighbour kept colour c since v's palette was filtered
+    masks = list(palettes)  # a KEEP clears its colour in each live neighbour's mask
     cand: list[int | None] = [None] * n  # colour tried in the last try round
     colors: list[int | None] = [None] * n
     live = list(range(n))
@@ -148,35 +149,38 @@ def run_protocol(
             if trials_left is not None:
                 trials_left -= 1
             for v in live:
-                avail = available[v]
-                mask = blocked[v]
-                tries = False
+                mask = masks[v]
+                if not mask:
+                    raise PaletteExhausted(v, round_no, phase=phase)
+                c = None
                 if limit[v]:  # with p <= 0 the activation draw cannot succeed
                     draw = seeded.copy()
                     draw.update(pack_key(v, round_no, 0))
-                    tries = from_bytes(draw.digest(), "little") < limit[v]
-                # a node that sits out filters only once its blocks may cover its palette
-                if mask and (tries or len(avail) <= mask.bit_count()):
-                    avail = available[v] = [c for c in avail if not mask >> c & 1]
-                    blocked[v] = 0
-                if not avail:
-                    raise PaletteExhausted(v, round_no, phase=phase)
-                c = None
-                if tries:
-                    draw = seeded.copy()
-                    draw.update(pack_key(v, round_no, 1))
-                    c = avail[(from_bytes(draw.digest(), "little") * len(avail)) >> 64]
-                    nbrs = adj[v]  # an isolated node sends, and checks, nothing
-                    if nbrs and not 0 <= c < value_limit:
-                        raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
-                    if nbrs and over_budget:
-                        raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
-                    sent += len(nbrs)
+                    if from_bytes(draw.digest(), "little") < limit[v]:
+                        draw = seeded.copy()
+                        draw.update(pack_key(v, round_no, 1))
+                        k = (from_bytes(draw.digest(), "little") * mask.bit_count()) >> 64
+                        c = 0  # the position of the k-th set bit, a byte at a time
+                        if mask & (mask + 1):  # in a mask 2**m - 1 it is k
+                            row = _BYTE_BITS[mask & 255]
+                            while k >= len(row):
+                                k -= len(row)
+                                mask >>= 8
+                                c += 8
+                                row = _BYTE_BITS[mask & 255]
+                            k = row[k]
+                        c += k
+                        nbrs = adj[v]  # an isolated node sends, and checks, nothing
+                        if nbrs and c >= value_limit:
+                            raise ValueError(f"node {v}: value {c} overflows {value_bits} bits")
+                        if nbrs and over_budget:
+                            raise MessageSizeViolation(v, bits, strict_bit_budget, phase=phase)
+                        sent += len(nbrs)
                 cand[v] = c
             continue
         # A KEEP repeats the checked TRY value to the same neighbours. A
         # keeper's entry in `cand` goes stale, but a neighbour that tries
-        # again has that colour blocked, so it can never match.
+        # again has that colour cleared, so it can never match.
         block = trials_left is None or trials_left > 0
         still = []
         for v in live:
@@ -193,10 +197,10 @@ def run_protocol(
                 colors[v] = c
                 sent += len(nbrs)
                 if block and nbrs:
-                    bit = 1 << c
+                    clear = ~(1 << c)
                     for u in nbrs:
                         if colors[u] is None:  # a coloured node tries no more
-                            blocked[u] |= bit
+                            masks[u] &= clear
         live = still
     if live:
         pending = tuple(live)

@@ -2,11 +2,11 @@
 
 Participants activate independently with probability p_g, activated nodes try
 a uniform color from [delta] and keep it exactly when no neighbor tried the
-same color. This is `sim_engine.run_protocol` capped at one trial, with one
-palette [delta] shared by every node and activation 0 for non-participants
-(they draw nothing). It takes a try round, a resolve round (keep/discard +
-keep announcements), and a final round in which the nodes that kept nothing
-halt. The resolve round compares each candidate with the neighbours' entries
+same color. This is `sim_engine.run_protocol` capped at one trial, with the
+palette mask of all of [delta] for every node and activation 0 for
+non-participants (they draw nothing). It takes a try round, a resolve round
+(keep/discard + keep announcements), and a final round in which the nodes
+that kept nothing halt. The resolve round compares each candidate with the neighbours' entries
 of one candidate array instead of reading their TRY messages; with a single
 trial no later try round reads the kept colors, so they block nothing.
 """
@@ -43,7 +43,7 @@ def run_slack_generation_with_metrics(
     pset = set(participants)
     colors, metrics = run_protocol(
         g.adj,
-        [range(g.delta)] * g.n,
+        [(1 << g.delta) - 1] * g.n,
         [p_g if v in pset else 0.0 for v in range(g.n)],
         seed,
         max_rounds=4,

@@ -7,11 +7,13 @@ decides by construction:
   order, forward palette pruning, canonical new-color symmetry breaking) over
   adjacency bitmasks, so a caller can check a graph without building a
   `Graph`; `is_k_colorable_fast` tries a largest-first greedy coloring first;
-- `list_instance` builds a `ListInstance` from unit-index edges, and
-  `recount_instance` recounts from G and the colour list the adjacency and
-  palettes that `build_instance` must give a set of units;
+- `list_instance` builds a `ListInstance` from unit-index edges and colour
+  lists, and `recount_instance` recounts from G and the colour list the
+  adjacency and the palettes, as ascending colour tuples, that
+  `build_instance` must give a set of units;
 - `solve_greedy_oracle` and `validate_assignment` solve and check a
-  (deg+1)-list instance sequentially;
+  (deg+1)-list instance sequentially, on the colour list of each palette
+  mask (`colours_of`);
 - `measure_slack` recounts a node's slack from the color array alone;
 - `missing_pairs` counts the pairs N(v) lacks to be a delta-clique node by
   node, one mask AND per neighbour, as the reference for the sums of
@@ -25,8 +27,10 @@ decides by construction:
   raises; on invalid UTF-8 it lets the `UnicodeDecodeError` through;
 - `trial_by_messages` runs the colour trial the way `sim_engine.run_protocol`
   is specified, as per-node `TrialProgram`s that exchange TRY and KEEP
-  messages through per-receiver inboxes (`run_message_protocol`); the engine
-  must match it in colours, metrics and errors.
+  messages through per-receiver inboxes (`run_message_protocol`); it takes
+  the engine's palette masks and keeps each as an ascending list, which it
+  filters and indexes as the specification says, and the engine must match
+  it in colours, metrics and errors.
 
 Bad arguments raise `ValueError`, except in `sequential_graph` and
 `scan_graph_file`. Only the standard library and the package itself are
@@ -45,7 +49,7 @@ from brooks_sim.errors import (
     PaletteExhausted,
     RoundLimitExceeded,
 )
-from brooks_sim.graph_core import Graph
+from brooks_sim.graph_core import Graph, mask_of
 from brooks_sim.listcolor import ListInstance
 from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, keyed
 
@@ -57,6 +61,11 @@ def _bits(mask: int) -> Iterable[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def colours_of(mask: int) -> list[int]:
+    """The ascending colours of a palette mask."""
+    return list(_bits(mask))
 
 
 def _largest_first(masks: Sequence[int]) -> list[int]:
@@ -149,7 +158,7 @@ def list_instance(
 ) -> ListInstance:
     """A `ListInstance` over `units` whose unit-index pairs in `edges` are
     adjacent, in the form `build_instance` gives: sorted neighbour tuples
-    and ascending palette tuples."""
+    and one mask per colour list."""
     nbrs: list[set[int]] = [set() for _ in units]
     for i, j in edges:
         nbrs[i].add(j)
@@ -159,7 +168,7 @@ def list_instance(
         delta,
         tuple(units),
         tuple(tuple(sorted(a)) for a in nbrs),
-        tuple(tuple(sorted(p)) for p in palettes),
+        tuple(mask_of(p) for p in palettes),
     )
 
 
@@ -190,7 +199,7 @@ def solve_greedy_oracle(instance) -> dict[tuple[int, ...], int]:
     colors: list[int | None] = [None] * len(instance.units)
     for idx, nbrs in enumerate(instance.adj):
         taken = {colors[j] for j in nbrs if colors[j] is not None}
-        free = [c for c in instance.palettes[idx] if c not in taken]
+        free = [c for c in colours_of(instance.palettes[idx]) if c not in taken]
         if not free:
             raise ValueError(f"{instance.name}: unit {instance.units[idx]} has no free color")
         colors[idx] = free[0]
@@ -202,7 +211,7 @@ def validate_assignment(instance, assignment: dict[tuple[int, ...], int]) -> boo
     if set(assignment) != set(instance.units):
         return False
     for unit, palette in zip(instance.units, instance.palettes):
-        if assignment[unit] not in palette:
+        if assignment[unit] not in colours_of(palette):
             return False
     return all(
         assignment[unit] != assignment[instance.units[j]]
@@ -439,8 +448,11 @@ def run_message_protocol(
 
 def trial_by_messages(adj, palettes, activation, seed, max_rounds, *, trials=None, **kwargs):
     """`sim_engine.run_protocol`'s inputs and outputs, computed by message
-    delivery between `TrialProgram`s."""
+    delivery between `TrialProgram`s, each given its palette mask's colour
+    list."""
     phase = kwargs.get("phase")
-    programs = [TrialProgram(pal, p, trials, phase) for pal, p in zip(palettes, activation)]
+    programs = [
+        TrialProgram(colours_of(pal), p, trials, phase) for pal, p in zip(palettes, activation)
+    ]
     final, metrics = run_message_protocol(adj, programs, seed, max_rounds, **kwargs)
     return [prog.color for prog in final], metrics

@@ -3,6 +3,7 @@ import contextlib
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from brooks_sim.graph_core import (
 )
 from brooks_sim.graph_core.graph import masks_fit
 from oracles import (
+    colours_of,
     complete_graph,
     cycle_graph,
     measure_slack,
@@ -471,12 +473,12 @@ class TestPartialColoring:
         col.assign(1, 2)
         col.assign(2, 2)
         col.assign(3, 1)
-        assert len(col.palette(0)) == 2
-        assert col.palette(0) == (0, 3)
+        assert col.palette_mask(0).bit_count() == 2
+        assert col.palette_mask(0) == mask_of((0, 3))
         # one repeated color: colored neighbors minus distinct colors among them
         colored = [u for u in g.adj[0] if col.is_colored(u)]
         assert len(colored) == 3
-        assert len(colored) - (col.delta - len(col.palette(0))) == 1
+        assert len(colored) - (col.delta - col.palette_mask(0).bit_count()) == 1
 
     def test_uncolored_degree_masks(self):
         g = star(4)
@@ -506,21 +508,55 @@ class TestPartialColoring:
         lone = base.n  # a neighbourless extra node
         g = Graph(base.n + 1, base.edges())
         assert g.small_masks == (not params)
+
+        def recount(col, v):
+            """v's palette as a colour tuple, from the colour list alone."""
+            held = {col.color[x] for x in g.adj[v]}
+            return tuple(c for c in range(delta) if c not in held)
+
         for _ in range(5):
             col = PartialColoring(g)
             for v in rng.sample(range(g.n), g.n):
-                free = col.palette(v)
+                free = colours_of(col.palette_mask(v))
                 if free and rng.random() < 0.6:
                     col.assign(v, rng.choice(free))
-            assert col.palette(lone) == tuple(range(delta))
+            assert col.palette_mask(lone) == mask_of(range(delta))
             for _ in range(40):
                 u, w = rng.randrange(g.n), rng.choice([lone, rng.randrange(g.n)])
-                held = {col.color[x] for x in g.adj[u]}
-                assert col.palette(u) == tuple(c for c in range(delta) if c not in held)
-                both = tuple(sorted(set(col.palette(u)) & set(col.palette(w))))
-                assert col.palette(u, w) == both
+                assert col.palette_mask(u) == mask_of(recount(col, u))
+                both = set(recount(col, u)) & set(recount(col, w))
+                assert col.palette_mask(u, w) == mask_of(both)
             sub = [v for v in range(g.n) if rng.random() < 0.7]
             left_out = mask_of(set(range(g.n)) - set(sub))
             for v in col.uncolored_in(range(g.n)):
                 assert col.slack_in(v, left_out) == measure_slack(g, col, v, sub)
                 assert col.slack_in(v) == measure_slack(g, col, v, range(g.n))
+
+        # the used-colour record, rechecked after every call of a random
+        # sequence of assigns, improper ones included
+        col = PartialColoring(g)
+        improper = 0
+        for v in rng.sample(range(g.n), min(g.n, 60)):
+            held = sorted({col.color[x] for x in g.adj[v]} - {None})
+            if held and rng.random() < 0.5:
+                c = rng.choice(held)
+                first = next(u for u in g.adj[v] if col.color[u] == c)
+                message = f"edge ({first},{v}) would be monochromatic in {c}"
+                with pytest.raises(ImproperColoringError, match=re.escape(message)):
+                    col.assign(v, c)
+                improper += 1
+            free = recount(col, v)
+            if free:
+                col.assign(v, rng.choice(free))
+            for x in range(g.n):
+                assert col.palette_mask(x) == mask_of(recount(col, x))
+            for _ in range(10):
+                u, w = rng.randrange(g.n), rng.randrange(g.n)
+                both = set(recount(col, u)) & set(recount(col, w))
+                assert col.palette_mask(u, w) == mask_of(both)
+            sub = [x for x in range(g.n) if rng.random() < 0.7]
+            left_out = mask_of(set(range(g.n)) - set(sub))
+            uncolored = col.uncolored_in(range(g.n))
+            for x in rng.sample(uncolored, min(len(uncolored), 10)):
+                assert col.slack_in(x, left_out) == measure_slack(g, col, x, sub)
+        assert improper

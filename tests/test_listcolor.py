@@ -4,7 +4,7 @@ import pytest
 
 from brooks_sim import listcolor
 from brooks_sim.errors import BrooksSimError, DegPlusOneViolation, ProtocolOutputError
-from brooks_sim.graph_core import Graph, PartialColoring
+from brooks_sim.graph_core import Graph, PartialColoring, mask_of
 from brooks_sim.listcolor import build_instance, make_unit, solve_distributed
 from brooks_sim.sim_engine import RoundMetrics
 from oracles import (
@@ -27,7 +27,7 @@ class TestBuildInstance:
         for i, c in enumerate((0, 1, 2, 3, 3)):
             coloring.assign(1 + i, c)
         inst = build_instance(g, coloring, [make_unit(0)], name="t")
-        assert inst.palettes == ((4,),)
+        assert inst.palettes == (mask_of((4,)),)
         assert inst.adj == ((),)
 
     def test_pair_palette_is_intersection(self):
@@ -39,7 +39,7 @@ class TestBuildInstance:
         coloring.assign(5, 1)
         inst = build_instance(g, coloring, [make_unit(0, 1)], name="t")
         # [4] minus {0} (via 0's nbr 2) minus {1} (via 1's nbr 5)
-        assert inst.palettes == ((2, 3),)
+        assert inst.palettes == (mask_of((2, 3)),)
 
     def test_edges_between_units(self):
         # K_4 plus a pendant raising delta to 4, so palettes beat degrees
@@ -87,6 +87,17 @@ class TestBuildInstance:
         with pytest.raises(BrooksSimError):
             build_instance(g, coloring, [make_unit(0, 1)], name="t")
 
+    @pytest.mark.parametrize("unit", [(), (0, 1, 3), (3, 3)])
+    def test_unit_not_one_or_two_distinct_nodes_rejected(self, unit):
+        # the empty unit was "colored" with nothing in it, the triple became
+        # its own neighbour, and a repeated node was "in two units"
+        g = Graph(4, [(0, 1), (2, 3)])
+        coloring = PartialColoring(g)
+        with pytest.raises(BrooksSimError) as err:
+            build_instance(g, coloring, [unit, (2,)], name="t")
+        assert str(err.value) == f"t: unit {tuple(sorted(unit))} is not 1 or 2 distinct nodes"
+        assert err.value.phase == "t"
+
     def test_pair_on_graph_edge_raised_before_deg_plus_one(self):
         # triangle 0-1-2 (each unit: palette 2, degree 2) plus the edge 3-4;
         # unit (0,) breaks deg+1, but the later pair (3,4) is checked first
@@ -107,7 +118,7 @@ class TestBuildInstance:
             delta=3,
         )
         assert inst.adj == ((1,), (0, 2), (1,))
-        assert inst.palettes == ((0, 1, 2),) * 3
+        assert inst.palettes == (mask_of((0, 1, 2)),) * 3
         assert inst.max_degree == 2
 
 

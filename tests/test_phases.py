@@ -10,7 +10,7 @@ from brooks_sim.errors import (
     PartitionViolationError,
     RetryExhausted,
 )
-from brooks_sim.graph_core import FAMILIES, Graph, PartialColoring, generate_instance
+from brooks_sim.graph_core import FAMILIES, Graph, PartialColoring, generate_instance, mask_of
 from brooks_sim.graph_core import graph as graph_module
 from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import (
@@ -541,8 +541,8 @@ class TestPipelineContract:
         def wrapped_build(g, coloring, units, **kw):
             instance = real_build(g, coloring, units, **kw)
             # adjacency and palettes recounted from G and the colour list
-            expected = recount_instance(g, coloring.color, coloring.delta, instance.units)
-            assert (instance.adj, instance.palettes) == expected
+            adj, palettes = recount_instance(g, coloring.color, coloring.delta, instance.units)
+            assert (instance.adj, instance.palettes) == (adj, tuple(map(mask_of, palettes)))
             assert sorted(instance.units) == sorted(tuple(sorted(u)) for u in units)
             built.append(instance.name)
             return instance

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from brooks_sim.errors import MessageSizeViolation, PaletteExhausted, RoundLimitExceeded
-from brooks_sim.graph_core import FAMILIES, Graph, generate_instance
+from brooks_sim.graph_core import FAMILIES, Graph, generate_instance, mask_of
 from brooks_sim.listcolor import ListInstance, make_unit, solve_distributed, trial_round_limit
 from brooks_sim.sim_engine import color_value_bits, congest_budget, keyed, run_protocol
 from brooks_sim.slackgen import run_slack_generation_with_metrics
@@ -36,8 +36,10 @@ def randrange(k, *key):
 
 
 def run_all(g, palettes, p=1.0, seed=0, max_rounds=8, **kwargs):
-    """run_protocol with one activation probability for every node."""
-    return run_protocol(g.adj, palettes, [p] * g.n, seed, max_rounds, **kwargs)
+    """run_protocol on the masks of colour lists, with one activation
+    probability for every node."""
+    masks = [mask_of(colours) for colours in palettes]
+    return run_protocol(g.adj, masks, [p] * g.n, seed, max_rounds, **kwargs)
 
 
 def test_all_halt_immediately_zero_rounds():
@@ -107,10 +109,9 @@ def test_round_limit_reports_pending():
 
 def test_strict_bit_budget_violation():
     g = complete_graph(2)
+    palettes = [mask_of([200]), mask_of([0])]
     with pytest.raises(MessageSizeViolation) as err:
-        run_protocol(
-            g.adj, [[200], [0]], [1.0, 0.0], 0, 2, value_bits=8, strict_bit_budget=4
-        )
+        run_protocol(g.adj, palettes, [1.0, 0.0], 0, 2, value_bits=8, strict_bit_budget=4)
     assert err.value.node == 0
     assert err.value.bits == 10
     assert err.value.budget == 4
@@ -119,13 +120,14 @@ def test_strict_bit_budget_violation():
 def test_value_overflow_rejected():
     g = complete_graph(2)
     with pytest.raises(ValueError, match="overflows 4 bits"):
-        run_protocol(g.adj, [[200], [0]], [1.0, 0.0], 0, 2, value_bits=4)
+        run_protocol(g.adj, [mask_of([200]), mask_of([0])], [1.0, 0.0], 0, 2, value_bits=4)
 
 
 def fenced_centre():
     """Centre 0 with palette {0, 1} between leaves that keep 0 and 1 in the
     first trial; the centre never tries."""
-    return Graph(3, [(0, 1), (0, 2)]), [[0, 1], [0], [1]], [0.0, 1.0, 1.0]
+    palettes = [mask_of(p) for p in ([0, 1], [0], [1])]
+    return Graph(3, [(0, 1), (0, 2)]), palettes, [0.0, 1.0, 1.0]
 
 
 def test_last_trial_halts_before_palette_check():
@@ -148,7 +150,7 @@ def test_kept_colours_shrink_the_neighbours_palettes():
     g = Graph(2, [(0, 1)])
     sat_out = 0
     for seed in range(40):
-        colors, _ = run_protocol(g.adj, [[0, 1], [0]], [0.5, 1.0], seed, 64)
+        colors, _ = run_protocol(g.adj, [mask_of([0, 1]), mask_of([0])], [0.5, 1.0], seed, 64)
         assert colors == [1, 0]
         sat_out += uniform(seed, 0, 0, 0) >= 0.5
     assert sat_out > 0
@@ -158,7 +160,7 @@ def test_rejects_mismatched_inputs():
     with pytest.raises(ValueError):
         run_protocol(((),), (), (1.0,), 0, 2)
     with pytest.raises(ValueError):
-        run_protocol(((),), ([0],), (1.0,), 0, 0)
+        run_protocol(((),), (mask_of([0]),), (1.0,), 0, 0)
 
 
 @pytest.mark.parametrize("seed", [1 << 63, -(1 << 63) - 1, True, 1.5, "7", None])
@@ -166,7 +168,7 @@ def test_rejects_mismatched_inputs():
 def test_rejects_a_seed_that_is_not_a_signed_64_bit_int(seed, p):
     # checked at entry, also when no node draws (p = 0)
     with pytest.raises(ValueError, match="seed"):
-        run_protocol([(1,), (0,)], [(0, 1), (0, 1)], [p, p], seed, 8)
+        run_protocol([(1,), (0,)], [mask_of((0, 1))] * 2, [p, p], seed, 8)
 
 
 def test_footprint_import_and_run_leave_openssl_unloaded():
@@ -201,10 +203,18 @@ def outcome(run, *args, **kwargs):
     return ("ok", colors, m.rounds_elapsed, m.messages_sent, m.max_message_bits)
 
 
-def random_list_instance(rng: random.Random, *, short: bool, dense: bool = False) -> ListInstance:
+# Colours in mask bytes 0, 0, 1, 7, 8 and 31: a sparse palette of a wide mask.
+SPARSE_WIDE = (0, 7, 8, 63, 64, 255)
+
+
+def random_list_instance(
+    rng: random.Random, *, short: bool, dense: bool = False, wide: bool = False
+) -> ListInstance:
     """A random instance whose palettes have deg+1 colours or more; with
     `short`, some units get one colour less, or with `dense` (each edge in
-    with probability at least 1/2) 1 to deg colours."""
+    with probability at least 1/2) 1 to deg colours. With `wide` the
+    colours come from range(256), and about half the palettes of at most
+    six colours from SPARSE_WIDE."""
     k = rng.randrange(1, 30)
     density = rng.random()
     if dense:
@@ -214,23 +224,29 @@ def random_list_instance(rng: random.Random, *, short: bool, dense: bool = False
     for i, j in edges:
         deg[i] += 1
         deg[j] += 1
-    delta = max(deg) + 1 + rng.randrange(3)
+    delta = 256 if wide else max(deg) + 1 + rng.randrange(3)
     palettes = []
     for v in range(k):
         size = min(delta, deg[v] + 1 + rng.randrange(2))
         if short and rng.random() < 0.3:
             size = rng.randint(1, max(1, deg[v])) if dense else size - 1
-        palettes.append(frozenset(rng.sample(range(delta), size)))
+        sparse = wide and size <= len(SPARSE_WIDE) and rng.random() < 0.5
+        palettes.append(frozenset(rng.sample(SPARSE_WIDE if sparse else range(delta), size)))
     units = tuple(make_unit(v) for v in range(k))
     return list_instance(units, edges, palettes, delta=delta, name="random")
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_engine_matches_message_delivery_on_list_instances(strict):
+    # cases from 600 on draw colours from range(256), so the engine picks
+    # its colour from masks of up to 32 bytes
     rng = random.Random(11 + strict)
     kinds = set()
-    for case in range(600):
-        inst = random_list_instance(rng, short=case % 4 == 3)
+    wide_kinds = set()
+    wide_colours = set()
+    for case in range(800):
+        wide = case >= 600
+        inst = random_list_instance(rng, short=case % 4 == 3, wide=wide)
         k = len(inst.units)
         budget = congest_budget(k, rng.choice((1, 2, 4))) if strict else None
         seed = rng.randrange(1 << 32)
@@ -253,15 +269,22 @@ def test_engine_matches_message_delivery_on_list_instances(strict):
             args = (inst.adj, inst.palettes, activation, seed, rng.randrange(1, 12))
             kwargs = dict(
                 trials=rng.choice((None, 1, 2, 3)),
-                value_bits=1 if rng.random() < 0.1 else color_value_bits(inst.delta),
+                # 7 bits overflow on the wide colours 128-255
+                value_bits=(
+                    (7 if wide else 1) if rng.random() < 0.1 else color_value_bits(inst.delta)
+                ),
                 strict_bit_budget=budget,
                 phase="t",
             )
             expected = outcome(trial_by_messages, *args, **kwargs)
             assert outcome(run_protocol, *args, **kwargs) == expected
-        kinds.add(expected[0])
+        (wide_kinds if wide else kinds).add(expected[0])
+        if wide and expected[0] == "ok":
+            wide_colours.update(c for c in expected[1] if c is not None)
     wanted = {"ok", "RoundLimitExceeded", "PaletteExhausted", "ValueError"}
     assert kinds == (wanted | {"MessageSizeViolation"} if strict else wanted)
+    assert wide_kinds >= {"ok", "PaletteExhausted", "ValueError"}
+    assert wide_colours & set(SPARSE_WIDE[3:]) and max(wide_colours) >= 128
 
 
 @pytest.mark.parametrize("seed", [-(1 << 63), (1 << 63) - 1])
@@ -294,7 +317,7 @@ def test_engine_matches_message_delivery_on_slack_generation(strict, p_g):
         expected = outcome(
             trial_by_messages,
             g.adj,
-            [range(g.delta)] * g.n,
+            [mask_of(range(g.delta))] * g.n,
             [p_g if v in pset else 0.0 for v in range(g.n)],
             seed,
             4,
@@ -342,7 +365,7 @@ def test_activation_flips_exactly_above_the_drawn_value():
             (Fraction(u), False),
             (Fraction(u) + Fraction(1, 1 << 60), True),
         ):
-            args = (g.adj, [[0]], [p], seed, 3)
+            args = (g.adj, [mask_of([0])], [p], seed, 3)
             expected = ("ok", [0] if tries else [None], 3 - tries, 0, 0)
             assert outcome(run_protocol, *args, trials=1) == expected
             assert outcome(trial_by_messages, *args, trials=1) == expected
@@ -351,16 +374,17 @@ def test_activation_flips_exactly_above_the_drawn_value():
 @pytest.mark.parametrize("seed", range(3))
 def test_engine_matches_message_delivery_when_blocks_pile_up(seed):
     # dense instances at activation 0.05-0.1: a node sits out most try
-    # rounds while its neighbours keep colours, so blocked colours pile up
-    # before it filters its palette; short palettes run out after such
-    # waits, and one list shared by every node must come out unchanged
+    # rounds while its neighbours keep colours, so its palette loses many
+    # colours between two of its tries; short palettes run out after such
+    # waits, and one palette may be shared by every node. Cases from 180
+    # on draw colours from range(256).
     rng = random.Random(100 + seed)
     late_exhaustions = 0
-    for case in range(180):
-        inst = random_list_instance(rng, short=case % 3 == 1, dense=True)
+    for case in range(240):
+        inst = random_list_instance(rng, short=case % 3 == 1, dense=True, wide=case >= 180)
         k = len(inst.units)
         shared = list(range(inst.delta))
-        palettes = [shared] * k if case % 3 == 2 else inst.palettes
+        palettes = [mask_of(shared)] * k if case % 3 == 2 else inst.palettes
         activation = [rng.uniform(0.05, 0.1) for _ in range(k)]
         args = (inst.adj, palettes, activation, rng.randrange(1 << 32), 400)
         kwargs = dict(value_bits=color_value_bits(inst.delta))
