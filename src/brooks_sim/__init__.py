@@ -13,10 +13,8 @@ from .classify import (
 from .graph_core import (
     Graph,
     PartialColoring,
-    anti_degree,
     contains_delta_plus_one_clique,
     generate_instance,
-    outside_degree,
     save_graph,
 )
 from .listcolor import (
@@ -51,7 +49,6 @@ __all__ = [
     "PipelineResult",
     "RoundMetrics",
     "Thresholds",
-    "anti_degree",
     "build_instance",
     "check_lemma33",
     "classify_acs",
@@ -62,7 +59,6 @@ __all__ = [
     "generate_instance",
     "is_easy",
     "obs22_check",
-    "outside_degree",
     "run_pipeline",
     "run_protocol",
     "save_graph",

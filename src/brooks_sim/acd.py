@@ -17,6 +17,9 @@ One common-neighbour pass (`common_neighbour_pass`: one mask AND per edge,
 or a triangle listing on a graph that keeps no masks) feeds both the
 similarity graph and property (1): compute_acd hands the pass's per-node
 sums to verify_acd, and verify_acd called on its own runs the same pass.
+Past that pass, the construction and the checks read the n-bit masks
+(`Graph.masks`) of AC members and of their neighbours only, so a graph that
+keeps no masks builds just those.
 
 Every bound above is read from `thresholds.Thresholds`, which settles each one
 as an exact integer, so the checks compare integer counts only; property (1)
@@ -31,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import AcdVerificationError, BrooksSimError
-from .graph_core import Graph, anti_degree, common_neighbour_pass, mask_of, outside_degree
+from .graph_core import Graph, common_neighbour_pass, mask_of
 from .thresholds import Thresholds
 
 # Desk-scale ceiling; the classical analysis assumes < 1/20, but small-delta
@@ -132,31 +135,24 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
         if t.size_min <= len(comp) <= t.size_max:
             base.append(sorted(comp))
 
+    # augmentation: a node in no base with >= inside_min neighbours in some
+    # base joins the first base holding the most of them; only a node next to
+    # a base can, so no other node's mask is read
+    placed = {v for c in base for v in c}
     base_masks = [mask_of(c) for c in base]
-    in_base = 0
-    for mask in base_masks:
-        in_base |= mask
-
-    # augmentation: leftover nodes with >= inside_min neighbors in some base
     extras: list[list[int]] = [[] for _ in base]
-    sparse_nodes: list[int] = []
-    # with no base clique every leftover node is sparse and no mask is read
-    masks = g.masks if base else ()
     for v in range(g.n):
-        if (in_base >> v) & 1:
+        if v in placed or placed.isdisjoint(g.adj[v]):
             continue
-        best_idx, best_count = -1, -1
-        for idx, mask in enumerate(base_masks):
-            count = (masks[v] & mask).bit_count()
-            if count > best_count:
-                best_idx, best_count = idx, count
-        if best_idx >= 0 and best_count >= max(t.inside_min, 1):
-            extras[best_idx].append(v)
-        else:
-            sparse_nodes.append(v)
+        mask = g.masks[v]
+        counts = [(mask & b).bit_count() for b in base_masks]
+        best = max(counts)
+        if best >= max(t.inside_min, 1):
+            extras[counts.index(best)].append(v)
 
     cliques = tuple(frozenset(c) | frozenset(e) for c, e in zip(base, extras))
-    acd = AlmostCliqueDecomposition.build(epsilon, frozenset(sparse_nodes), cliques, g.n)
+    sparse = frozenset(range(g.n)).difference(*cliques)
+    acd = AlmostCliqueDecomposition.build(epsilon, sparse, cliques, g.n)
     report = verify_acd(g, acd, inside_twice)
     if not report.ok:
         raise AcdVerificationError(
@@ -217,14 +213,17 @@ def verify_acd(
 
 
 def obs22_check(g: Graph, acd: AlmostCliqueDecomposition) -> PropertyReport:
-    """Anti-degree <= 7*eps*delta and outside degree <= 4*eps*delta per AC member."""
+    """Anti-degree <= 7*eps*delta and outside degree <= 4*eps*delta per AC
+    member: its non-neighbours inside the AC and its neighbours outside it,
+    both from its count of neighbours inside."""
     t = Thresholds.of(acd.epsilon, g.delta)
     report = PropertyReport()
     for idx, clique in enumerate(acd.cliques):
         cmask = acd.clique_masks[idx]
         for v in sorted(clique):
-            a = anti_degree(g, cmask, v)
-            e = outside_degree(g, cmask, v)
+            inside = (g.masks[v] & cmask).bit_count()
+            a = len(clique) - 1 - inside
+            e = len(g.adj[v]) - inside
             if a > t.anti_max:
                 report.add("anti_degree", f"AC {idx} node {v}: a={a} > {t.anti_max}")
             if e > t.outside_max:

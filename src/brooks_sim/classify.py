@@ -12,6 +12,7 @@ guarded).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterator
@@ -105,10 +106,7 @@ def classify_acs(g: Graph, acd: AlmostCliqueDecomposition) -> ACClassification:
     picked: list[int | None] = [min(specials[i]) if difficult[i] else None for i in range(t)]
 
     # pass 2: escape/protector status needs the global pick counts
-    pick_count: dict[int, int] = {}
-    for node in picked:
-        if node is not None:
-            pick_count[node] = pick_count.get(node, 0) + 1
+    pick_count = Counter(node for node in picked if node is not None)
     escapes = frozenset(v for v, c in pick_count.items() if c >= 2)
     protectors = frozenset(v for v, c in pick_count.items() if c == 1)
     picked_any = escapes | protectors
@@ -142,10 +140,10 @@ def fine_partition(
             phase="classify",
         )
 
-    buckets: dict[str, set[int]] = {k: set() for k in ("O", "R", "N", "G")}
+    members: dict[str, set[int]] = {label: set() for label in (NICE, ORDINARY, GUARDED, RUNAWAY)}
     for idx, clique in enumerate(acd.cliques):
         label = cls.labels[idx]
-        if label in (GUARDED, RUNAWAY, ORDINARY):
+        if label != NICE:
             # Obs: difficult and ordinary ACs are cliques without P/E members
             if any(non_edges(g, clique, acd.clique_masks[idx])):
                 raise PartitionViolationError(
@@ -158,23 +156,16 @@ def fine_partition(
                     node=min(inside_pe),
                     phase="classify",
                 )
-        if label == ORDINARY:
-            buckets["O"].update(clique)
-        elif label == RUNAWAY:
-            buckets["R"].update(clique)
-        elif label == GUARDED:
-            buckets["G"].update(clique)
-        else:
-            buckets["N"].update(clique - pe)
+        members[label].update(clique - pe)
 
     part = FinePartition(
         P=cls.protectors,
         E=cls.escapes,
         Vstar=frozenset(acd.sparse - pe),
-        O=frozenset(buckets["O"]),
-        R=frozenset(buckets["R"]),
-        N=frozenset(buckets["N"]),
-        G=frozenset(buckets["G"]),
+        O=frozenset(members[ORDINARY]),
+        R=frozenset(members[RUNAWAY]),
+        N=frozenset(members[NICE]),
+        G=frozenset(members[GUARDED]),
     )
 
     counts = [0] * g.n

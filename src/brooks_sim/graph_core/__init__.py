@@ -9,11 +9,9 @@ from .generators import (
 from .graph import Graph, mask_of
 from .io import load_graph_with_header, save_graph
 from .measures import (
-    anti_degree,
     common_neighbour_pass,
     contains_delta_plus_one_clique,
     is_simplicial,
-    outside_degree,
 )
 
 __all__ = [
@@ -21,13 +19,11 @@ __all__ = [
     "GeneratedGraph",
     "Graph",
     "PartialColoring",
-    "anti_degree",
     "common_neighbour_pass",
     "contains_delta_plus_one_clique",
     "generate_instance",
     "is_simplicial",
     "load_graph_with_header",
     "mask_of",
-    "outside_degree",
     "save_graph",
 ]

@@ -20,17 +20,19 @@ class Graph:
     16m bytes of the tuples' 2m entries, so the masks are built in
     construction only where they are no larger than the tuples:
     `small_masks` is `masks_fit(n, m)`, n*n <= 128*m, the one home of that
-    rule. Elsewhere `masks` is built on first read, and only graph_core,
-    the ACD and classification read it, so a graph with n*n > 128*m and no
-    almost-clique keeps memory linear in its edges. Construction raises
-    GraphInvariantError for a node count that is not an int, and for the
-    first edge, in input order, that is not a pair of int ids, is out of
-    range, a self-loop or a duplicate.
-    Immutable after construction, apart from that one-time mask build,
-    whose result does not depend on who runs it; safe for concurrent reads.
+    rule. Elsewhere `masks` is a per-node cache that builds a node's mask
+    on its first read. Apart from the common-neighbour pass on a locally
+    dense graph, only the ACD and classification read it, for the nodes in
+    or next to an almost-clique, so such a graph keeps memory linear in its
+    edges plus those masks.
+    Construction raises GraphInvariantError for a node count that is not an
+    int, and for the first edge, in input order, that is not a pair of int
+    ids, is out of range, a self-loop or a duplicate.
+    Immutable after construction, apart from that mask cache, whose entries
+    do not depend on who builds them; safe for concurrent reads.
     """
 
-    __slots__ = ("n", "m", "delta", "adj", "small_masks", "_masks")
+    __slots__ = ("n", "m", "delta", "adj", "small_masks", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -62,24 +64,18 @@ class Graph:
         self.m = len(edges)
         self.delta = max(map(len, self.adj), default=0)
         self.small_masks: bool = masks_fit(n, self.m)
-        self._masks: tuple[int, ...] | None = None
+        self.masks: tuple[int, ...] | MaskCache
         # a repeated edge repeats a neighbour, which a set counts once; distinct
         # powers of two sum to their OR, a repeated one carries and loses a bit
         if self.small_masks:
             pow2 = [1 << v for v in range(n)]
-            self._masks = tuple([sum(map(pow2.__getitem__, a)) for a in self.adj])
-            repeated = any(mask.bit_count() < len(a) for mask, a in zip(self._masks, self.adj))
+            self.masks = tuple([sum(map(pow2.__getitem__, a)) for a in self.adj])
+            repeated = any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj))
         else:
+            self.masks = MaskCache(self.adj)
             repeated = any(len(set(a)) < len(a) for a in self.adj)
         if repeated:
             _raise_first_defect(n, edges)
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        """One n-bit neighbour mask per node, built on first read."""
-        if self._masks is None:
-            self._masks = tuple(mask_of(a) for a in self.adj)
-        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -112,6 +108,20 @@ def masks_fit(n: int, m: int) -> bool:
     entries of the neighbour tuples 16*m; a graph keeps its masks from
     construction on only where they are no larger."""
     return n * n <= 128 * m
+
+
+class MaskCache(dict):
+    """The n-bit neighbour masks of a graph that keeps none: `cache[v]` is
+    v's mask, built and stored on its first read."""
+
+    __slots__ = ("adj",)
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]):
+        self.adj = adj
+
+    def __missing__(self, v: int) -> int:
+        mask = self[v] = mask_of(self.adj[v])
+        return mask
 
 
 def mask_of(nodes: Iterable[int]) -> int:

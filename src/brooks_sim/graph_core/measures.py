@@ -1,12 +1,10 @@
-"""Structural measures: the common-neighbour pass, outside degree,
-anti-degree, the simplicial test and the K_{delta+1} test built on it.
+"""Structural measures: the common-neighbour pass, the simplicial test and
+the K_{delta+1} test built on it.
 
 `common_neighbour_pass` counts |N(u) & N(v)| for every undirected edge.
 The ACD reads each count once for similarity and sums them per node: twice
 the edges inside N(v), which gives property (1)'s integer
-`binom(delta, 2) - edges inside N(v)` (local sparsity times delta). The
-other measures answer one neighbourhood question each, by one walk over
-`g.adj[v]` or one mask expression.
+`binom(delta, 2) - edges inside N(v)` (local sparsity times delta).
 
 The pass and `is_simplicial` read the n-bit masks only where the graph
 keeps them (`Graph.small_masks`). Elsewhere the pass lists triangles and
@@ -15,8 +13,9 @@ The listing holds each node's later neighbours as a tuple slice and
 builds one set at a time, for the node it is at, so its memory is of the
 order of the graph's rather than n sets (Latapy 2008). It pays per
 triangle where the masks pay per edge, so once it has found more triangles
-than it has walked edges it stops and the pass reads the masks after all;
-such a graph is locally dense, and its almost-cliques read them anyway.
+than it has walked edges it stops and the pass reads every node's mask
+after all; such a graph is locally dense, and its almost-cliques read most
+of them anyway.
 The results are the same on every path.
 """
 
@@ -41,7 +40,8 @@ def common_neighbour_pass(g: Graph, at_least: int) -> tuple[list[list[int]], lis
         listed = _triangle_pass(g, at_least)
         if listed is not None:
             return listed
-    masks = g.masks
+    # a list indexes faster than the per-node cache of a graph that keeps no masks
+    masks = g.masks if g.small_masks else list(map(g.masks.__getitem__, range(g.n)))
     close: list[list[int]] = [[] for _ in range(g.n)]
     inside_twice = [0] * g.n
     for u, nbrs in enumerate(g.adj):
@@ -99,16 +99,6 @@ def _triangle_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]
     for row in close:
         row.sort()
     return close, inside_twice
-
-
-def outside_degree(g: Graph, clique_mask: int, v: int) -> int:
-    """Neighbors of v outside its almost-clique, given as a node bitmask."""
-    return (g.masks[v] & ~clique_mask).bit_count()
-
-
-def anti_degree(g: Graph, clique_mask: int, v: int) -> int:
-    """Non-neighbors of v inside its almost-clique (v itself excluded)."""
-    return (clique_mask & ~(1 << v) & ~g.masks[v]).bit_count()
 
 
 def is_simplicial(g: Graph, v: int) -> bool:

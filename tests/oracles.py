@@ -7,6 +7,9 @@ decides by construction:
   order, forward palette pruning, canonical new-color symmetry breaking) over
   adjacency bitmasks, so a caller can check a graph without building a
   `Graph`; `is_k_colorable_fast` tries a largest-first greedy coloring first;
+  `neighbour_masks` lists a graph's n masks, read node by node, so it
+  serves a graph that keeps its masks and one that builds each on its
+  first read alike;
 - `list_instance` builds a `ListInstance` from unit-index edges and colour
   lists, and `recount_instance` recounts from G and the colour list the
   adjacency and the palettes, as ascending colour tuples, that
@@ -25,6 +28,8 @@ decides by construction:
   seen edges, that `graph_core.load_graph_with_header` must match in graph,
   header hints and the message and line of the `GraphFormatError` it
   raises; on invalid UTF-8 it lets the `UnicodeDecodeError` through;
+- `rook_graph`, `circulant_graph` and `cycle_complement` build the
+  Delta-regular, Delta-colorable graphs of the structured corpus;
 - `trial_by_messages` runs the colour trial the way `sim_engine.run_protocol`
   is specified, as per-node `TrialProgram`s that exchange TRY and KEEP
   messages through per-receiver inboxes (`run_message_protocol`); it takes
@@ -317,6 +322,11 @@ def scan_graph_file(path: str | os.PathLike) -> tuple[Graph, dict[str, str]]:
     return Graph(n, edges), header
 
 
+def neighbour_masks(g: Graph) -> list[int]:
+    """The n-bit neighbour mask of every node, in id order."""
+    return [g.masks[v] for v in range(g.n)]
+
+
 def complete_graph(k: int) -> Graph:
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
@@ -327,6 +337,25 @@ def cycle_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def rook_graph(a: int) -> Graph:
+    """K_a x K_a: node i*a + j, adjacent when in the same row or column."""
+    rows = [(i * a + j, i * a + k) for i in range(a) for j in range(a) for k in range(j + 1, a)]
+    cols = [(i * a + j, k * a + j) for j in range(a) for i in range(a) for k in range(i + 1, a)]
+    return Graph(a * a, rows + cols)
+
+
+def circulant_graph(n: int, k: int) -> Graph:
+    """C_n(1..k): v adjacent to v +- 1..k mod n; the edges are distinct for 2k + 1 < n."""
+    if not 2 * k + 1 < n:
+        raise ValueError(f"circulant C_{n}(1..{k}) needs 2k + 1 < n")
+    return Graph(n, [(v, (v + d) % n) for v in range(n) for d in range(1, k + 1)])
+
+
+def cycle_complement(n: int) -> Graph:
+    """The complement of the cycle 0-1-...-(n-1)-0."""
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 2, n) if v - u != n - 1])
 
 
 TAG_TRY = 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from fractions import Fraction
@@ -15,10 +16,8 @@ from brooks_sim.errors import AcdVerificationError, BrooksSimError
 from brooks_sim.graph_core import (
     FAMILIES,
     Graph,
-    anti_degree,
     common_neighbour_pass,
     generate_instance,
-    outside_degree,
 )
 from brooks_sim.graph_core import graph as graph_module
 from brooks_sim.thresholds import Thresholds
@@ -138,38 +137,46 @@ def test_guarded_pair_obs22_at_family_epsilon():
     assert obs22_check(inst.graph, acd).ok
 
 
+def obs22_degrees(g, cliques):
+    """{v: (anti-degree, outside degree)} for every member of the given ACs,
+    read from obs22_check's messages. The hand-built ACD's negative epsilon
+    puts both bounds below 0, so every member breaks both."""
+    acd = AlmostCliqueDecomposition(Fraction(-1, 1000), frozenset(), tuple(cliques))
+    report = obs22_check(g, acd)
+    degrees: dict[int, dict[str, int]] = {}
+    pattern = re.compile(r"AC \d+ node (\d+): ([ae])=(\d+) > -\d+")
+    for prop in ("anti_degree", "outside_degree"):
+        for message in report.violations[prop]:
+            v, key, value = pattern.fullmatch(message).groups()
+            degrees.setdefault(int(v), {})[key] = int(value)
+    assert len(degrees) == sum(map(len, cliques))
+    return {v: (d["a"], d["e"]) for v, d in degrees.items()}
+
+
 def test_anti_degree_matches_set_difference_on_guarded_instance():
     # brute-force neighborhood comparison for nodes adjacent to the protector
     inst = generate_instance("guarded_pair", 16, seed=3)
     g = inst.graph
     acd = compute_acd(g, inst.epsilon)
-    for idx, clique in enumerate(acd.cliques):
+    degrees = obs22_degrees(g, acd.cliques)
+    for clique in acd.cliques:
         for v in sorted(clique):
             direct = len((set(clique) - {v}) - set(g.adj[v]))
-            cmask = acd.clique_masks[idx]
-            assert anti_degree(g, cmask, v) == direct
-            assert outside_degree(g, cmask, v) == len(set(g.adj[v]) - set(clique))
-
-
-def clique_mask_of(acd, v):
-    """Mask of the AC holding node v."""
-    return next(m for c, m in zip(acd.cliques, acd.clique_masks) if v in c)
+            assert degrees[v][0] == direct
+            assert degrees[v][1] == len(set(g.adj[v]) - set(clique))
 
 
 def test_outside_and_anti_degree():
     inst = generate_instance("matched_cliques", 8, seed=0)
     g = inst.graph
     acd = compute_acd(g, Fraction(1, 8))
+    degrees = obs22_degrees(g, acd.cliques)
     for v in range(g.n):
-        cmask = clique_mask_of(acd, v)
-        assert outside_degree(g, cmask, v) == 1
-        assert anti_degree(g, cmask, v) == 0
+        assert degrees[v] == (0, 1)  # (anti, outside)
     inst2 = generate_instance("clique_minus_edge", 8, seed=0)
     acd2 = compute_acd(inst2.graph, Fraction(1, 8))
     a, b = inst2.meta["missing_edge"]
-    cmask2 = clique_mask_of(acd2, a)
-    assert anti_degree(inst2.graph, cmask2, a) == 1
-    assert outside_degree(inst2.graph, cmask2, a) == 0
+    assert obs22_degrees(inst2.graph, acd2.cliques)[a] == (1, 0)
 
 
 def test_compute_acd_zero_failures_over_mixed_seeds():

@@ -25,6 +25,7 @@ from oracles import (
     cycle_graph,
     measure_slack,
     missing_pairs,
+    neighbour_masks,
     path_graph,
     scan_graph_file,
     sequential_graph,
@@ -134,7 +135,7 @@ class TestGraph:
                 assert str(got.value) == str(err), (n, edges)
                 continue
             g = Graph(n, edges)
-            assert (g.adj, g.masks, g.m, g.delta) == expected, (n, edges)
+            assert (g.adj, tuple(neighbour_masks(g)), g.m, g.delta) == expected, (n, edges)
 
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph(4, [(2, 1), (0, 3), (1, 0)])
@@ -143,7 +144,8 @@ class TestGraph:
             for v in g.adj[u]:
                 assert u in g.adj[v]
         # n*n > 128*m: has_edge searches the sorted tuple, and a copy is
-        # the same graph before and after the masks are built
+        # the same graph before and after a mask is built into its cache,
+        # whose copy builds the masks not yet read
         g = Graph(300, [(0, 299), (5, 6), (6, 7)])
         assert not g.small_masks and pickle.loads(pickle.dumps(g)) == g
         assert [g.has_edge(0, 299), g.has_edge(299, 0), g.has_edge(5, 7), g.has_edge(0, 298)] == [
@@ -152,7 +154,10 @@ class TestGraph:
             False,
             False,
         ]
-        assert g.masks[0] == 1 << 299 and pickle.loads(pickle.dumps(g)).masks == g.masks
+        assert g.masks[0] == 1 << 299
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.masks == g.masks == {0: 1 << 299}
+        assert copy.masks[6] == (1 << 5) | (1 << 7) and len(g.masks) == 1
 
     def test_delta(self):
         assert star(4).delta == 4

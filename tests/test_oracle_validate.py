@@ -11,6 +11,7 @@ from oracles import (
     greedy_upper_bound,
     is_k_colorable,
     is_k_colorable_fast,
+    neighbour_masks,
     path_graph,
 )
 
@@ -58,14 +59,14 @@ class TestIsKColorable:
         assert not is_k_colorable(g.masks, 5)
 
     def test_empty_and_degenerate(self):
-        assert is_k_colorable(Graph(0, []).masks, 0)
-        assert not is_k_colorable(Graph(1, []).masks, 0)
-        assert is_k_colorable(Graph(3, []).masks, 1)
-        assert not is_k_colorable(path_graph(2).masks, 1)
+        assert is_k_colorable(neighbour_masks(Graph(0, [])), 0)
+        assert not is_k_colorable(neighbour_masks(Graph(1, [])), 0)
+        assert is_k_colorable(neighbour_masks(Graph(3, [])), 1)
+        assert not is_k_colorable(neighbour_masks(path_graph(2)), 1)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            is_k_colorable(Graph(21, []).masks, 2)
+            is_k_colorable(neighbour_masks(Graph(21, [])), 2)
 
     def test_monotone_in_k(self):
         rng = random.Random(1)
@@ -143,4 +144,4 @@ def test_brooks_condition_on_connected_graphs_up_to_five():
             odd_cycle = n >= 3 and n % 2 == 1 and all(d == 2 for d in degs)
             is_complete_delta = g.m == n * (n - 1) // 2 and delta == n - 1
             expected = not (odd_cycle or is_complete_delta)
-            assert is_k_colorable(g.masks, delta) == expected, (n, edges)
+            assert is_k_colorable(neighbour_masks(g), delta) == expected, (n, edges)

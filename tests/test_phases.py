@@ -25,6 +25,7 @@ from brooks_sim.thresholds import ceil_phi
 from oracles import (
     complete_graph,
     cycle_graph,
+    neighbour_masks,
     recount_instance,
     solve_greedy_oracle,
     validate_assignment,
@@ -250,6 +251,31 @@ class TestPipelineFamilies:
             50948,
             "66ca4b632edaa6d3f98c5e19dc1e1dfc76055ad6e99c6bbd7aaaeb3d11e93eaf",
         )
+
+    def test_one_ac_on_a_mask_free_graph_reads_masks_only_around_it(self):
+        # random_gnd at n = 2000 keeps no n-bit masks; one clique_minus_edge
+        # component, bridged from a hole endpoint to a node of degree at most
+        # delta - 2, is its one almost-clique. The run may build the masks of
+        # the AC and its neighbours only, and must give what it gives on a
+        # copy whose masks were all read first.
+        inst = generate_instance("random_gnd", 16, seed=0, n=2000)
+        n = inst.graph.n
+        ac = generate_instance("clique_minus_edge", 16, seed=0)
+        hole = ac.meta["missing_edge"][0]
+        low = next(v for v in range(n) if inst.graph.degree(v) <= 14)
+        edges = [*inst.graph.edges(), *((n + u, n + v) for u, v in ac.graph.edges())]
+        edges.append((low, n + hole))
+        g, warm = Graph(n + ac.graph.n, edges), Graph(n + ac.graph.n, edges)
+        assert neighbour_masks(warm) == [mask_of(a) for a in warm.adj]
+        config = PipelineConfig(epsilon=inst.epsilon, seed=0)
+        result, expected = run_pipeline(g, config), run_pipeline(warm, config)
+        assert not g.small_masks and result.acd.cliques == (frozenset(range(n, g.n)),)
+        members = result.acd.cliques[0]
+        assert set(g.masks) <= members.union(*(g.adj[v] for v in members))
+        for name in ("acd", "classification", "partition", "ledger", "metrics", "retries"):
+            assert getattr(result, name) == getattr(expected, name), name
+        assert result.coloring.as_list() == expected.coloring.as_list()
+        assert validate_coloring(g, result.coloring.as_list(), 16)
 
     def test_runaway_pair_escape_colored_last(self):
         inst, result = run_family("runaway_pair", 64, seed=0)
