@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
 from . import __version__
-from .acd import compute_acd, obs22_check
+from .acd import check_epsilon, compute_acd, obs22_check
 from .classify import classify_acs, fine_partition
 from .errors import BrooksSimError
 from .graph_core import (
@@ -110,9 +110,12 @@ def _load(path: str):
 def _epsilon_from(args, header: dict[str, str]) -> Fraction:
     if args.epsilon is not None:
         return _parse(Fraction, args.epsilon, "--epsilon")
-    if "epsilon" in header:
-        return _parse(Fraction, header["epsilon"], "epsilon header")
-    return DEFAULT_EPSILON
+    if "epsilon" not in header:
+        return DEFAULT_EPSILON
+    try:
+        return check_epsilon(header["epsilon"])
+    except BrooksSimError as exc:  # a defect of the input file, not of the flags
+        raise BrooksSimError(f"epsilon header: {exc}", phase="input") from None
 
 
 def cmd_gen(args) -> int:

@@ -1,4 +1,4 @@
-"""Partial colorings over [delta]: colours, used-colour masks, an uncolored count."""
+"""Partial colorings over [delta]: colours and used-colour masks."""
 
 from __future__ import annotations
 
@@ -15,22 +15,22 @@ class PartialColoring:
     `used[v]` holds the colours of v's neighbours: `assign` ORs the new bit
     into each neighbour's mask as it walks N(v), so its properness check is
     one bit test, and `palette_mask` and `slack_in` read masks, not N(v).
-    `is_total` reads a count of the uncolored nodes. Where the graph keeps
-    its n-bit masks (`Graph.small_masks`), a mask of the uncolored nodes
-    gives `slack_in` an uncolored degree as one AND and a popcount; its
-    upkeep would cost O(n) per `assign` elsewhere, so there `slack_in`
-    counts uncolored neighbours in the colour list and the graph's masks
-    are never built. The tests recount palettes and slacks from scratch.
+    `is_total` scans the colour list, once per pipeline run. Where the
+    graph keeps its n-bit masks (`Graph.small_masks`), a mask of the
+    uncolored nodes gives `slack_in` an uncolored degree as one AND and a
+    popcount; its upkeep would cost O(n) per `assign` elsewhere, so there
+    `slack_in` counts uncolored neighbours in the colour list and the
+    graph's masks are never built. The tests recount palettes and slacks
+    from scratch.
     """
 
-    __slots__ = ("graph", "delta", "color", "used", "_uncolored_count", "_uncolored")
+    __slots__ = ("graph", "delta", "color", "used", "_uncolored")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.delta = graph.delta
         self.color: list[int | None] = [None] * graph.n
         self.used = [0] * graph.n
-        self._uncolored_count = graph.n
         self._uncolored: int | None = (1 << graph.n) - 1 if graph.small_masks else None
 
     def is_colored(self, v: int) -> bool:
@@ -49,7 +49,6 @@ class PartialColoring:
         used, bit = self.used, 1 << c
         for u in nbrs:
             used[u] |= bit
-        self._uncolored_count -= 1
         if self._uncolored is not None:
             self._uncolored ^= 1 << v  # v was uncolored, so its bit is set
 
@@ -81,7 +80,7 @@ class PartialColoring:
         return sorted(v for v in nodes if self.color[v] is None)
 
     def is_total(self) -> bool:
-        return self._uncolored_count == 0
+        return None not in self.color
 
     def as_list(self) -> list[int | None]:
         return list(self.color)

@@ -4,23 +4,21 @@ Line 1: "n m". Then m lines "u v" with 0 <= u < v < n. Lines starting with
 '#' are ignored anywhere in the file; a `# key=value` line is a header hint.
 UTF-8, LF. Non-simple input is rejected with the offending line number.
 
-The loader opens the file once and reads it in one pass, which keeps the
-edge list and, beside it, each edge's line number in an array; `Graph`
-finds a repeated edge. A bad line, a missing header, an edge count that
-differs from the header's and a repeated edge each raise GraphFormatError.
-Before it raises, a scan of the edges read so far looks for a repeated
-edge, so the error names the first offending line. Invalid UTF-8 raises
-GraphFormatError too, with no line number: the text is decoded in chunks,
-so the lines before the bad byte in its chunk are never read.
+The loader opens the file once and checks each line as it reads it, with a
+set of the edges read so far to catch a repeat, so the first offending line
+raises GraphFormatError: a bad line, a self-loop, an id out of range or a
+repeated edge. A missing header or an edge count that differs from the
+header's raises it after the last line. Invalid UTF-8 raises GraphFormatError
+too, with no line number: the text is decoded in chunks, so the lines before
+the bad byte in its chunk are never read.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from typing import Mapping, NoReturn
+from typing import Mapping
 
-from ..errors import GraphFormatError, GraphInvariantError
+from ..errors import GraphFormatError
 from .graph import Graph
 
 
@@ -29,7 +27,7 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
     header: dict[str, str] = {}
     n = m = None
     edges: list[tuple[int, int]] = []
-    lines = array("L")  # lines[i] is the line number of edges[i]
+    seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
@@ -49,24 +47,25 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
                     u, v = map(int, parts)
                 except ValueError:
                     bad = "expected edge 'u v'" if len(parts) != 2 else "non-integer edge"
-                    _fail(edges, lines, bad, lineno)
-                if 0 <= u < v < n:
-                    edges.append((u, v))
-                    lines.append(lineno)
+                    raise GraphFormatError(bad, line=lineno) from None
+                edge = (u, v)
+                if 0 <= u < v < n and edge not in seen:
+                    seen.add(edge)
+                    edges.append(edge)
                 elif u == v:
-                    _fail(edges, lines, f"self-loop ({u},{v})", lineno)
+                    raise GraphFormatError(f"self-loop ({u},{v})", line=lineno)
+                elif edge in seen:
+                    raise GraphFormatError(f"duplicate edge ({u},{v})", line=lineno)
                 else:
-                    _fail(edges, lines, f"edge ({u},{v}) violates 0 <= u < v < n", lineno)
+                    raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n", line=lineno)
         except UnicodeDecodeError as exc:
-            _fail(edges, lines, f"invalid UTF-8 ({exc.reason})")
+            raise GraphFormatError(f"invalid UTF-8 ({exc.reason})") from None
+    del seen  # not held while Graph builds its neighbour lists
     if n is None:
         raise GraphFormatError("empty file, no 'n m' header", line=1)
     if len(edges) != m:
-        _fail(edges, lines, f"header declared m={m} but found {len(edges)} edges")
-    try:
-        return Graph(n, edges), header
-    except GraphInvariantError as exc:
-        _fail(edges, lines, str(exc))  # a repeated edge, which the scan names
+        raise GraphFormatError(f"header declared m={m} but found {len(edges)} edges")
+    return Graph(n, edges), header
 
 
 def _header(parts: list[str], lineno: int) -> tuple[int, int]:
@@ -79,17 +78,6 @@ def _header(parts: list[str], lineno: int) -> tuple[int, int]:
     if n < 0 or m < 0:
         raise GraphFormatError("negative n or m", line=lineno)
     return n, m
-
-
-def _fail(edges: list, lines: array, message: str, line: int | None = None) -> NoReturn:
-    """Raise GraphFormatError(message, line), unless one of the edges read so
-    far repeats an earlier one: that line comes first in the file."""
-    seen: set[tuple[int, int]] = set()
-    for edge, lineno in zip(edges, lines):
-        if edge in seen:
-            raise GraphFormatError(f"duplicate edge ({edge[0]},{edge[1]})", line=lineno)
-        seen.add(edge)
-    raise GraphFormatError(message, line=line)
 
 
 def save_graph(g: Graph, path: str | os.PathLike, header: Mapping[str, str] | None = None) -> None:

@@ -55,7 +55,6 @@ from .listcolor import (
     InstanceRecord,
     Unit,
     build_instance,
-    make_unit,
     solve_distributed,
 )
 from .sim_engine import RoundMetrics, congest_budget, keyed
@@ -218,8 +217,8 @@ class PipelineSteps:
                 raise PartitionViolationError(
                     f"gray node {v} has no white neighbor", node=v, phase=gray_kind
                 )
-        self.solve_units(gray_kind, (make_unit(v) for v in gray))
-        self.solve_units(white_kind, (make_unit(v) for v in white))
+        self.solve_units(gray_kind, ((v,) for v in gray))
+        self.solve_units(white_kind, ((v,) for v in white))
 
     def cliques_with_label(self, label: str) -> list[int]:
         return [i for i, lab in enumerate(self.cls.labels) if lab == label]
@@ -262,8 +261,7 @@ class PipelineSteps:
 
     def step4_sparse(self) -> None:
         # all white: the slack gate already enforced unit slack for these
-        units = [make_unit(v) for v in self.coloring.uncolored_in(self.part.Vstar)]
-        self.solve_units("sparse", units)
+        self.solve_units("sparse", ((v,) for v in self.coloring.uncolored_in(self.part.Vstar)))
 
     def step5_ordinary(self) -> None:
         # white: unit slack in G[V* u O]; every node outside V* u O is
@@ -344,7 +342,7 @@ class PipelineSteps:
                     f"guarded AC {idx}: protector {protector} has no uncolored non-neighbor",
                     phase="guarded_pairs",
                 )
-            pairs.append(make_unit(non_nbrs[0], protector))
+            pairs.append((non_nbrs[0], protector))
             groups.append((clique, nbrs))
         self.solve_units("guarded_pairs", pairs)
         self.gray_then_white("guarded_gray", "guarded_white", groups)
@@ -363,7 +361,7 @@ class PipelineSteps:
                 f"step 9 reached with non-escape nodes uncolored: {uncolored_non_escape[:4]}",
                 phase="escape",
             )
-        self.solve_units("escape", [make_unit(v) for v in sorted(self.part.E)])
+        self.solve_units("escape", ((v,) for v in self.part.E))
 
     def execute(self) -> None:
         self.step4_sparse()

@@ -215,6 +215,38 @@ def test_bad_decomposition_names_acd_phase():
     assert err.value.phase == "acd"
 
 
+@pytest.mark.parametrize(
+    "sparse, cliques, message",
+    [
+        ({0, 1}, (frozenset(),), "empty almost-clique at index 0"),
+        (set(), ({0, 1}, {1, 2}), "node 1 in two almost-cliques"),
+        ({0}, ({1},), "sparse set and almost-cliques do not partition V"),
+    ],
+)
+def test_build_rejects_a_non_partition(sparse, cliques, message):
+    with pytest.raises(BrooksSimError) as err:
+        AlmostCliqueDecomposition.build(
+            Fraction(1, 8), frozenset(sparse), tuple(map(frozenset, cliques)), 3
+        )
+    assert str(err.value) == message
+    assert err.value.phase == "acd"
+
+
+def test_hand_built_acd_fails_property_4():
+    # K_12 plus node 12 adjacent to 11 of it, left sparse: delta 12, and at
+    # eps 1/8 an outsider may have floor(3/4 * 12) = 9 neighbours in the AC
+    edges = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    edges += [(12, i) for i in range(11)]
+    g = Graph(13, edges)
+    eps = Fraction(1, 8)
+    assert g.delta == 12 and Thresholds.of(eps, g.delta).outsider_max == 9
+    bad = AlmostCliqueDecomposition.build(eps, frozenset({12}), (frozenset(range(12)),), g.n)
+    report = verify_acd(g, bad)
+    assert report.violations["4_outsider_cap"] == ["node 12 has 11 neighbors in AC 0 > 9"]
+    assert "2_clique_size" not in report.violations
+    assert "3_member_inside_degree" not in report.violations
+
+
 def test_verification_failure_raises_with_report():
     # complete bipartite-ish blob where no valid decomposition exists at this
     # epsilon: a K_9 at delta=8 is a K_{delta+1}; every node is 0-sparse but

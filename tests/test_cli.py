@@ -247,6 +247,22 @@ def test_epsilon_outside_range_names_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, hint", [("color", "abc"), ("acd", "1/2"), ("classify", "0"), ("color", "1/0")]
+)
+def test_bad_epsilon_header_names_input(tmp_path, capsys, command, hint):
+    # the file's own hint is input, not a flag: without --epsilon it must parse
+    # and lie in (0, 1/4], and --epsilon overrides it
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"# epsilon={hint}\n5 4\n0 1\n0 2\n0 3\n0 4\n")  # the star K_{1,4}
+    error = _error_for(capsys, command, "--graph", str(gpath))
+    assert error["type"] == "BrooksSimError"
+    assert error["phase"] == "input"
+    assert "epsilon header" in error["message"] and hint in error["message"]
+    code, out, _ = run_cli(capsys, command, "--graph", str(gpath), "--epsilon", "1/8")
+    assert code == 0 and json.loads(out)["epsilon"] == "1/8"
+
+
+@pytest.mark.parametrize(
     "argv, kind",
     [
         (("--families", "mixed", "--deltas", "2"), "UnsupportedFamilyError"),

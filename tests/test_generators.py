@@ -266,6 +266,13 @@ def test_random_gnd_degree_profile():
     assert all(g.degree(v) < 16 for v in range(g.n) if v != boosted)
 
 
+def test_random_gnd_odd_n_rounds_up():
+    # a perfect matching needs an even n, so an odd one is rounded up
+    odd = generate_instance("random_gnd", 16, seed=0, n=101).graph
+    assert odd.n == 102
+    assert odd == generate_instance("random_gnd", 16, seed=0, n=102).graph
+
+
 def test_all_families_enumerated():
     assert set(FAMILIES) == {
         "clique_minus_edge",

@@ -92,6 +92,11 @@ class TestGraph:
             Graph(3, edges)
         assert str(err.value) == message
 
+    def test_rejects_negative_node_count(self):
+        with pytest.raises(GraphInvariantError) as err:
+            Graph(-1, [])
+        assert str(err.value) == "negative node count -1"
+
     @pytest.mark.parametrize("n", [5.0, "5", None])
     def test_rejects_non_int_node_count(self, n):
         with pytest.raises(GraphInvariantError) as err:

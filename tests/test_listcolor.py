@@ -87,6 +87,13 @@ class TestBuildInstance:
         with pytest.raises(BrooksSimError):
             build_instance(g, coloring, [make_unit(0, 1)], name="t")
 
+    def test_node_in_two_units_rejected(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(BrooksSimError) as err:
+            build_instance(g, PartialColoring(g), [(0,), (0, 2)], name="t")
+        assert str(err.value) == "t: node 0 appears in two units"
+        assert err.value.phase == "t"
+
     @pytest.mark.parametrize("unit", [(), (0, 1, 3), (3, 3)])
     def test_unit_not_one_or_two_distinct_nodes_rejected(self, unit):
         # the empty unit was "colored" with nothing in it, the triple became

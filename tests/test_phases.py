@@ -4,8 +4,10 @@ import json
 import pytest
 from fractions import Fraction
 
+from brooks_sim import phases as phases_module
 from brooks_sim.errors import (
     BrooksSimError,
+    DegPlusOneViolation,
     DeltaPlusOneCliquePresent,
     PartitionViolationError,
     RetryExhausted,
@@ -487,6 +489,27 @@ class TestPipelineContract:
                 assert validate_coloring(inst.graph, result.coloring.as_list(), 16)
                 return
         pytest.fail("no retrying seed found in 30 tries")
+
+    def test_deg_plus_one_violation_retries(self, monkeypatch):
+        # attempt 0's first instance build raises, as it would after too little
+        # slack; the run re-seeds slack generation and colors on attempt 1
+        real_build = phases_module.build_instance
+        failures = []
+
+        def failing_once(g, coloring, units, **kw):
+            if not failures:
+                failures.append(kw["name"])
+                raise DegPlusOneViolation(kw["name"], units[0], 0, 0)
+            return real_build(g, coloring, units, **kw)
+
+        monkeypatch.setattr(phases_module, "build_instance", failing_once)
+        inst, result = run_family("clique_minus_edge", 16, seed=0)
+        assert failures == ["nice_c_pairs"]
+        assert result.retries == 1
+        assert validate_coloring(inst.graph, result.coloring.as_list(), 16)
+        failures.clear()
+        with pytest.raises(RetryExhausted, match=r"last: deg\+1 violation: nice_c_pairs: unit"):
+            run_family("clique_minus_edge", 16, seed=0, max_retries=1)
 
     def test_retry_exhausted_raises(self):
         inst = generate_instance("matched_cliques", 16, seed=0)

@@ -5,14 +5,23 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brooks_sim.graph_core import Graph, load_graph_with_header, save_graph
+from brooks_sim.errors import BrooksSimError
+from brooks_sim.graph_core import (
+    Graph,
+    contains_delta_plus_one_clique,
+    load_graph_with_header,
+    save_graph,
+)
 from brooks_sim.listcolor import make_unit
+from brooks_sim.oracle_validate import validate_coloring
+from brooks_sim.phases import PipelineConfig, run_pipeline
 from brooks_sim.slackgen import run_slack_generation_with_metrics
 from oracles import (
     is_k_colorable,
     list_instance,
     measure_slack,
     missing_pairs,
+    neighbour_masks,
     solve_greedy_oracle,
     validate_assignment,
 )
@@ -75,6 +84,25 @@ def test_slackgen_proper_and_slack_identity(g, seed):
         else:
             full = list(range(g.n))
             assert measure_slack(g, coloring, v, full) == coloring.slack_in(v)
+
+
+def brooks_graph(g: Graph) -> bool:
+    """Delta >= 3 and no K_{Delta+1}: Delta-colorable by Brooks' theorem."""
+    return g.delta >= 3 and not contains_delta_plus_one_clique(g)
+
+
+@given(graphs(max_n=14).filter(brooks_graph), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_pipeline_delta_colors_or_names_its_phase(g, seed):
+    # arbitrary Brooks graphs, not the generator families: the run ends in a
+    # valid Delta-coloring or a typed error naming its phase, nothing else
+    assert is_k_colorable(neighbour_masks(g), g.delta)
+    try:
+        result = run_pipeline(g, PipelineConfig(seed=seed))
+    except BrooksSimError as exc:
+        assert exc.phase is not None, f"{type(exc).__name__}: {exc}"
+        return
+    assert validate_coloring(g, result.coloring.as_list(), g.delta)
 
 
 @st.composite
