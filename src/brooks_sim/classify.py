@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .acd import AlmostCliqueDecomposition, outsider_counts
 from .errors import PartitionViolationError
-from .graph_core import Graph, is_simplicial, mask_of
+from .graph_core import Graph, is_simplicial
 from .thresholds import Thresholds
 
 NICE, ORDINARY, GUARDED, RUNAWAY = "nice", "ordinary", "guarded", "runaway"
@@ -48,7 +48,8 @@ class ACClassification:
 
 @dataclass(frozen=True)
 class FinePartition:
-    """The seven node sets P, E, V*, O, R, N, G of the fine-grained partition."""
+    """The seven node sets P, E, V*, O, R, N, G of the fine-grained partition.
+    Node sets above `graph_core` are frozensets, not n-bit masks."""
 
     P: frozenset[int]
     E: frozenset[int]
@@ -62,11 +63,11 @@ class FinePartition:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
-    def outside_vo_mask(self) -> int:
-        """Bitmask of V minus (V* u O): the nodes colored after steps 4 and
-        5, which the slack gate and step 5 leave out of G[V* u O]. It is 0
-        on a graph with no almost-clique."""
-        return mask_of(self.P | self.E | self.R | self.N | self.G)
+    def outside_vo(self) -> frozenset[int]:
+        """V minus (V* u O): the nodes colored after steps 4 and 5, which
+        the slack gate and step 5 leave out of G[V* u O]; cached, so that
+        `slack_in` sees one object. Empty with no almost-clique."""
+        return self.P | self.E | self.R | self.N | self.G
 
 
 def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> frozenset[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..errors import ImproperColoringError
-from .graph import Graph
+from .graph import Graph, mask_of
 
 
 class PartialColoring:
@@ -19,12 +19,12 @@ class PartialColoring:
     graph keeps its n-bit masks (`Graph.small_masks`), a mask of the
     uncolored nodes gives `slack_in` an uncolored degree as one AND and a
     popcount; its upkeep would cost O(n) per `assign` elsewhere, so there
-    `slack_in` counts uncolored neighbours in the colour list and the
-    graph's masks are never built. The tests recount palettes and slacks
-    from scratch.
+    `slack_in` counts uncolored neighbours in the colour list and tests
+    them against the left-out set, and the graph's masks are never built.
+    The tests recount palettes and slacks from scratch.
     """
 
-    __slots__ = ("graph", "delta", "color", "used", "_uncolored")
+    __slots__ = ("graph", "delta", "color", "used", "_uncolored", "_left_out")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -32,6 +32,7 @@ class PartialColoring:
         self.color: list[int | None] = [None] * graph.n
         self.used = [0] * graph.n
         self._uncolored: int | None = (1 << graph.n) - 1 if graph.small_masks else None
+        self._left_out: tuple[frozenset[int] | None, int] = (None, 0)  # last set, its mask
 
     def is_colored(self, v: int) -> bool:
         return self.color[v] is not None
@@ -60,20 +61,22 @@ class PartialColoring:
             held |= self.used[v]
         return ((1 << self.delta) - 1) & ~held
 
-    def slack_in(self, v: int, left_out: int = 0) -> int:
-        """Slack of v in the subgraph induced by V minus the nodes of the
-        `left_out` mask: palette size minus uncolored degree within the
-        subgraph; v must be uncolored for the value to mean anything,
-        callers enforce that.
+    def slack_in(self, v: int, left_out: frozenset[int] = frozenset()) -> int:
+        """Slack of v in the subgraph induced by V minus the `left_out`
+        nodes: palette size minus uncolored degree within the subgraph; v
+        must be uncolored for the value to mean anything, callers enforce
+        that. With masks, the mask of the last `left_out` object is kept.
         """
         graph = self.graph
         if graph.small_masks:
-            uncolored = (graph.masks[v] & ~left_out & self._uncolored).bit_count()
+            if self._left_out[0] is not left_out:
+                self._left_out = (left_out, mask_of(left_out))
+            uncolored = (graph.masks[v] & ~self._left_out[1] & self._uncolored).bit_count()
         else:
             color, nbrs = self.color, graph.adj[v]
             uncolored = list(map(color.__getitem__, nbrs)).count(None)
             if left_out:
-                uncolored -= sum(1 for u in nbrs if color[u] is None and left_out >> u & 1)
+                uncolored -= sum(1 for u in nbrs if color[u] is None and u in left_out)
         return self.delta - self.used[v].bit_count() - uncolored
 
     def uncolored_in(self, nodes: Iterable[int]) -> list[int]:

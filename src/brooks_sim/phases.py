@@ -10,8 +10,8 @@ Steps 5-8 share one white/gray split (`PipelineSteps.gray_then_white`): each
 step names groups of nodes and, per group, the set of nodes that are white
 (unit slack in G[V* u O]; N(escape); N(min anchor); the deferred node;
 N(u) & N(w); N(protector)). The uncolored rest is gray and is colored first:
-each gray has an uncolored white neighbor, each white has unit slack or an
-uncolored stalled neighbor (a node colored in a later step). A split that
+each gray has an uncolored white neighbor, each white has unit slack in V
+minus a frozenset of stalled nodes, colored in a later step. A split that
 breaks this raises PartitionViolationError with the gray kind as its phase.
 The steps build their sets from `Graph.adj`, the almost-cliques and the
 colour list, so they read no n-bit masks.
@@ -47,7 +47,7 @@ from .errors import (
     RetryExhausted,
     check_int,
 )
-from .graph_core import Graph, PartialColoring, contains_delta_plus_one_clique, mask_of
+from .graph_core import Graph, PartialColoring, contains_delta_plus_one_clique
 from .listcolor import (
     CENTRALIZED,
     DISTRIBUTED,
@@ -190,22 +190,21 @@ class PipelineSteps:
         gray_kind: str,
         white_kind: str,
         groups: Iterable[tuple[Iterable[int], Container[int]]],
-        stall_mask: int = 0,
+        stalled: frozenset[int] = frozenset(),
     ) -> None:
         """Split the uncolored nodes of each (nodes, white set) group into
         white (in the set) and gray, validate the split, then color the
         grays before the whites. Whites need unit slack in V minus the
-        stalled nodes of `stall_mask`, or an uncolored stalled neighbor."""
+        stalled nodes."""
         white: list[int] = []
         gray: list[int] = []
         for nodes, white_nodes in groups:
             for v in self.coloring.uncolored_in(nodes):
                 (white if v in white_nodes else gray).append(v)
-        color, adj = self.coloring.color, self.g.adj
+        # an uncolored stalled neighbour needs no clause of its own: leaving it
+        # out adds 1 to slack_in(v) >= delta - deg(v) >= 0
         for v in white:
-            if self.coloring.slack_in(v, stall_mask) >= 1:
-                continue
-            if not any(stall_mask >> u & 1 and color[u] is None for u in adj[v]):
+            if self.coloring.slack_in(v, stalled) < 1:
                 raise PartitionViolationError(
                     f"white node {v} has neither unit slack nor a stalled neighbor",
                     node=v,
@@ -213,7 +212,7 @@ class PipelineSteps:
                 )
         all_white = set(white)  # uncolored: nothing is colored before the grays
         for v in gray:
-            if all_white.isdisjoint(adj[v]):
+            if all_white.isdisjoint(self.g.adj[v]):
                 raise PartitionViolationError(
                     f"gray node {v} has no white neighbor", node=v, phase=gray_kind
                 )
@@ -266,7 +265,7 @@ class PipelineSteps:
     def step5_ordinary(self) -> None:
         # white: unit slack in G[V* u O]; every node outside V* u O is
         # colored in a later step, so it is stalled here
-        outside_vo = self.part.outside_vo_mask
+        outside_vo = self.part.outside_vo
         slack = self.coloring.slack_in
         groups = []
         for idx in self.cliques_with_label(ORDINARY):
@@ -275,14 +274,12 @@ class PipelineSteps:
         self.gray_then_white("ordinary_gray", "ordinary_white", groups, outside_vo)
 
     def step6_runaway(self) -> None:
-        # white: N(escape); the escape is stalled until step 9
+        # white: N(escape); every escape is a runaway pick, stalled until step 9
         groups = []
-        stall = 0
         for idx in self.cliques_with_label(RUNAWAY):
             escape = self.uncolored_special(idx, "runaway_gray")
-            stall |= 1 << escape
             groups.append((self.acd.cliques[idx], frozenset(self.g.adj[escape])))
-        self.gray_then_white("runaway_gray", "runaway_white", groups, stall)
+        self.gray_then_white("runaway_gray", "runaway_white", groups, self.part.E)
 
     def step7_nice(self) -> None:
         pe = self.part.P | self.part.E
@@ -301,13 +298,13 @@ class PipelineSteps:
         # a) ACs containing an escape or protector: N(min anchor) is white,
         # the anchors are stalled.
         groups = [(clique - pe, frozenset(self.g.adj[min(clique & pe)])) for clique in sub_a]
-        stall = mask_of(v for clique in sub_a for v in clique & pe)
-        self.gray_then_white("nice_a_gray", "nice_a_white", groups, stall)
+        anchors = frozenset(v for clique in sub_a for v in clique & pe)
+        self.gray_then_white("nice_a_gray", "nice_a_white", groups, anchors)
 
         # b) no non-edge, no P/E member: a zero-outside-degree simplicial node
-        # is deferred (white, stalled), the rest of the AC is gray.
+        # is deferred (white), the rest of the AC is gray. A node is not its
+        # own neighbour, so stalling it would change no slack.
         groups = []
-        stall = 0
         for idx in sub_b:
             clique = self.acd.cliques[idx]
             u = next((v for v in sorted(clique) if clique.issuperset(self.g.adj[v])), None)
@@ -316,9 +313,8 @@ class PipelineSteps:
                     f"nice AC {idx} has no non-edge but no zero-outside-degree node",
                     phase="nice_b_gray",
                 )
-            stall |= 1 << u
             groups.append((clique, (u,)))
-        self.gray_then_white("nice_b_gray", "nice_b_deferred", groups, stall)
+        self.gray_then_white("nice_b_gray", "nice_b_deferred", groups)
 
         # c) non-edge toeholds: same-color the pair u, w first; then
         # N(u) & N(w) is white with permanent slack.

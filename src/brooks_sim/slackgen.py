@@ -89,13 +89,12 @@ def check_lemma33(
     coloring: PartialColoring,
 ) -> SlackReport:
     report = SlackReport()
-    outside_vo = part.outside_vo_mask
 
     # (i) sparse nodes in G[V* u O]; escapes in G[V]
     for v in sorted(part.Vstar):
         if coloring.is_colored(v):
             continue
-        slack = coloring.slack_in(v, outside_vo)
+        slack = coloring.slack_in(v, part.outside_vo)
         report.sparse_slack[v] = slack
         if slack < 1:
             report.violations.append(f"sparse node {v} has slack {slack} < 1")
@@ -110,7 +109,7 @@ def check_lemma33(
         if cls.labels[idx] != ORDINARY:
             continue
         uncolored = [v for v in clique if not coloring.is_colored(v)]
-        count = sum(1 for v in uncolored if coloring.slack_in(v, outside_vo) >= 1)
+        count = sum(1 for v in uncolored if coloring.slack_in(v, part.outside_vo) >= 1)
         report.ordinary_unit_slack[idx] = count
         if uncolored and count == 0:
             report.violations.append(f"ordinary AC {idx}: no uncolored unit-slack node")

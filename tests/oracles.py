@@ -29,7 +29,8 @@ decides by construction:
   header hints and the message and line of the `GraphFormatError` it
   raises; on invalid UTF-8 it lets the `UnicodeDecodeError` through;
 - `rook_graph`, `circulant_graph` and `cycle_complement` build the
-  Delta-regular, Delta-colorable graphs of the structured corpus;
+  Delta-regular, Delta-colorable graphs of the structured corpus, and
+  `perturbed_graph` refills a graph to Delta after removing a few edges;
 - `trial_by_messages` runs the colour trial the way `sim_engine.run_protocol`
   is specified, as per-node `TrialProgram`s that exchange TRY and KEEP
   messages through per-receiver inboxes (`run_message_protocol`); it takes
@@ -45,6 +46,7 @@ imported.
 from __future__ import annotations
 
 import os
+import random
 from typing import Iterable, Sequence
 
 from brooks_sim.errors import (
@@ -356,6 +358,32 @@ def circulant_graph(n: int, k: int) -> Graph:
 def cycle_complement(n: int) -> Graph:
     """The complement of the cycle 0-1-...-(n-1)-0."""
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 2, n) if v - u != n - 1])
+
+
+def perturbed_graph(g: Graph, seed: int, removed: int = 3) -> Graph:
+    """g with `removed` seeded edges taken out, then refilled: non-adjacent
+    pairs of nodes both below g.delta are joined in a seeded order until no
+    such pair is left. Degrees only grow, so one pass over the pairs that
+    qualify at the start is enough. The result may have a lower max degree
+    or a K_{delta+1}; callers that need neither check for them."""
+    if not 0 <= removed <= g.m:
+        raise ValueError(f"cannot remove {removed} of {g.m} edges")
+    rng = random.Random(seed)
+    edges = set(g.edges())
+    edges.difference_update(rng.sample(sorted(edges), removed))
+    degree = [0] * g.n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    low = [v for v in range(g.n) if degree[v] < g.delta]
+    pairs = [(u, v) for i, u in enumerate(low) for v in low[i + 1 :] if (u, v) not in edges]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if degree[u] < g.delta and degree[v] < g.delta:
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(g.n, sorted(edges))
 
 
 TAG_TRY = 1

@@ -254,13 +254,8 @@ def test_criterion_7_slack_accounting_identity():
             continue
         seed = rng.randrange(1 << 30)
         coloring, _ = run_slack_generation_with_metrics(g, range(n), 0.5, seed)
-        left_out = 0
-        sub = []
-        for v in range(n):
-            if rng.random() < 0.6:
-                sub.append(v)
-            else:
-                left_out |= 1 << v
+        sub = [v for v in range(n) if rng.random() < 0.6]
+        left_out = frozenset(range(n)).difference(sub)
         for v in range(n):
             if coloring.is_colored(v):
                 continue

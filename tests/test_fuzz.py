@@ -9,9 +9,13 @@ K_{Delta+1}.
 
 The structured corpus is 29 Delta-regular, Delta-colorable graphs (rook's
 graphs, circulants, cycle complements); most decompose into no
-almost-clique, so slack generation gets no slack in advance. Its table pins
-each run's outcome; it is a ratchet: a fix flips rows to "colored", and no
-row moves the other way.
+almost-clique, so slack generation gets no slack in advance. The perturbed
+corpus is each generator family at Delta 16 and 27, seed 0, with 3 edges
+removed and the graph refilled to Delta, kept where its max degree is still
+Delta and it has no K_{Delta+1}; refilling takes away the slack that the
+families give in advance. Each corpus has a table that pins each run's
+outcome; the tables are ratchets: a fix flips rows to "colored", and no row
+moves the other way.
 """
 
 import random
@@ -19,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from brooks_sim.errors import BrooksSimError
-from brooks_sim.graph_core import Graph, contains_delta_plus_one_clique
+from brooks_sim.graph_core import FAMILIES, Graph, contains_delta_plus_one_clique, generate_instance
 from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import PipelineConfig, run_pipeline
 from oracles import (
@@ -27,6 +31,7 @@ from oracles import (
     circulant_graph,
     cycle_complement,
     is_k_colorable_fast,
+    perturbed_graph,
     rook_graph,
 )
 
@@ -93,20 +98,53 @@ def structured_corpus() -> dict[str, Graph]:
     return graphs
 
 
+def outcomes_at_seeds(name: str, g: Graph) -> tuple:
+    """The outcome of `run_pipeline` at PipelineConfig(seed=0) and (seed=1):
+    COLORED for a valid coloring, else the typed error's name and phase."""
+    runs = []
+    for seed in (0, 1):
+        try:
+            result = run_pipeline(g, PipelineConfig(seed=seed))
+        except BrooksSimError as exc:
+            runs.append((type(exc).__name__, exc.phase))
+            continue
+        assert validate_coloring(g, result.coloring.as_list(), g.delta), (name, seed)
+        runs.append(COLORED)
+    return tuple(runs)
+
+
 def test_structured_corpus_outcomes():
     graphs = structured_corpus()
     assert len(graphs) == 29 and graphs.keys() == STRUCTURED_OUTCOMES.keys()
     outcomes = {}
     for name, g in graphs.items():
         assert {len(a) for a in g.adj} == {g.delta}, name
-        runs = []
-        for seed in (0, 1):
-            try:
-                result = run_pipeline(g, PipelineConfig(seed=seed))
-            except BrooksSimError as exc:
-                runs.append((type(exc).__name__, exc.phase))
-                continue
-            assert validate_coloring(g, result.coloring.as_list(), g.delta), (name, seed)
-            runs.append(COLORED)
-        outcomes[name] = tuple(runs)
+        outcomes[name] = outcomes_at_seeds(name, g)
     assert outcomes == STRUCTURED_OUTCOMES
+
+
+PERTURBED_DELTAS = (16, 27)
+
+# the outcome at PipelineConfig(seed=0) and (seed=1); clique_minus_edge and
+# guarded_pair refill into a K_{Delta+1} at both Deltas, so they are not kept
+PERTURBED_OUTCOMES = {
+    f"{family} {delta}": outcome
+    for family, outcome in (
+        ("matched_cliques", (COLORED, COLORED)),
+        ("runaway_pair", (COLORED, COLORED)),
+        ("random_gnd", (EXHAUSTED, EXHAUSTED)),
+        ("mixed", (EXHAUSTED, EXHAUSTED)),
+    )
+    for delta in PERTURBED_DELTAS
+}
+
+
+def test_perturbed_family_outcomes():
+    outcomes = {}
+    for family in FAMILIES:
+        for delta in PERTURBED_DELTAS:
+            g = perturbed_graph(generate_instance(family, delta, seed=0).graph, seed=0)
+            name = f"{family} {delta}"
+            if g.delta == delta and not contains_delta_plus_one_clique(g):
+                outcomes[name] = outcomes_at_seeds(name, g)
+    assert outcomes == PERTURBED_OUTCOMES

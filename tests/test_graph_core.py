@@ -493,7 +493,7 @@ class TestPartialColoring:
     def test_uncolored_degree_masks(self):
         g = star(4)
         col = PartialColoring(g)
-        full = (1 << g.n) - 1
+        full = frozenset(range(g.n))
         # with every node left out the slack is the palette size, so the drop
         # from it to the slack in G is the uncolored degree
         assert col.slack_in(0, full) - col.slack_in(0) == 4
@@ -537,7 +537,7 @@ class TestPartialColoring:
                 both = set(recount(col, u)) & set(recount(col, w))
                 assert col.palette_mask(u, w) == mask_of(both)
             sub = [v for v in range(g.n) if rng.random() < 0.7]
-            left_out = mask_of(set(range(g.n)) - set(sub))
+            left_out = frozenset(range(g.n)) - set(sub)
             for v in col.uncolored_in(range(g.n)):
                 assert col.slack_in(v, left_out) == measure_slack(g, col, v, sub)
                 assert col.slack_in(v) == measure_slack(g, col, v, range(g.n))
@@ -565,7 +565,7 @@ class TestPartialColoring:
                 both = set(recount(col, u)) & set(recount(col, w))
                 assert col.palette_mask(u, w) == mask_of(both)
             sub = [x for x in range(g.n) if rng.random() < 0.7]
-            left_out = mask_of(set(range(g.n)) - set(sub))
+            left_out = frozenset(range(g.n)) - set(sub)
             uncolored = col.uncolored_in(range(g.n))
             for x in rng.sample(uncolored, min(len(uncolored), 10)):
                 assert col.slack_in(x, left_out) == measure_slack(g, col, x, sub)

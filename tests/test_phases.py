@@ -186,7 +186,7 @@ class TestColorGrayThenWhite:
         g = complete_graph(3)
         coloring = PartialColoring(g)
         steps = bare_steps(g, coloring)
-        steps.gray_then_white("nice_b_gray", "nice_b_deferred", [((0, 1), {0})], 1 << 2)
+        steps.gray_then_white("nice_b_gray", "nice_b_deferred", [((0, 1), {0})], frozenset({2}))
         assert coloring.is_colored(0) and coloring.is_colored(1)
         assert not coloring.is_colored(2)
 

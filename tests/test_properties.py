@@ -86,6 +86,26 @@ def test_slackgen_proper_and_slack_identity(g, seed):
             assert measure_slack(g, coloring, v, full) == coloring.slack_in(v)
 
 
+@given(graphs(max_n=12), st.integers(min_value=0, max_value=2**20), st.sets(st.integers(0, 11)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_slack_in_leaves_out_a_node_set(g, seed, drawn):
+    # slack_in(v, L) is the slack in G minus L; an uncolored neighbour in L
+    # adds 1 to a slack that is at least delta - deg(v) >= 0, which is why
+    # gray_then_white's white rule is unit slack alone
+    if g.delta == 0:
+        return
+    coloring = run_slack_generation_with_metrics(g, range(g.n), 0.5, seed)[0]
+    left_out = frozenset(u for u in drawn if u < g.n)
+    rest = [u for u in range(g.n) if u not in left_out]
+    for v in coloring.uncolored_in(range(g.n)):
+        slack = coloring.slack_in(v, left_out)
+        assert slack == measure_slack(g, coloring, v, rest)
+        if any(u in left_out and coloring.color[u] is None for u in g.adj[v]):
+            assert slack >= 1
+        # alternating with the empty set swaps the mask kept for left_out
+        assert coloring.slack_in(v) == measure_slack(g, coloring, v, range(g.n))
+
+
 def brooks_graph(g: Graph) -> bool:
     """Delta >= 3 and no K_{Delta+1}: Delta-colorable by Brooks' theorem."""
     return g.delta >= 3 and not contains_delta_plus_one_clique(g)

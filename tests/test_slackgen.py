@@ -5,9 +5,11 @@ from fractions import Fraction
 
 from brooks_sim import slackgen
 from brooks_sim.acd import compute_acd
-from brooks_sim.classify import classify_acs, fine_partition
+from brooks_sim.classify import NICE, classify_acs, fine_partition
 from brooks_sim.errors import BrooksSimError, ProtocolOutputError
 from brooks_sim.graph_core import Graph, PartialColoring, generate_instance
+from brooks_sim.oracle_validate import validate_coloring
+from brooks_sim.phases import PipelineConfig, run_pipeline
 from brooks_sim.sim_engine import RoundMetrics, keyed
 from brooks_sim.slackgen import check_lemma33, participant_set, run_slack_generation_with_metrics
 from oracles import complete_graph, measure_slack
@@ -135,16 +137,37 @@ class TestMeasureSlack:
             if g.delta == 0:
                 continue
             coloring = run_slack_generation_with_metrics(g, range(n), 0.5, trial)[0]
-            left_out = 0
-            sub = []
-            for v in range(n):
-                if rng.random() < 0.7:
-                    sub.append(v)
-                else:
-                    left_out |= 1 << v
+            sub = [v for v in range(n) if rng.random() < 0.7]
+            left_out = frozenset(range(n)).difference(sub)
             for v in range(n):
                 if not coloring.is_colored(v):
                     assert measure_slack(g, coloring, v, sub) == coloring.slack_in(v, left_out)
+
+
+def test_gate_leaves_an_ac_out_on_a_mask_free_graph():
+    # random_gnd at n = 2000 keeps no n-bit masks; one clique_minus_edge
+    # component, bridged from a hole endpoint to a node of degree at most
+    # delta - 2, is a nice AC, so the gate measures every sparse node in
+    # G[V* u O] with the AC's 17 nodes left out, through slack_in's set test
+    inst = generate_instance("random_gnd", 16, seed=0, n=2000)
+    n = inst.graph.n
+    ac = generate_instance("clique_minus_edge", 16, seed=0)
+    low = next(v for v in range(n) if inst.graph.degree(v) <= 14)
+    edges = [*inst.graph.edges(), *((n + u, n + v) for u, v in ac.graph.edges())]
+    g = Graph(n + ac.graph.n, [*edges, (low, n + ac.meta["missing_edge"][0])])
+    acd = compute_acd(g, inst.epsilon)
+    cls = classify_acs(g, acd)
+    part = fine_partition(g, acd, cls)
+    assert not g.small_masks and cls.labels == (NICE,) and part.outside_vo == acd.cliques[0]
+    coloring = run_slack_generation_with_metrics(g, sorted(participant_set(part)), 0.5, 0)[0]
+    report = check_lemma33(g, acd, cls, part, coloring)
+    vo = part.Vstar | part.O
+    expected = {v: measure_slack(g, coloring, v, vo) for v in coloring.uncolored_in(part.Vstar)}
+    assert len(expected) == 1411 and report.sparse_slack == expected
+    # the bridge's sparse end has an uncolored neighbour in the AC
+    assert report.sparse_slack[low] == coloring.slack_in(low) + 1
+    result = run_pipeline(g, PipelineConfig(epsilon=inst.epsilon, seed=0))
+    assert validate_coloring(g, result.coloring.as_list(), 16)
 
 
 class TestSlackPropertyReport:
@@ -229,7 +252,7 @@ def test_slack_decomposition_identity():
             repetitions = len(nbr_colors) - len(set(nbr_colors))
             expected = (coloring.delta - g.degree(v)) + repetitions + outside_uncolored
             assert measure_slack(g, coloring, v, subset) == expected
-            left_out = sum(1 << u for u in range(n) if u not in subset)
+            left_out = frozenset(u for u in range(n) if u not in subset)
             assert coloring.slack_in(v, left_out) == expected
 
 
