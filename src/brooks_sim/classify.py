@@ -65,8 +65,8 @@ class FinePartition:
     @cached_property
     def outside_vo(self) -> frozenset[int]:
         """V minus (V* u O): the nodes colored after steps 4 and 5, which
-        the slack gate and step 5 leave out of G[V* u O]; cached, so that
-        `slack_in` sees one object. Empty with no almost-clique."""
+        the slack gate and step 5 leave out of G[V* u O]; cached, since the
+        gate reads it once per node. Empty with no almost-clique."""
         return self.P | self.E | self.R | self.N | self.G
 
 

@@ -24,7 +24,7 @@ class PartialColoring:
     The tests recount palettes and slacks from scratch.
     """
 
-    __slots__ = ("graph", "delta", "color", "used", "_uncolored", "_left_out")
+    __slots__ = ("graph", "delta", "color", "used", "_uncolored", "_left_out_masks")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -32,7 +32,7 @@ class PartialColoring:
         self.color: list[int | None] = [None] * graph.n
         self.used = [0] * graph.n
         self._uncolored: int | None = (1 << graph.n) - 1 if graph.small_masks else None
-        self._left_out: tuple[frozenset[int] | None, int] = (None, 0)  # last set, its mask
+        self._left_out_masks: dict[frozenset[int], int] = {}  # each set seen, its mask
 
     def is_colored(self, v: int) -> bool:
         return self.color[v] is not None
@@ -65,13 +65,14 @@ class PartialColoring:
         """Slack of v in the subgraph induced by V minus the `left_out`
         nodes: palette size minus uncolored degree within the subgraph; v
         must be uncolored for the value to mean anything, callers enforce
-        that. With masks, the mask of the last `left_out` object is kept.
+        that. With masks, each distinct `left_out` set's mask is built once.
         """
         graph = self.graph
         if graph.small_masks:
-            if self._left_out[0] is not left_out:
-                self._left_out = (left_out, mask_of(left_out))
-            uncolored = (graph.masks[v] & ~self._left_out[1] & self._uncolored).bit_count()
+            left_mask = self._left_out_masks.get(left_out)
+            if left_mask is None:
+                left_mask = self._left_out_masks[left_out] = mask_of(left_out)
+            uncolored = (graph.masks[v] & ~left_mask & self._uncolored).bit_count()
         else:
             color, nbrs = self.color, graph.adj[v]
             uncolored = list(map(color.__getitem__, nbrs)).count(None)

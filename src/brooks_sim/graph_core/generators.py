@@ -22,11 +22,11 @@ for the family at this delta.
 
 One table names each family's builder and smallest delta; a keyword
 parameter that the builder does not take raises UnsupportedFamilyError, as
-an unknown family does. Each builder returns a _Blueprint: node count, edge
-list, epsilon bounds and meta. generate_instance builds the one Graph from
-it and checks the max degree and the absence of a K_{delta+1} on that
-Graph; mixed joins its components' edge lists and builds no Graph per
-component.
+an unknown family does. Each builder returns a _Blueprint: per-node
+neighbour lists (each edge appended at both ends once), epsilon bounds and
+meta. generate_instance freezes those lists into the one Graph, unchecked,
+and checks the max degree and the absence of a K_{delta+1} on that Graph;
+mixed offsets its components' lists and builds no Graph per component.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, NamedTuple
+from itertools import chain, combinations
+from typing import Callable, Iterable, NamedTuple
 
 from ..errors import UnsupportedFamilyError, check_int
 from ..thresholds import DEFAULT_EPSILON, ceil_phi, floor_psi
@@ -64,8 +64,7 @@ class GeneratedGraph:
 class _Blueprint(NamedTuple):
     """What a family builder hands generate_instance to build and check."""
 
-    n: int
-    edges: list[tuple[int, int]]
+    adj: list  # node v's neighbours, a list (or random_gnd's set) of ids
     epsilon_min: Fraction
     epsilon_max: Fraction
     meta: dict
@@ -75,7 +74,7 @@ def generate_instance(family: str, delta: int, seed: int = 0, **params) -> Gener
     check_int("delta", delta)
     check_int("seed", seed)  # an OS-entropy seed would make the graph irreproducible
     blueprint = _blueprint(family, delta, seed, **params)
-    g = Graph(blueprint.n, blueprint.edges)
+    g = Graph._from_neighbour_lists(blueprint.adj)
     _check_max_degree(family, delta, g.delta)
     if contains_delta_plus_one_clique(g):
         raise UnsupportedFamilyError(f"{family}({delta}, seed={seed}) contains a K_{delta + 1}")
@@ -109,6 +108,13 @@ def _check_max_degree(family: str, delta: int, max_degree: int) -> None:
         raise UnsupportedFamilyError(f"{family}({delta}) produced max degree {max_degree}")
 
 
+def _join(adj: list[list[int]], edges: Iterable[tuple[int, int]]) -> None:
+    """Append each edge (u, v) to both ends' neighbour lists."""
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+
 def _clique_minus_edge(delta: int, seed: int) -> _Blueprint:
     n = delta + 1
     rng = random.Random(seed)
@@ -117,12 +123,10 @@ def _clique_minus_edge(delta: int, seed: int) -> _Blueprint:
     if b >= a:
         b += 1
     missing = (min(a, b), max(a, b))
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != missing
-    ]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    _join(adj, (e for e in combinations(range(n), 2) if e != missing))
     return _Blueprint(
-        n=n,
-        edges=edges,
+        adj=adj,
         epsilon_min=Fraction(1, 3 * delta),
         epsilon_max=Fraction(1, 4),
         meta={"missing_edge": missing},
@@ -135,33 +139,31 @@ def _matched_cliques(delta: int, seed: int) -> _Blueprint:
     side_b = list(range(delta, 2 * delta))
     perm = list(range(delta))
     rng.shuffle(perm)
-    edges = []
+    adj: list[list[int]] = [[] for _ in range(2 * delta)]
     for side in (side_a, side_b):
-        edges.extend((side[i], side[j]) for i in range(delta) for j in range(i + 1, delta))
+        _join(adj, combinations(side, 2))
     matching = [(side_a[i], side_b[perm[i]]) for i in range(delta)]
-    edges.extend(matching)
+    _join(adj, matching)
     return _Blueprint(
-        n=2 * delta,
-        edges=edges,
+        adj=adj,
         epsilon_min=Fraction(1, 4 * delta),
         epsilon_max=Fraction(1, 4),
         meta={"sides": (tuple(side_a), tuple(side_b)), "matching": tuple(matching)},
     )
 
 
-def _covered_clique_edges(
-    clique: list[int], s_first: int, s_second: int, k: int
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Clique edges plus coverage: s_first sees positions [0,k), s_second sees
-    [k-1, m). Overlap of exactly one member keeps both special degrees down
-    while every member gets an outside neighbor (no simplicial nodes)."""
-    m = len(clique)
-    edges = [(clique[i], clique[j]) for i in range(m) for j in range(i + 1, m)]
+def _covered_clique(
+    adj: list[list[int]], clique: list[int], s_first: int, s_second: int, k: int
+) -> tuple[list[int], list[int]]:
+    """Join the clique plus coverage: s_first sees positions [0,k), s_second
+    sees [k-1, m). Overlap of exactly one member keeps both special degrees
+    down while every member gets an outside neighbor (no simplicial nodes)."""
+    _join(adj, combinations(clique, 2))
     cov_first = clique[:k]
     cov_second = clique[k - 1 :]
-    edges.extend((s_first, v) for v in cov_first)
-    edges.extend((s_second, v) for v in cov_second)
-    return edges, cov_first, cov_second
+    _join(adj, ((s_first, v) for v in cov_first))
+    _join(adj, ((s_second, v) for v in cov_second))
+    return cov_first, cov_second
 
 
 def _coverage_epsilon_max(delta: int, max_coverage: int) -> Fraction:
@@ -179,21 +181,14 @@ def _check_deficit(family: str, delta: int, deficit: int) -> None:
         )
 
 
-def _degrees(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    degrees = [0] * n
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return degrees
-
-
-def _pad_to_delta(edges: list[tuple[int, int]], n: int, delta: int) -> tuple[int, bool]:
+def _pad_to_delta(adj: list[list[int]], delta: int) -> bool:
     """Append a disjoint star so the graph's max degree is exactly delta."""
-    if max(_degrees(n, edges), default=0) >= delta:
-        return n, False
-    hub = n
-    edges.extend((hub, hub + 1 + i) for i in range(delta))
-    return n + 1 + delta, True
+    if max(map(len, adj), default=0) >= delta:
+        return False
+    hub = len(adj)
+    adj.append(list(range(hub + 1, hub + 1 + delta)))
+    adj.extend([hub] for _ in range(delta))
+    return True
 
 
 def _guarded_pair(delta: int, seed: int, deficit: int = 1) -> _Blueprint:
@@ -205,14 +200,14 @@ def _guarded_pair(delta: int, seed: int, deficit: int = 1) -> _Blueprint:
     clique = list(range(2, 2 + m))
     rng.shuffle(clique)
     k = (m + 2) // 2  # |S1|; |S2| = m - k + 1
-    edges, cov1, cov2 = _covered_clique_edges(clique, 0, 1, k)
+    adj: list[list[int]] = [[] for _ in range(2 + m)]
+    cov1, cov2 = _covered_clique(adj, clique, 0, 1, k)
     need = ceil_phi(delta)
     if min(len(cov1), len(cov2)) < need:
         raise UnsupportedFamilyError(f"guarded_pair({delta}): coverage below phi")
-    n, padded = _pad_to_delta(edges, 2 + m, delta)
+    padded = _pad_to_delta(adj, delta)
     return _Blueprint(
-        n=n,
-        edges=edges,
+        adj=adj,
         epsilon_min=Fraction(deficit, delta),
         epsilon_max=_coverage_epsilon_max(delta, max(len(cov1), len(cov2))),
         meta={
@@ -238,15 +233,15 @@ def _runaway_pair(delta: int, seed: int, deficit: int = 1) -> _Blueprint:
     rng.shuffle(clique2)
     k1 = (delta + 1) // 2
     k2 = delta - k1
-    edges1, cov11, cov21 = _covered_clique_edges(clique1, 0, 1, k1)
-    edges2, cov12, cov22 = _covered_clique_edges(clique2, 0, 1, k2)
+    adj: list[list[int]] = [[] for _ in range(2 + 2 * m)]
+    cov11, cov21 = _covered_clique(adj, clique1, 0, 1, k1)
+    cov12, cov22 = _covered_clique(adj, clique2, 0, 1, k2)
     need = ceil_phi(delta)
     if min(len(cov11), len(cov21), len(cov12), len(cov22)) < need:
         raise UnsupportedFamilyError(f"runaway_pair({delta}): coverage below phi")
     max_cov = max(len(cov11), len(cov21), len(cov12), len(cov22))
     return _Blueprint(
-        n=2 + 2 * m,
-        edges=edges1 + edges2,
+        adj=adj,
         epsilon_min=Fraction(deficit, delta),
         epsilon_max=_coverage_epsilon_max(delta, max_cov),
         meta={
@@ -283,7 +278,6 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
     else:
         adj = [[] for _ in range(n)]
         add = list.append
-    edges: list[tuple[int, int]] = []
     # union of d // 2 random Hamiltonian cycles, plus a random perfect
     # matching when d is odd; a pair already joined is skipped. Each
     # permutation shuffles a copy of one id list, so the edges share one int
@@ -300,7 +294,6 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
             if v not in adj[u]:
                 add(adj[u], v)
                 add(adj[v], u)
-                edges.append((u, v))
     # duplicate skips leave degrees <= delta-2; raise node 0 to exactly delta by
     # 50n random picks, then by a deterministic scan that is effectively unreachable
     adj0 = adj[0]
@@ -309,12 +302,10 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
         if len(adj[v]) <= delta - 2 and v not in adj0:
             add(adj0, v)
             add(adj[v], 0)
-            edges.append((0, v))
             if len(adj0) >= delta:
                 break
     return _Blueprint(
-        n=n,
-        edges=edges,
+        adj=adj,
         epsilon_min=Fraction(1, 4 * delta),
         epsilon_max=Fraction(1, 4),
         meta={"max_degree_node": 0, "n": n},
@@ -322,14 +313,14 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
 
 
 def _spare_node(
-    kind: str, part: _Blueprint, offset: int, degrees: list[int], delta: int
+    kind: str, part: _Blueprint, offset: int, adj: list[list[int]], delta: int
 ) -> int | None:
     """The first attachment point that tolerates one more edge without losing
     what the family relies on (random_gnd nodes must keep a-priori slack)."""
     limit = delta - 2 if kind == "random_gnd" else delta - 1
     skip = offset + part.meta["max_degree_node"] if kind == "random_gnd" else None
-    for v in range(offset, offset + part.n):
-        if v != skip and degrees[v] <= limit:
+    for v in range(offset, offset + len(part.adj)):
+        if v != skip and len(adj[v]) <= limit:
             return v
     return None
 
@@ -352,42 +343,36 @@ def _mixed(
             f"mixed({delta}): kinds must be a non-empty list of family names, got {kinds!r}"
         )
     rng = random.Random(seed ^ 0x5EED)
-    # degrees and edges are over the union's ids: component i starts at offsets[i]
+    # adj is over the union's ids: component i starts at offsets[i]
     parts: list[_Blueprint] = []
     offsets: list[int] = []
-    degrees: list[int] = []
-    edges: list[tuple[int, int]] = []
+    adj: list[list[int]] = []
     for idx, kind in enumerate(kinds):
         part = _blueprint(kind, delta, seed * 131 + idx)
-        part_degrees = _degrees(part.n, part.edges)
-        _check_max_degree(kind, delta, max(part_degrees, default=0))
-        total = len(degrees)
+        _check_max_degree(kind, delta, max(map(len, part.adj), default=0))
+        offset = len(adj)
         parts.append(part)
-        offsets.append(total)
-        degrees.extend(part_degrees)
-        edges.extend((total + u, total + v) for u, v in part.edges)
+        offsets.append(offset)
+        adj.extend([offset + u for u in a] for a in part.adj)
 
     bridges: list[tuple[int, int]] = []
     for i in range(len(parts) - 1):
         if rng.random() >= 0.5:
             continue
-        u = _spare_node(kinds[i], parts[i], offsets[i], degrees, delta)
-        v = _spare_node(kinds[i + 1], parts[i + 1], offsets[i + 1], degrees, delta)
+        u = _spare_node(kinds[i], parts[i], offsets[i], adj, delta)
+        v = _spare_node(kinds[i + 1], parts[i + 1], offsets[i + 1], adj, delta)
         if u is None or v is None:
             continue  # e.g. matched_cliques has no spare-degree node
         bridges.append((u, v))
-        edges.append((u, v))
-        degrees[u] += 1
-        degrees[v] += 1
+        _join(adj, [(u, v)])  # the next pair's spare node sees this degree
 
     return _Blueprint(
-        n=len(degrees),
-        edges=edges,
+        adj=adj,
         epsilon_min=max(p.epsilon_min for p in parts),
         epsilon_max=min(p.epsilon_max for p in parts),
         meta={
             "components": tuple(
-                {"family": kind, "offset": off, "n": p.n, "meta": p.meta}
+                {"family": kind, "offset": off, "n": len(p.adj), "meta": p.meta}
                 for kind, p, off in zip(kinds, parts, offsets)
             ),
             "bridges": tuple(bridges),

@@ -25,9 +25,11 @@ class Graph:
     dense graph, only the ACD and classification read it, for the nodes in
     or next to an almost-clique, so such a graph keeps memory linear in its
     edges plus those masks.
-    Construction raises GraphInvariantError for a node count that is not an
-    int, and for the first edge, in input order, that is not a pair of int
-    ids, is out of range, a self-loop or a duplicate.
+    `Graph(n, edges)` raises GraphInvariantError for a node count that is
+    not an int, or is a bool, and for the first edge, in input order, that
+    is not a pair of int ids, is out of range, a self-loop or a duplicate.
+    The generators and the loader build valid neighbour lists and hand them
+    to `_from_neighbour_lists`, unchecked; both paths end in `_freeze`.
     Immutable after construction, apart from that mask cache, whose entries
     do not depend on who builds them; safe for concurrent reads.
     """
@@ -35,47 +37,56 @@ class Graph:
     __slots__ = ("n", "m", "delta", "adj", "small_masks", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise GraphInvariantError(f"node count {n!r} is not an int") from None
+        if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+            raise GraphInvariantError(f"node count {n!r} is not an int")
+        n = operator.index(n)
         if n < 0:
             raise GraphInvariantError(f"negative node count {n}")
-        self.n = n
         edges = list(edges)
-        # store ids[v], not the caller's object: a builder that offsets ids
-        # (mixed) or parses them (io) hands over a fresh int per endpoint
-        ids = list(range(n))
         adj: list[list[int]] = [[] for _ in range(n)]
         try:
             for u, v in edges:
                 if u == v or not (0 <= u < n and 0 <= v < n):
                     _raise_first_defect(n, edges)
-                adj[u].append(ids[v])
-                adj[v].append(ids[u])
+                adj[u].append(v)
+                adj[v].append(u)
+            self._freeze(adj)
         except (TypeError, ValueError):
             # an edge that is not a pair of ints; only the defect scan checks types
             _raise_first_defect(n, edges)
-        # each list gives way to its tuple at once, so the two never coexist in full
-        for v, a in enumerate(adj):
-            a.sort()
-            adj[v] = tuple(a)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
-        self.m = len(edges)
-        self.delta = max(map(len, self.adj), default=0)
-        self.small_masks: bool = masks_fit(n, self.m)
-        self.masks: tuple[int, ...] | MaskCache
         # a repeated edge repeats a neighbour, which a set counts once; distinct
         # powers of two sum to their OR, a repeated one carries and loses a bit
         if self.small_masks:
-            pow2 = [1 << v for v in range(n)]
-            self.masks = tuple([sum(map(pow2.__getitem__, a)) for a in self.adj])
             repeated = any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj))
         else:
-            self.masks = MaskCache(self.adj)
             repeated = any(len(set(a)) < len(a) for a in self.adj)
         if repeated:
             _raise_first_defect(n, edges)
+
+    @classmethod
+    def _from_neighbour_lists(cls, adj: list) -> Graph:
+        """The graph whose node v has the neighbours in `adj[v]`, a list or a
+        set of ids; `adj` is consumed. Not checked: each edge must be in both
+        ends' containers once, with int ids in range and no self-loop."""
+        graph = cls.__new__(cls)
+        graph._freeze(adj)
+        return graph
+
+    def _freeze(self, adj: list) -> None:
+        ids = list(range(len(adj)))  # one int object per id, stored for every end
+        for v, a in enumerate(adj):  # in turn: containers and tuples never coexist in full
+            adj[v] = tuple(sorted(map(ids.__getitem__, a)))
+        self.n = n = len(adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
+        self.m = sum(map(len, self.adj)) // 2
+        self.delta = max(map(len, self.adj), default=0)
+        self.small_masks: bool = masks_fit(n, self.m)
+        self.masks: tuple[int, ...] | MaskCache
+        if self.small_masks:
+            pow2 = [1 << v for v in range(n)]
+            self.masks = tuple([sum(map(pow2.__getitem__, a)) for a in self.adj])
+        else:
+            self.masks = MaskCache(self.adj)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

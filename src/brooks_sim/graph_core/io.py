@@ -7,10 +7,11 @@ UTF-8, LF. Non-simple input is rejected with the offending line number.
 The loader opens the file once and checks each line as it reads it, with a
 set of the edges read so far to catch a repeat, so the first offending line
 raises GraphFormatError: a bad line, a self-loop, an id out of range or a
-repeated edge. A missing header or an edge count that differs from the
-header's raises it after the last line. Invalid UTF-8 raises GraphFormatError
-too, with no line number: the text is decoded in chunks, so the lines before
-the bad byte in its chunk are never read.
+repeated edge. A line that passes is appended to both ends' neighbour lists,
+which become the Graph with no second check. A missing header or an edge
+count that differs from the header's raises it after the last line. Invalid
+UTF-8 raises GraphFormatError too, with no line number: the text is decoded
+in chunks, so the lines before the bad byte in its chunk are never read.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
     """Load a graph plus any `# key=value` comment hints (family, delta, ...)."""
     header: dict[str, str] = {}
     n = m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = []
+    seen: set[int] = set()
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
@@ -42,30 +43,32 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
                     continue
                 if n is None:
                     n, m = _header(parts, lineno)
+                    adj = [[] for _ in range(n)]
                     continue
                 try:
                     u, v = map(int, parts)
                 except ValueError:
                     bad = "expected edge 'u v'" if len(parts) != 2 else "non-integer edge"
                     raise GraphFormatError(bad, line=lineno) from None
-                edge = (u, v)
-                if 0 <= u < v < n and edge not in seen:
-                    seen.add(edge)
-                    edges.append(edge)
+                key = u * n + v  # one int per edge, unique where 0 <= u < v < n
+                if 0 <= u < v < n and key not in seen:
+                    seen.add(key)
+                    adj[u].append(v)
+                    adj[v].append(u)
                 elif u == v:
                     raise GraphFormatError(f"self-loop ({u},{v})", line=lineno)
-                elif edge in seen:
+                elif 0 <= u < v < n:
                     raise GraphFormatError(f"duplicate edge ({u},{v})", line=lineno)
                 else:
                     raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n", line=lineno)
         except UnicodeDecodeError as exc:
             raise GraphFormatError(f"invalid UTF-8 ({exc.reason})") from None
-    del seen  # not held while Graph builds its neighbour lists
     if n is None:
         raise GraphFormatError("empty file, no 'n m' header", line=1)
-    if len(edges) != m:
-        raise GraphFormatError(f"header declared m={m} but found {len(edges)} edges")
-    return Graph(n, edges), header
+    if len(seen) != m:
+        raise GraphFormatError(f"header declared m={m} but found {len(seen)} edges")
+    del seen  # not held while Graph freezes the neighbour lists
+    return Graph._from_neighbour_lists(adj), header
 
 
 def _header(parts: list[str], lineno: int) -> tuple[int, int]:

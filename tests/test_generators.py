@@ -62,6 +62,37 @@ def test_loaded_graph_holds_one_int_object_per_node(tmp_path):
     _assert_one_int_object_per_node(loaded)
 
 
+def _same_graph(g: Graph, reference: Graph) -> None:
+    assert (g.n, g.m, g.delta, g.adj) == (reference.n, reference.m, reference.delta, reference.adj)
+    assert g.small_masks == reference.small_masks
+    if g.small_masks:
+        assert g.masks == reference.masks
+
+
+def test_each_graph_is_built_once_from_its_neighbour_lists(tmp_path, monkeypatch):
+    # generators and the loader freeze their own neighbour lists and never
+    # call Graph(n, edges); the edge path, outside the patch, is the reference
+    def refuse(self, n, edges):
+        raise AssertionError("Graph(n, edges) called")
+
+    saved = tmp_path / "mixed.txt"
+    save_graph(generate_instance("mixed", 27, 1).graph, saved)
+    built = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "__init__", refuse)
+        for delta in (16, 27, 64):
+            for seed in range(3):
+                built += [generate_instance(family, delta, seed) for family in FAMILIES]
+                built += [
+                    generate_instance(family, delta, seed, deficit=2)
+                    for family in ("guarded_pair", "runaway_pair")
+                ]
+                assert built[-2].meta["padded"]  # the one input that pads with a star
+        loaded = load_graph_with_header(saved)[0]
+    for g in [inst.graph for inst in built] + [loaded]:
+        _same_graph(g, Graph(g.n, list(g.edges())))
+
+
 def test_unknown_family_rejected():
     with pytest.raises(UnsupportedFamilyError):
         generate_instance("banana", 16)

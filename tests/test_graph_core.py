@@ -97,6 +97,12 @@ class TestGraph:
             Graph(-1, [])
         assert str(err.value) == "negative node count -1"
 
+    def test_rejects_bool_node_count(self):
+        # a bool is an int subclass, but no other int argument of the package takes one
+        with pytest.raises(GraphInvariantError) as err:
+            Graph(True, [])
+        assert str(err.value) == "node count True is not an int"
+
     @pytest.mark.parametrize("n", [5.0, "5", None])
     def test_rejects_non_int_node_count(self, n):
         with pytest.raises(GraphInvariantError) as err:
@@ -500,6 +506,28 @@ class TestPartialColoring:
         col.assign(1, 0)
         assert col.slack_in(0, full) - col.slack_in(0) == 3
         assert col.slack_in(0) == 4 - 1 - 3  # palette 3, uncolored degree 3
+
+    def test_slack_in_builds_each_left_out_mask_once(self, monkeypatch):
+        # the slack gate alternates outside_vo with the empty set; each mask is
+        # built on the set's first use only, and an equal new set finds it too
+        from brooks_sim.graph_core import coloring
+
+        builds = []
+
+        def counted(nodes):
+            builds.append(nodes)
+            return mask_of(nodes)
+
+        monkeypatch.setattr(coloring, "mask_of", counted)
+        g = generate_instance("matched_cliques", 16, 0).graph
+        assert g.small_masks
+        col = PartialColoring(g)
+        left_out = frozenset(range(0, g.n, 3))
+        for v in range(g.n):
+            assert col.slack_in(v, left_out) == measure_slack(g, col, v, set(range(g.n)) - left_out)
+            assert col.slack_in(v) == measure_slack(g, col, v, range(g.n))
+        assert col.slack_in(1, frozenset(left_out)) == col.slack_in(1, left_out)
+        assert builds == [left_out, frozenset()]
 
     @pytest.mark.parametrize(
         "family, delta, params",

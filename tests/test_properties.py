@@ -102,7 +102,7 @@ def test_slack_in_leaves_out_a_node_set(g, seed, drawn):
         assert slack == measure_slack(g, coloring, v, rest)
         if any(u in left_out and coloring.color[u] is None for u in g.adj[v]):
             assert slack >= 1
-        # alternating with the empty set swaps the mask kept for left_out
+        # alternating with the empty set, as the slack gate does
         assert coloring.slack_in(v) == measure_slack(g, coloring, v, range(g.n))
 
 
