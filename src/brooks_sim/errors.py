@@ -118,6 +118,7 @@ class DeltaPlusOneCliquePresent(BrooksSimError):
 
 
 class RetryExhausted(BrooksSimError):
-    def __init__(self, message: str, attempts: int, *, phase: str | None = None):
+    def __init__(self, message: str, records: tuple, *, phase: str | None = None):
         super().__init__(message, phase=phase)
-        self.attempts = attempts
+        self.records = records  # one phases.Attempt per attempt, in order
+        self.attempts = len(records)

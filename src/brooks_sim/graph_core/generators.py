@@ -343,7 +343,8 @@ def _mixed(
             f"mixed({delta}): kinds must be a non-empty list of family names, got {kinds!r}"
         )
     rng = random.Random(seed ^ 0x5EED)
-    # adj is over the union's ids: component i starts at offsets[i]
+    # adj is over the union's ids: component i starts at offsets[i]. Its entries
+    # share one int per id, and parts keeps only the id list, whose length is read.
     parts: list[_Blueprint] = []
     offsets: list[int] = []
     adj: list[list[int]] = []
@@ -351,9 +352,10 @@ def _mixed(
         part = _blueprint(kind, delta, seed * 131 + idx)
         _check_max_degree(kind, delta, max(map(len, part.adj), default=0))
         offset = len(adj)
-        parts.append(part)
+        ids = list(range(offset, offset + len(part.adj)))
+        adj.extend(list(map(ids.__getitem__, a)) for a in part.adj)
+        parts.append(part._replace(adj=ids))
         offsets.append(offset)
-        adj.extend([offset + u for u in a] for a in part.adj)
 
     bridges: list[tuple[int, int]] = []
     for i in range(len(parts) - 1):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from typing import Mapping
 
-from ..errors import GraphFormatError
+from ..errors import BrooksSimError, GraphFormatError
 from .graph import Graph
 
 
@@ -84,7 +84,14 @@ def _header(parts: list[str], lineno: int) -> tuple[int, int]:
 
 
 def save_graph(g: Graph, path: str | os.PathLike, header: Mapping[str, str] | None = None) -> None:
-    """Write canonical form: sorted edges, LF endings, optional hint comments."""
+    """Write canonical form: sorted edges, LF endings, optional hint comments.
+    A hint the loader would not read back unchanged raises BrooksSimError:
+    an empty key, whitespace or '=' in a key, a line break in a value, or a
+    value with whitespace at either end."""
+    for key, value in (header or {}).items():
+        bad_key = key.split() != [key] or "=" in key
+        if bad_key or value != value.strip() or "\n" in value or "\r" in value:
+            raise BrooksSimError(f"hint {key!r}={value!r} would not read back", phase="config")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             for key in sorted(header):

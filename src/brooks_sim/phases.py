@@ -60,6 +60,7 @@ from .listcolor import (
 from .sim_engine import RoundMetrics, congest_budget, keyed
 from .slackgen import (
     SlackReport,
+    Violation,
     check_lemma33,
     check_p_g,
     participant_set,
@@ -129,6 +130,16 @@ class PipelineConfig:
 
 
 @dataclass
+class Attempt:
+    """One slack-generation attempt, the metrics of its trial and instances, and its failure."""
+
+    seed: int
+    violations: tuple[Violation, ...]
+    metrics: RoundMetrics
+    deg_plus_one: DegPlusOneViolation | None = None
+
+
+@dataclass
 class PipelineResult:
     coloring: PartialColoring
     ledger: InstanceLedger
@@ -138,6 +149,7 @@ class PipelineResult:
     acd: AlmostCliqueDecomposition
     classification: ACClassification
     partition: FinePartition
+    attempts: tuple[Attempt, ...]  # every attempt in order; the last one passed
 
 
 class PipelineSteps:
@@ -222,16 +234,6 @@ class PipelineSteps:
     def cliques_with_label(self, label: str) -> list[int]:
         return [i for i, lab in enumerate(self.cls.labels) if lab == label]
 
-    def uncolored_special(self, idx: int, kind: str) -> int:
-        """The picked special of difficult AC idx, still uncolored when the
-        step building `kind` starts."""
-        node = self.cls.picked_special(idx)
-        if self.coloring.is_colored(node):
-            raise PartitionViolationError(
-                f"picked special {node} colored before {kind}", node=node, phase=kind
-            )
-        return node
-
     def toehold_pair(self, idx: int) -> Unit | None:
         """The first non-edge (u, w) of nice AC idx in id order whose common
         neighborhood dominates the AC: every other member lies in, or has a
@@ -277,7 +279,7 @@ class PipelineSteps:
         # white: N(escape); every escape is a runaway pick, stalled until step 9
         groups = []
         for idx in self.cliques_with_label(RUNAWAY):
-            escape = self.uncolored_special(idx, "runaway_gray")
+            escape = self.cls.picked_special(idx)
             groups.append((self.acd.cliques[idx], frozenset(self.g.adj[escape])))
         self.gray_then_white("runaway_gray", "runaway_white", groups, self.part.E)
 
@@ -330,7 +332,7 @@ class PipelineSteps:
         groups = []
         for idx in self.cliques_with_label(GUARDED):
             clique = self.acd.cliques[idx]
-            protector = self.uncolored_special(idx, "guarded_pairs")
+            protector = self.cls.picked_special(idx)
             nbrs = frozenset(self.g.adj[protector])
             non_nbrs = self.coloring.uncolored_in(clique - nbrs)
             if not non_nbrs:
@@ -342,21 +344,8 @@ class PipelineSteps:
             groups.append((clique, nbrs))
         self.solve_units("guarded_pairs", pairs)
         self.gray_then_white("guarded_gray", "guarded_white", groups)
-        for v in self.part.P:
-            if not self.coloring.is_colored(v):
-                raise PartitionViolationError(
-                    f"protector {v} left uncolored after step 8", node=v, phase="guarded_white"
-                )
 
     def step9_escape(self) -> None:
-        uncolored_non_escape = [
-            v for v in self.coloring.uncolored_in(range(self.g.n)) if v not in self.part.E
-        ]
-        if uncolored_non_escape:
-            raise PartitionViolationError(
-                f"step 9 reached with non-escape nodes uncolored: {uncolored_non_escape[:4]}",
-                phase="escape",
-            )
         self.solve_units("escape", ((v,) for v in self.part.E))
 
     def execute(self) -> None:
@@ -380,7 +369,7 @@ def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
     part = fine_partition(g, acd, cls)
     participants = sorted(participant_set(part))
 
-    last_failure = ""
+    attempts: list[Attempt] = []
     for attempt in range(config.max_retries):
         attempt_seed = keyed(config.seed, attempt) >> 2
         coloring, metrics = run_slack_generation_with_metrics(
@@ -391,14 +380,14 @@ def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
             strict_bit_budget=config.bit_budget(g.n),
         )
         report = check_lemma33(g, acd, cls, part, coloring)
+        attempts.append(Attempt(attempt_seed, tuple(report.violations), metrics))
         if not report.gate_ok:
-            last_failure = f"slack gate: {report.violations[0]}"
             continue
         run = PipelineSteps(g, config, acd, cls, part, coloring, metrics, attempt_seed)
         try:
             run.execute()
         except DegPlusOneViolation as exc:
-            last_failure = f"deg+1 violation: {exc}"
+            attempts[-1].deg_plus_one = exc
             continue
         return PipelineResult(
             coloring=run.coloring,
@@ -409,9 +398,13 @@ def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
             acd=acd,
             classification=cls,
             partition=part,
+            attempts=tuple(attempts),
         )
+    last = attempts[-1]
+    stage = "slack gate" if last.violations else "deg+1 violation"
+    failure = last.violations[0] if last.violations else last.deg_plus_one
     raise RetryExhausted(
-        f"no attempt passed within {config.max_retries} retries; last: {last_failure}",
-        config.max_retries,
+        f"no attempt passed within {config.max_retries} retries; last: {stage}: {failure}",
+        tuple(attempts),
         phase="slackgen",
     )

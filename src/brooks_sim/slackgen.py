@@ -61,6 +61,24 @@ def run_slack_generation_with_metrics(
     return coloring, metrics
 
 
+@dataclass(frozen=True)
+class Violation:
+    """A failed gate condition; value is the slack, unit-slack count or (colored, total)."""
+
+    kind: str  # sparse, escape, ordinary_ac or difficult_ac
+    id: int
+    value: int | tuple[int, int]
+
+    def __str__(self) -> str:  # the gate's message
+        return {
+            "sparse": "sparse node {0.id} has slack {0.value} < 1",
+            "escape": "escape {0.id} has slack {0.value} < 1 in G[V]",
+            "ordinary_ac": "ordinary AC {0.id}: no uncolored unit-slack node",
+            "difficult_ac": "difficult AC {0.id}: {0.value[0]}/{0.value[1]}"
+            " of N_C(special) colored",
+        }[self.kind].format(self)
+
+
 @dataclass
 class SlackReport:
     """Measured slack-property quantities plus the retry-gate verdict.
@@ -74,7 +92,7 @@ class SlackReport:
     escape_slack: dict[int, int] = field(default_factory=dict)
     ordinary_unit_slack: dict[int, int] = field(default_factory=dict)
     difficult_colored_fraction: dict[int, Fraction] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
 
     @property
     def gate_ok(self) -> bool:
@@ -97,12 +115,12 @@ def check_lemma33(
         slack = coloring.slack_in(v, part.outside_vo)
         report.sparse_slack[v] = slack
         if slack < 1:
-            report.violations.append(f"sparse node {v} has slack {slack} < 1")
+            report.violations.append(Violation("sparse", v, slack))
     for v in sorted(part.E):
         slack = coloring.slack_in(v)
         report.escape_slack[v] = slack
         if slack < 1:
-            report.violations.append(f"escape {v} has slack {slack} < 1 in G[V]")
+            report.violations.append(Violation("escape", v, slack))
 
     # (ii) uncolored unit-slack nodes per ordinary AC
     for idx, clique in enumerate(acd.cliques):
@@ -112,7 +130,7 @@ def check_lemma33(
         count = sum(1 for v in uncolored if coloring.slack_in(v, part.outside_vo) >= 1)
         report.ordinary_unit_slack[idx] = count
         if uncolored and count == 0:
-            report.violations.append(f"ordinary AC {idx}: no uncolored unit-slack node")
+            report.violations.append(Violation("ordinary_ac", idx, count))
 
     # (iii) colored fraction of N_C(picked special) per difficult AC
     for idx in range(len(acd.cliques)):
@@ -124,9 +142,7 @@ def check_lemma33(
         frac = Fraction(colored, total) if total else Fraction(0)
         report.difficult_colored_fraction[idx] = frac
         if 2 * colored > total:
-            report.violations.append(
-                f"difficult AC {idx}: {colored}/{total} of N_C(special) colored"
-            )
+            report.violations.append(Violation("difficult_ac", idx, (colored, total)))
     return report
 
 

@@ -7,6 +7,7 @@ import pytest
 import brooks_sim.acd as acd_module
 import brooks_sim.cli as cli_module
 from brooks_sim.cli import main
+from brooks_sim.graph_core import load_graph_with_header
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,13 @@ def test_gen_then_color_smoke(tmp_path, capsys):
     assert payload["valid"] is True
     assert payload["schema_version"] == 1
     assert len(payload["ledger"]) == 16
+
+
+def test_gen_header_reads_back(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    run_cli(capsys, "gen", "--family", "guarded_pair", "--delta", "16", "--out", str(gpath))
+    _, header = load_graph_with_header(gpath)
+    assert header == {"family": "guarded_pair", "delta": "16", "seed": "0", "epsilon": "15/128"}
 
 
 def test_color_reads_epsilon_hint_from_header(tmp_path, capsys):

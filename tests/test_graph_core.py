@@ -7,7 +7,12 @@ import re
 
 import pytest
 
-from brooks_sim.errors import GraphFormatError, GraphInvariantError, ImproperColoringError
+from brooks_sim.errors import (
+    BrooksSimError,
+    GraphFormatError,
+    GraphInvariantError,
+    ImproperColoringError,
+)
 from brooks_sim.graph_core import (
     Graph,
     PartialColoring,
@@ -331,6 +336,25 @@ class TestIO:
         g, header = load_graph_with_header(path)
         assert g.m == 1
         assert header == {"family": "clique_minus_edge", "delta": "4"}
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("", "x"),
+            ("my key", "x"),
+            ("k=1", "v"),
+            ("family", "a\nb"),
+            ("family", "a\rb"),
+            ("note", " padded "),
+            ("note", "end\t"),
+        ],
+    )
+    def test_save_rejects_hints_that_would_not_read_back(self, tmp_path, key, value):
+        path = tmp_path / "g.txt"
+        with pytest.raises(BrooksSimError, match="would not read back") as err:
+            save_graph(path_graph(3), path, header={key: value})
+        assert err.value.phase == "config"
+        assert not path.exists()
 
     def test_invalid_utf8_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.txt"

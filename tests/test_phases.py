@@ -29,6 +29,7 @@ from oracles import (
     cycle_graph,
     neighbour_masks,
     recount_instance,
+    rook_graph,
     solve_greedy_oracle,
     validate_assignment,
 )
@@ -506,6 +507,7 @@ class TestPipelineContract:
         inst, result = run_family("clique_minus_edge", 16, seed=0)
         assert failures == ["nice_c_pairs"]
         assert result.retries == 1
+        assert result.attempts[0].deg_plus_one.phase == "nice_c_pairs"
         assert validate_coloring(inst.graph, result.coloring.as_list(), 16)
         failures.clear()
         with pytest.raises(RetryExhausted, match=r"last: deg\+1 violation: nice_c_pairs: unit"):
@@ -518,6 +520,31 @@ class TestPipelineContract:
             run_pipeline(inst.graph, config)
         assert err.value.attempts == 2
         assert err.value.phase == "slackgen"
+
+    def test_retry_exhausted_keeps_every_attempt(self):
+        # K_6 x K_6 leaves sparse nodes without slack on both attempts
+        with pytest.raises(RetryExhausted) as err:
+            run_pipeline(rook_graph(6), PipelineConfig(max_retries=2))
+        assert str(err.value) == (
+            "no attempt passed within 2 retries; last: slack gate: sparse node 0 has slack 0 < 1"
+        )
+        assert err.value.attempts == 2 and len(err.value.records) == 2
+        for attempt in err.value.records:
+            assert attempt.violations and attempt.deg_plus_one is None
+            for v in attempt.violations:
+                assert (v.kind, v.value) == ("sparse", 0)
+                assert str(v) == f"sparse node {v.id} has slack 0 < 1"
+
+    def test_attempts_end_with_the_passing_one(self):
+        for seed in range(30):
+            _, result = run_family("matched_cliques", 16, seed=seed)
+            if result.retries > 0:
+                break
+        assert len(result.attempts) == result.retries + 1
+        last = result.attempts[-1]
+        assert last.violations == () and last.deg_plus_one is None
+        assert last.metrics is result.metrics
+        assert all(a.violations or a.deg_plus_one for a in result.attempts[:-1])
 
     def test_determinism(self):
         _, a = run_family("mixed", 16, seed=7)
