@@ -15,8 +15,9 @@ failed verification raises rather than forcing a decomposition.
 
 One common-neighbour pass (`common_neighbour_pass`: one mask AND per edge,
 or a triangle listing on a graph that keeps no masks) feeds both the
-similarity graph and property (1): compute_acd hands the pass's per-node
-sums to verify_acd, and verify_acd called on its own runs the same pass.
+similarity graph and property (1); run_pipeline hands it to compute_acd,
+and either function called on its own runs it. Property (4) and the
+specials count each AC's outsiders once (`AlmostCliqueDecomposition.outsiders`).
 Past that pass, the construction and the checks read the n-bit masks
 (`Graph.masks`) of AC members and of their neighbours only, so a graph that
 keeps no masks builds just those.
@@ -51,6 +52,15 @@ class AlmostCliqueDecomposition:
     @cached_property
     def clique_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(c) for c in self.cliques)
+
+    def outsiders(self, g: Graph, idx: int) -> list[tuple[int, int]]:
+        """`outsider_counts(g, self, idx)`, kept for the graph last asked about."""
+        if self.__dict__.get("_outsiders_of") is not g:  # not fields: eq and repr skip them
+            self.__dict__.update(_outsiders_of=g, _outsiders={})
+        counts = self.__dict__["_outsiders"]
+        if idx not in counts:
+            counts[idx] = outsider_counts(g, self, idx)
+        return counts[idx]
 
     @staticmethod
     def build(
@@ -106,14 +116,16 @@ def check_epsilon(epsilon: Fraction | str) -> Fraction:
     return value
 
 
-def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
+def compute_acd(
+    g: Graph, epsilon: Fraction | str, common: tuple[list[list[int]], list[int]] | None = None
+) -> AlmostCliqueDecomposition:
     epsilon = check_epsilon(epsilon)
     delta = g.delta
     if delta < 3:
         raise BrooksSimError(f"compute_acd needs delta >= 3, got {delta}", phase="precondition")
     t = Thresholds.of(epsilon, delta)
 
-    similar, inside_twice = common_neighbour_pass(g, t.similar_min)
+    similar, inside_twice = common or common_neighbour_pass(g, t.similar_min)
     dense = [len(similar[v]) >= t.similar_min for v in range(g.n)]
 
     # base cliques = similarity components over dense nodes, size-filtered
@@ -137,18 +149,21 @@ def compute_acd(g: Graph, epsilon: Fraction | str) -> AlmostCliqueDecomposition:
 
     # augmentation: a node in no base with >= inside_min neighbours in some
     # base joins the first base holding the most of them; only a node next to
-    # a base can, so no other node's mask is read
-    placed = {v for c in base for v in c}
+    # a base can, so no other node's mask is read; a base that owns none of
+    # its neighbours would count 0, so only those that own one are counted
+    owner = {v: idx for idx, c in enumerate(base) for v in c}
+    placed = owner.keys()
     base_masks = [mask_of(c) for c in base]
     extras: list[list[int]] = [[] for _ in base]
     for v in range(g.n):
-        if v in placed or placed.isdisjoint(g.adj[v]):
+        if v in owner or placed.isdisjoint(g.adj[v]):
             continue
         mask = g.masks[v]
-        counts = [(mask & b).bit_count() for b in base_masks]
+        near = sorted(set(map(owner.get, g.adj[v])) - {None})
+        counts = [(mask & base_masks[idx]).bit_count() for idx in near]
         best = max(counts)
         if best >= max(t.inside_min, 1):
-            extras[counts.index(best)].append(v)
+            extras[near[counts.index(best)]].append(v)
 
     cliques = tuple(frozenset(c) | frozenset(e) for c, e in zip(base, extras))
     sparse = frozenset(range(g.n)).difference(*cliques)
@@ -203,7 +218,7 @@ def verify_acd(
                     "3_member_inside_degree",
                     f"AC {idx} node {v}: {inside} inside neighbors < {t.inside_min}",
                 )
-        for u, count in outsider_counts(g, acd, idx):
+        for u, count in acd.outsiders(g, idx):
             if count > t.outsider_max:
                 report.add(
                     "4_outsider_cap",

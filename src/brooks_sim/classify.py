@@ -1,10 +1,11 @@
 """Almost-clique classification and the seven-set fine partition.
 
-An AC is easy (a simplicial node, by `graph_core.is_simplicial`, the test
-behind the K_{delta+1} check, or a non-edge), difficult (non-easy, has a
-special neighbor, size >= delta - psi), nice (easy or contains a picked
-special), or ordinary (none of the above). A special is an outside node with
->= phi neighbors in the AC; both cuts are integers of `thresholds.Thresholds`.
+An AC is easy (a simplicial node, by `graph_core.is_simplicial` on the
+pipeline's pass sums, or a non-edge), difficult (non-easy, has a special
+neighbor, size >= delta - psi), nice (easy or contains a picked special),
+or ordinary (none of the above). A special is an outside node with >= phi
+neighbors in the AC, from the outsider counts `verify_acd` kept; both cuts
+are integers of `thresholds.Thresholds`.
 Each difficult AC picks its smallest-id special neighbor; specials picked
 twice become escapes (their ACs runaways), picked once become protectors (ACs
 guarded).
@@ -17,7 +18,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterator
 
-from .acd import AlmostCliqueDecomposition, outsider_counts
+from .acd import AlmostCliqueDecomposition
 from .errors import PartitionViolationError
 from .graph_core import Graph, is_simplicial
 from .thresholds import Thresholds
@@ -73,7 +74,7 @@ class FinePartition:
 def find_special(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> frozenset[int]:
     """Outside nodes with at least phi neighbors in the AC."""
     special_min = Thresholds.of(acd.epsilon, g.delta).special_min
-    return frozenset(u for u, count in outsider_counts(g, acd, clique_idx) if count >= special_min)
+    return frozenset(u for u, count in acd.outsiders(g, clique_idx) if count >= special_min)
 
 
 def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[tuple[int, int]]:
@@ -87,16 +88,20 @@ def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[tuple[in
             missing ^= low
 
 
-def is_easy(g: Graph, acd: AlmostCliqueDecomposition, clique_idx: int) -> bool:
-    clique = acd.cliques[clique_idx]
-    has_non_edge = any(non_edges(g, clique, acd.clique_masks[clique_idx]))
-    return has_non_edge or any(is_simplicial(g, v) for v in clique)
+def is_easy(
+    g: Graph, acd: AlmostCliqueDecomposition, idx: int, inside_twice: list[int] | None = None
+) -> bool:
+    clique = acd.cliques[idx]
+    has_non_edge = any(non_edges(g, clique, acd.clique_masks[idx]))
+    return has_non_edge or any(is_simplicial(g, v, inside_twice) for v in clique)
 
 
-def classify_acs(g: Graph, acd: AlmostCliqueDecomposition) -> ACClassification:
+def classify_acs(
+    g: Graph, acd: AlmostCliqueDecomposition, inside_twice: list[int] | None = None
+) -> ACClassification:
     difficult_min = Thresholds.of(acd.epsilon, g.delta).difficult_min
     t = len(acd.cliques)
-    easy = tuple(is_easy(g, acd, i) for i in range(t))
+    easy = tuple(is_easy(g, acd, i, inside_twice) for i in range(t))
     specials = tuple(find_special(g, acd, i) for i in range(t))
 
     # pass 1: difficult ACs pick their smallest-id special

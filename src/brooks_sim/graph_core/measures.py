@@ -1,10 +1,10 @@
 """Structural measures: the common-neighbour pass, the simplicial test and
 the K_{delta+1} test built on it.
 
-`common_neighbour_pass` counts |N(u) & N(v)| for every undirected edge.
-The ACD reads each count once for similarity and sums them per node: twice
-the edges inside N(v), which gives property (1)'s integer
-`binom(delta, 2) - edges inside N(v)` (local sparsity times delta).
+`common_neighbour_pass` counts |N(u) & N(v)| for every undirected edge and
+sums them per node: twice the edges inside N(v). The ACD reads each count
+for similarity and the sums for property (1); N(v) of d nodes is a clique
+iff its sum is d(d-1), which the simplicial and K_{delta+1} tests read.
 
 The pass and `is_simplicial` read the n-bit masks only where the graph
 keeps them (`Graph.small_masks`). Elsewhere the pass lists triangles and
@@ -101,8 +101,12 @@ def _triangle_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]
     return close, inside_twice
 
 
-def is_simplicial(g: Graph, v: int) -> bool:
-    """True iff N(v) induces a clique (in the whole graph)."""
+def is_simplicial(g: Graph, v: int, inside_twice: list[int] | None = None) -> bool:
+    """True iff N(v) induces a clique (in the whole graph); read from the
+    sums of `common_neighbour_pass` when given."""
+    if inside_twice is not None:
+        d = len(g.adj[v])
+        return inside_twice[v] == d * (d - 1)
     if not g.small_masks:
         # each neighbour u must see N[v] = N(v) + v, all of it but u itself
         closed = {v, *g.adj[v]}
@@ -112,10 +116,12 @@ def is_simplicial(g: Graph, v: int) -> bool:
     return all((nmask & ~(1 << u)) & ~masks[u] == 0 for u in g.adj[v])
 
 
-def contains_delta_plus_one_clique(g: Graph) -> bool:
+def contains_delta_plus_one_clique(g: Graph, inside_twice: list[int] | None = None) -> bool:
     """Exact test: a K_{delta+1} forces some degree-delta node whose
-    neighborhood is a clique, and conversely."""
+    neighborhood is a clique, and conversely (at delta 0, any node)."""
     d = g.delta
-    if d == 0:
-        return g.n >= 1  # K_1 is a (0+1)-clique
+    if inside_twice is not None:
+        # a node of degree below d sums less, except a degree-0 node at d = 1,
+        # where an edge is a K_2 anyway
+        return d * (d - 1) in inside_twice
     return any(len(g.adj[v]) == d and is_simplicial(g, v) for v in range(g.n))

@@ -47,7 +47,12 @@ from .errors import (
     RetryExhausted,
     check_int,
 )
-from .graph_core import Graph, PartialColoring, contains_delta_plus_one_clique
+from .graph_core import (
+    Graph,
+    PartialColoring,
+    common_neighbour_pass,
+    contains_delta_plus_one_clique,
+)
 from .listcolor import (
     CENTRALIZED,
     DISTRIBUTED,
@@ -66,7 +71,7 @@ from .slackgen import (
     participant_set,
     run_slack_generation_with_metrics,
 )
-from .thresholds import DEFAULT_EPSILON
+from .thresholds import DEFAULT_EPSILON, Thresholds
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_p_g(self.p_g)
-        check_epsilon(self.epsilon)
+        # kept as the Fraction it parses to, so equal epsilons compare equal
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         check_int("seed", self.seed)
         if not -(1 << 63) <= self.seed < 1 << 63:  # seeds are hashed as signed 64-bit
             raise BrooksSimError(f"seed must fit in signed 64 bits: {self.seed}", phase="config")
@@ -360,12 +366,19 @@ class PipelineSteps:
 
 
 def run_pipeline(g: Graph, config: PipelineConfig) -> PipelineResult:
-    if contains_delta_plus_one_clique(g):
+    for name, value, kind in (("g", g, Graph), ("config", config, PipelineConfig)):
+        if not isinstance(value, kind):
+            got = type(value).__name__
+            raise BrooksSimError(f"{name} must be a {kind.__name__}, got {got}", phase="config")
+    # one pass serves the K_{delta+1} test, the ACD and the simplicial test
+    common = common_neighbour_pass(g, Thresholds.of(config.epsilon, g.delta).similar_min)
+    if contains_delta_plus_one_clique(g, common[1]):
         raise DeltaPlusOneCliquePresent(
             f"graph contains a K_{g.delta + 1}", phase="precondition"
         )
-    acd = compute_acd(g, config.epsilon)
-    cls = classify_acs(g, acd)
+    acd = compute_acd(g, config.epsilon, common)
+    cls = classify_acs(g, acd, common[1])
+    del common  # the pass's lists need not outlive the slack attempts
     part = fine_partition(g, acd, cls)
     participants = sorted(participant_set(part))
 

@@ -21,6 +21,8 @@ decides by construction:
 - `missing_pairs` counts the pairs N(v) lacks to be a delta-clique node by
   node, one mask AND per neighbour, as the reference for the sums of
   `graph_core.common_neighbour_pass` and property (1) of `verify_acd`;
+- `acd_cliques_all_bases` builds the almost-cliques of `compute_acd` with
+  the augmentation counting every base for every candidate node;
 - `sequential_graph` is the edge-by-edge `Graph` constructor, with a set of
   seen edges, that `Graph(n, edges)` must match in adjacency, masks, edge
   count, max degree and the `GraphInvariantError` it raises;
@@ -28,6 +30,8 @@ decides by construction:
   seen edges, that `graph_core.load_graph_with_header` must match in graph,
   header hints and the message and line of the `GraphFormatError` it
   raises; on invalid UTF-8 it lets the `UnicodeDecodeError` through;
+- `hidden_in_prism` hides a small graph in a large triangle-free one, so
+  that the graph keeps no masks;
 - `rook_graph`, `circulant_graph` and `cycle_complement` build the
   Delta-regular, Delta-colorable graphs of the structured corpus, and
   `perturbed_graph` refills a graph to Delta after removing a few edges;
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from brooks_sim.errors import (
@@ -56,9 +61,10 @@ from brooks_sim.errors import (
     PaletteExhausted,
     RoundLimitExceeded,
 )
-from brooks_sim.graph_core import Graph, mask_of
+from brooks_sim.graph_core import Graph, common_neighbour_pass, mask_of
 from brooks_sim.listcolor import ListInstance
 from brooks_sim.sim_engine import TAG_BITS, RoundMetrics, keyed
+from brooks_sim.thresholds import Thresholds
 
 ORACLE_NODE_LIMIT = 20
 
@@ -248,6 +254,43 @@ def missing_pairs(g: Graph, v: int) -> int:
     return d * (d - 1) // 2 - inside_twice // 2
 
 
+def acd_cliques_all_bases(g: Graph, epsilon: Fraction) -> tuple[frozenset[int], ...]:
+    """The almost-cliques `acd.compute_acd` builds before it verifies them,
+    with its augmentation counted against every base for every node next
+    to one, where `compute_acd` counts only the bases that own one of the
+    node's neighbours. The bases are the similarity components, found with
+    a set of seen nodes."""
+    t = Thresholds.of(epsilon, g.delta)
+    similar = common_neighbour_pass(g, t.similar_min)[0]
+    dense = [len(row) >= t.similar_min for row in similar]
+    base: list[list[int]] = []
+    seen: set[int] = set()
+    for root in range(g.n):
+        if root in seen or not dense[root]:
+            continue
+        seen.add(root)
+        comp, stack = [], [root]
+        while stack:
+            x = stack.pop()
+            comp.append(x)
+            fresh = [y for y in similar[x] if dense[y] and y not in seen]
+            seen.update(fresh)
+            stack += fresh
+        if t.size_min <= len(comp) <= t.size_max:
+            base.append(sorted(comp))
+    placed = {v for c in base for v in c}
+    base_masks = [mask_of(c) for c in base]
+    extras: list[list[int]] = [[] for _ in base]
+    for v in range(g.n):
+        if v in placed or placed.isdisjoint(g.adj[v]):
+            continue
+        counts = [(g.masks[v] & b).bit_count() for b in base_masks]
+        best = max(counts)
+        if best >= max(t.inside_min, 1):
+            extras[counts.index(best)].append(v)
+    return tuple(frozenset(c) | frozenset(e) for c, e in zip(base, extras))
+
+
 def sequential_graph(
     n: int, edges: Iterable[tuple[int, int]]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int, int]:
@@ -339,6 +382,22 @@ def cycle_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def hidden_in_prism(edges: list[tuple[int, int]], k: int) -> Graph:
+    """A k-node graph hidden, under shuffled ids, beside the
+    triangle-free 3-regular prism C_200 x K_2, so the graph keeps no masks
+    and its common-neighbour pass lists triangles. Delta is 3 or the hidden
+    graph's, whichever is larger."""
+    ring = [(i, (i + 1) % 200) for i in range(200)]
+    prism = ring + [(200 + u, 200 + v) for u, v in ring] + [(i, 200 + i) for i in range(200)]
+    prism += [(400 + u, 400 + v) for u, v in edges]
+    ids = list(range(400 + k))
+    random.Random(k).shuffle(ids)
+    g = Graph(400 + k, [(ids[u], ids[v]) for u, v in prism])
+    if g.small_masks:
+        raise ValueError("the hidden graph made the masks fit")
+    return g
 
 
 def rook_graph(a: int) -> Graph:

@@ -1,11 +1,13 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from fractions import Fraction
 
 from brooks_sim import acd as acd_module
+from brooks_sim import classify as classify_module
 from brooks_sim.acd import (
     AlmostCliqueDecomposition,
     compute_acd,
@@ -20,6 +22,7 @@ from brooks_sim.graph_core import (
     generate_instance,
 )
 from brooks_sim.graph_core import graph as graph_module
+from brooks_sim.phases import PipelineConfig, run_pipeline
 from brooks_sim.thresholds import Thresholds
 from oracles import missing_pairs
 
@@ -372,3 +375,20 @@ def test_property_1_reads_the_pass_sums():
         if missing_pairs(g, v) < t.missing_min
     ]
     assert len(report.violations["1_sparse_nodes_sparse"]) == 9
+
+
+def test_pipeline_counts_each_ac_outsiders_once(monkeypatch):
+    # property (4) and the specials read the same counts
+    real = acd_module.outsider_counts
+    counted: Counter = Counter()
+
+    def counting(g, acd, idx):
+        counted[idx] += 1
+        return real(g, acd, idx)
+
+    monkeypatch.setattr(acd_module, "outsider_counts", counting)
+    monkeypatch.setattr(classify_module, "outsider_counts", counting, raising=False)
+    inst = generate_instance("runaway_pair", 16, 0)
+    result = run_pipeline(inst.graph, PipelineConfig(epsilon=inst.epsilon))
+    assert len(result.acd.cliques) > 1
+    assert counted == Counter(range(len(result.acd.cliques)))

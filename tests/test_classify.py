@@ -13,7 +13,7 @@ from brooks_sim.classify import (
     is_simplicial,
 )
 from brooks_sim.errors import PartitionViolationError
-from brooks_sim.graph_core import Graph, generate_instance
+from brooks_sim.graph_core import Graph, common_neighbour_pass, generate_instance
 from brooks_sim.thresholds import C_SPARSE, Thresholds, ceil_phi, count_meets_phi, floor_psi
 
 
@@ -112,6 +112,20 @@ class TestFindSpecial:
             assert len(covered) >= special_min
         assert special_min == 8
 
+    def test_another_graph_gets_its_own_specials(self):
+        # the ACD keeps the outsider counts of the graph it was last asked
+        # about; asked about another graph, it counts that graph's
+        inst = generate_instance("runaway_pair", 16, seed=0)
+        g = inst.graph
+        acd = compute_acd(g, inst.epsilon)
+        specials = find_special(g, acd, 0)
+        assert specials
+        clique = acd.cliques[0]
+        into_ac = {frozenset((s, v)) for s in specials for v in clique}
+        cut = Graph(g.n, [e for e in g.edges() if frozenset(e) not in into_ac])
+        assert find_special(cut, acd, 0) == frozenset()
+        assert find_special(g, acd, 0) == specials
+
 
 class TestIsEasy:
     def test_clique_minus_edge_is_easy(self):
@@ -204,6 +218,9 @@ class TestFinePartition:
             inst = generate_instance(family, 16, seed=2)
             acd = compute_acd(inst.graph, inst.epsilon)
             cls = classify_acs(inst.graph, acd)
+            # the pipeline's path: the pass's sums decide the simplicial test
+            inside_twice = common_neighbour_pass(inst.graph, 1)[1]
+            assert classify_acs(inst.graph, acd, inside_twice) == cls
             part = fine_partition(inst.graph, acd, cls)
             total = sum(len(s) for s in part.sets().values())
             assert total == inst.graph.n

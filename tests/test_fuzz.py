@@ -22,12 +22,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from brooks_sim.errors import BrooksSimError
+from brooks_sim.acd import compute_acd
+from brooks_sim.errors import AcdVerificationError, BrooksSimError
 from brooks_sim.graph_core import FAMILIES, Graph, contains_delta_plus_one_clique, generate_instance
 from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import PipelineConfig, run_pipeline
+from brooks_sim.thresholds import DEFAULT_EPSILON
 from oracles import (
     ORACLE_NODE_LIMIT,
+    acd_cliques_all_bases,
     circulant_graph,
     cycle_complement,
     is_k_colorable_fast,
@@ -148,3 +151,24 @@ def test_perturbed_family_outcomes():
             if g.delta == delta and not contains_delta_plus_one_clique(g):
                 outcomes[name] = outcomes_at_seeds(name, g)
     assert outcomes == PERTURBED_OUTCOMES
+
+
+def test_augmentation_matches_the_all_bases_reference():
+    # compute_acd counts only the bases that own a neighbour of a candidate
+    farm = ("clique_minus_edge", "guarded_pair") * 150
+    inst = generate_instance("mixed", 16, 0, components=300, kinds=farm)
+    groups = {
+        "farm": [(inst.graph, inst.epsilon)],
+        "structured": [(g, DEFAULT_EPSILON) for g in structured_corpus().values()],
+        "fuzz": list(gnp_graphs(0, RUNS)),
+    }
+    decomposed = Counter()
+    for name, cases in groups.items():
+        for g, epsilon in cases:
+            try:
+                acd = compute_acd(g, epsilon)
+            except AcdVerificationError:
+                continue
+            assert acd.cliques == acd_cliques_all_bases(g, epsilon), name
+            decomposed[name] += 1
+    assert decomposed.keys() == groups.keys(), decomposed

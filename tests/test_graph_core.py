@@ -16,6 +16,7 @@ from brooks_sim.errors import (
 from brooks_sim.graph_core import (
     Graph,
     PartialColoring,
+    common_neighbour_pass,
     contains_delta_plus_one_clique,
     generate_instance,
     is_simplicial,
@@ -24,10 +25,12 @@ from brooks_sim.graph_core import (
     save_graph,
 )
 from brooks_sim.graph_core.graph import masks_fit
+from brooks_sim.graph_core.measures import _triangle_pass
 from oracles import (
     colours_of,
     complete_graph,
     cycle_graph,
+    hidden_in_prism,
     measure_slack,
     missing_pairs,
     neighbour_masks,
@@ -213,25 +216,12 @@ class TestSparsity:
         assert missing_pairs(g, 0) == delta * (delta - 1) // 2 - d * (d - 1) // 2
 
 
-def hidden_in_prism(edges: list[tuple[int, int]], k: int) -> Graph:
-    """A k-node graph hidden, under shuffled ids, beside the triangle-free
-    3-regular prism C_100 x K_2: Delta=3 and 200 + k > 64*3 nodes, so the
-    graph keeps no masks."""
-    prism = [(i, (i + 1) % 100) for i in range(100)]
-    prism += [(100 + u, 100 + v) for u, v in prism] + [(i, 100 + i) for i in range(100)]
-    prism += [(200 + u, 200 + v) for u, v in edges]
-    ids = list(range(200 + k))
-    random.Random(k).shuffle(ids)
-    g = Graph(200 + k, [(ids[u], ids[v]) for u, v in prism])
-    assert g.delta == 3 and not g.small_masks
-    return g
-
-
 class TestDeltaPlusOneClique:
     def test_k5(self):
         assert contains_delta_plus_one_clique(complete_graph(5))
         k4 = list(itertools.combinations(range(4), 2))
-        assert contains_delta_plus_one_clique(hidden_in_prism(k4, 4))
+        g = hidden_in_prism(k4, 4)
+        assert g.delta == 3 and contains_delta_plus_one_clique(g)
 
     def test_k5_minus_edge(self):
         g = complete_graph(5)
@@ -241,6 +231,7 @@ class TestDeltaPlusOneClique:
         # its two degree-2 nodes are simplicial but below Delta
         k4_minus = [e for e in itertools.combinations(range(4), 2) if e != (0, 1)]
         g = hidden_in_prism(k4_minus, 4)
+        assert g.delta == 3
         assert sorted(v for v in range(g.n) if is_simplicial(g, v)) == sorted(
             v for v in range(g.n) if g.degree(v) == 2
         )
@@ -280,7 +271,27 @@ class TestDeltaPlusOneClique:
                 if rng.random() < p
             ]
             g = Graph(n, edges)
-            assert contains_delta_plus_one_clique(g) == self._brute_force(g), (n, edges)
+            expected = self._brute_force(g)
+            assert contains_delta_plus_one_clique(g) == expected, (n, edges)
+            # the pipeline's path: the common-neighbour pass's sums decide it
+            inside_twice = common_neighbour_pass(g, 1)[1]
+            assert contains_delta_plus_one_clique(g, inside_twice) == expected, (n, edges)
+
+    def test_pass_sums_decide_the_simplicial_test(self):
+        # N(v) with d nodes is a clique iff inside_twice[v] == d(d-1): on the
+        # mask path, and on the triangle listing of the prism copies
+        rng = random.Random(11)
+        listed = 0
+        for trial in range(100):
+            k = rng.randrange(2, 12)
+            p = rng.choice([0.2, 0.5, 0.8, 0.95])
+            edges = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p]
+            for g in (Graph(k, edges), hidden_in_prism(edges, k)):
+                inside_twice = common_neighbour_pass(g, 1)[1]
+                got = [is_simplicial(g, v, inside_twice) for v in range(g.n)]
+                assert got == [is_simplicial(g, v) for v in range(g.n)], (k, edges)
+            listed += _triangle_pass(g, 1) is not None
+        assert listed >= 90
 
 
 class TestIO:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from brooks_sim.errors import (
 )
 from brooks_sim.graph_core import FAMILIES, Graph, PartialColoring, generate_instance, mask_of
 from brooks_sim.graph_core import graph as graph_module
+from brooks_sim.graph_core.measures import _triangle_pass
 from brooks_sim.oracle_validate import validate_coloring
 from brooks_sim.phases import (
     PIPELINE_PLAN,
@@ -27,6 +29,7 @@ from brooks_sim.thresholds import ceil_phi
 from oracles import (
     complete_graph,
     cycle_graph,
+    hidden_in_prism,
     neighbour_masks,
     recount_instance,
     rook_graph,
@@ -353,6 +356,13 @@ class TestPipelineStructuralPaths:
             run_pipeline(complete_graph(3), PipelineConfig())
         assert err.value.phase == "precondition"
 
+    def test_clique_on_a_mask_free_graph_is_found_by_the_triangle_listing(self):
+        g = hidden_in_prism(list(itertools.combinations(range(4), 2)), 4)
+        assert g.delta == 3 and _triangle_pass(g, 1) is not None
+        with pytest.raises(DeltaPlusOneCliquePresent) as err:
+            run_pipeline(g, PipelineConfig())
+        assert err.value.phase == "precondition"
+
     def test_nice_b_deferred_node(self):
         g = nice_b_graph(16)
         result = run_pipeline(g, PipelineConfig(epsilon=Fraction(1, 8), seed=2))
@@ -468,6 +478,24 @@ class TestPipelineContract:
     def test_config_accepts_boundary_values(self):
         PipelineConfig(p_g=0.0, max_retries=1)
         PipelineConfig(p_g=1.0, congest_c=1)
+
+    def test_config_keeps_epsilon_as_a_fraction(self):
+        assert PipelineConfig(epsilon=" 1/8 ").epsilon == Fraction(1, 8)
+        assert type(PipelineConfig(epsilon="1/8").epsilon) is Fraction
+        assert PipelineConfig(epsilon="1/8") == PipelineConfig(epsilon=Fraction(1, 8))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (([[1], [0]], PipelineConfig()), "g must be a Graph, got list"),
+            ((complete_graph(4), None), "config must be a PipelineConfig, got NoneType"),
+            ((complete_graph(4), {"seed": 0}), "config must be a PipelineConfig, got dict"),
+        ],
+    )
+    def test_run_pipeline_rejects_wrong_argument_types(self, args, message):
+        with pytest.raises(BrooksSimError, match=message) as err:
+            run_pipeline(*args)
+        assert type(err.value) is BrooksSimError and err.value.phase == "config"
 
     @pytest.mark.parametrize("seed", [(1 << 63) - 1, -(1 << 63)])
     def test_extreme_seeds_run(self, seed):
