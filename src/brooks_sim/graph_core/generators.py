@@ -24,9 +24,11 @@ One table names each family's builder and smallest delta; a keyword
 parameter that the builder does not take raises UnsupportedFamilyError, as
 an unknown family does. Each builder returns a _Blueprint: per-node
 neighbour lists (each edge appended at both ends once), epsilon bounds and
-meta. generate_instance freezes those lists into the one Graph, unchecked,
-and checks the max degree and the absence of a K_{delta+1} on that Graph;
-mixed offsets its components' lists and builds no Graph per component.
+meta. The lists share one int object per node id, never a fresh int per
+entry, since Graph stores them as they are. generate_instance freezes
+those lists into the one Graph, unchecked, and checks the max degree and
+the absence of a K_{delta+1} on that Graph; mixed offsets its components'
+lists and builds no Graph per component.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple
 
 from ..errors import UnsupportedFamilyError, check_int
@@ -115,6 +117,15 @@ def _join(adj: list[list[int]], edges: Iterable[tuple[int, int]]) -> None:
         adj[v].append(u)
 
 
+def _join_clique(adj: list[list[int]], clique: list[int]) -> None:
+    """Join every pair of the clique's members: each member's list gains the
+    others as two slices, not one append per pair."""
+    for i, v in enumerate(clique):
+        row = adj[v]
+        row += clique[:i]
+        row += clique[i + 1 :]
+
+
 def _clique_minus_edge(delta: int, seed: int) -> _Blueprint:
     n = delta + 1
     rng = random.Random(seed)
@@ -124,7 +135,9 @@ def _clique_minus_edge(delta: int, seed: int) -> _Blueprint:
         b += 1
     missing = (min(a, b), max(a, b))
     adj: list[list[int]] = [[] for _ in range(n)]
-    _join(adj, (e for e in combinations(range(n), 2) if e != missing))
+    _join_clique(adj, list(range(n)))
+    adj[a].remove(b)
+    adj[b].remove(a)
     return _Blueprint(
         adj=adj,
         epsilon_min=Fraction(1, 3 * delta),
@@ -141,7 +154,7 @@ def _matched_cliques(delta: int, seed: int) -> _Blueprint:
     rng.shuffle(perm)
     adj: list[list[int]] = [[] for _ in range(2 * delta)]
     for side in (side_a, side_b):
-        _join(adj, combinations(side, 2))
+        _join_clique(adj, side)
     matching = [(side_a[i], side_b[perm[i]]) for i in range(delta)]
     _join(adj, matching)
     return _Blueprint(
@@ -158,7 +171,7 @@ def _covered_clique(
     """Join the clique plus coverage: s_first sees positions [0,k), s_second
     sees [k-1, m). Overlap of exactly one member keeps both special degrees
     down while every member gets an outside neighbor (no simplicial nodes)."""
-    _join(adj, combinations(clique, 2))
+    _join_clique(adj, clique)
     cov_first = clique[:k]
     cov_second = clique[k - 1 :]
     _join(adj, ((s_first, v) for v in cov_first))
@@ -300,7 +313,7 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
     picks = chain((rng.randrange(1, n) for _ in range(50 * n)), range(1, n))
     for v in picks:
         if len(adj[v]) <= delta - 2 and v not in adj0:
-            add(adj0, v)
+            add(adj0, nodes[v])  # the shared id, not the pick's new int
             add(adj[v], 0)
             if len(adj0) >= delta:
                 break
@@ -312,14 +325,13 @@ def _random_gnd(delta: int, seed: int, n: int | None = None) -> _Blueprint:
     )
 
 
-def _spare_node(
-    kind: str, part: _Blueprint, offset: int, adj: list[list[int]], delta: int
-) -> int | None:
+def _spare_node(kind: str, part: _Blueprint, adj: list[list[int]], delta: int) -> int | None:
     """The first attachment point that tolerates one more edge without losing
-    what the family relies on (random_gnd nodes must keep a-priori slack)."""
+    what the family relies on (random_gnd nodes must keep a-priori slack).
+    `part.adj` is the component's list of shared ids in the union."""
     limit = delta - 2 if kind == "random_gnd" else delta - 1
-    skip = offset + part.meta["max_degree_node"] if kind == "random_gnd" else None
-    for v in range(offset, offset + len(part.adj)):
+    skip = part.adj[part.meta["max_degree_node"]] if kind == "random_gnd" else None
+    for v in part.adj:
         if v != skip and len(adj[v]) <= limit:
             return v
     return None
@@ -328,23 +340,30 @@ def _spare_node(
 def _mixed(
     delta: int,
     seed: int,
-    components: int = 5,
+    components: int | None = None,
     kinds: tuple[str, ...] | None = None,
 ) -> _Blueprint:
-    check_int("components", components)
-    if components < 1:
-        raise UnsupportedFamilyError(f"mixed({delta}): components {components} < 1")
+    if components is not None:
+        check_int("components", components)
+        if components < 1:
+            raise UnsupportedFamilyError(f"mixed({delta}): components {components} < 1")
     if kinds is None:
-        kinds = tuple(_MIXED_CYCLE[i % len(_MIXED_CYCLE)] for i in range(components))
+        count = 5 if components is None else components
+        kinds = tuple(_MIXED_CYCLE[i % len(_MIXED_CYCLE)] for i in range(count))
     elif not (
         isinstance(kinds, (list, tuple)) and kinds and all(isinstance(k, str) for k in kinds)
     ):
         raise UnsupportedFamilyError(
             f"mixed({delta}): kinds must be a non-empty list of family names, got {kinds!r}"
         )
+    elif components is not None and components != len(kinds):
+        raise UnsupportedFamilyError(
+            f"mixed({delta}): components {components} but {len(kinds)} kinds"
+        )
     rng = random.Random(seed ^ 0x5EED)
     # adj is over the union's ids: component i starts at offsets[i]. Its entries
-    # share one int per id, and parts keeps only the id list, whose length is read.
+    # share one int per id, and parts keeps only the id list, which the bridges'
+    # spare nodes are read from.
     parts: list[_Blueprint] = []
     offsets: list[int] = []
     adj: list[list[int]] = []
@@ -361,8 +380,8 @@ def _mixed(
     for i in range(len(parts) - 1):
         if rng.random() >= 0.5:
             continue
-        u = _spare_node(kinds[i], parts[i], offsets[i], adj, delta)
-        v = _spare_node(kinds[i + 1], parts[i + 1], offsets[i + 1], adj, delta)
+        u = _spare_node(kinds[i], parts[i], adj, delta)
+        v = _spare_node(kinds[i + 1], parts[i + 1], adj, delta)
         if u is None or v is None:
             continue  # e.g. matched_cliques has no spare-degree node
         bridges.append((u, v))

@@ -14,11 +14,15 @@ class Graph:
 
     Adjacency is kept as sorted tuples (deterministic iteration, and a
     bisect for `has_edge`) and as int bitmasks (fast intersection
-    counting). The tuples hold one plain int object per node id, whatever
-    int or int-like (`__index__`) objects the edge list carried, so they
-    cost one pointer per edge end. All n masks cost n^2/8 bytes against the
-    16m bytes of the tuples' 2m entries, so the masks are built in
-    construction only where they are no larger than the tuples:
+    counting). The tuples hold one plain int object per node id, so they
+    cost one pointer per edge end. The freeze stores the entries it is
+    given, so the sharing is made where ids come from outside the package:
+    `Graph(n, edges)` and the loader append each end through one list of
+    ids, whatever int or int-like (`__index__`) objects they read, and the
+    generators hand over lists that already share their ids.
+    All n masks cost n^2/8 bytes against the 16m bytes of the tuples' 2m
+    entries, so the masks are built in construction only where they are
+    no larger than the tuples:
     `small_masks` is `masks_fit(n, m)`, n*n <= 128*m, the one home of that
     rule. Elsewhere `masks` is a per-node cache that builds a node's mask
     on its first read. Apart from the common-neighbour pass on a locally
@@ -44,12 +48,13 @@ class Graph:
             raise GraphInvariantError(f"negative node count {n}")
         edges = list(edges)
         adj: list[list[int]] = [[] for _ in range(n)]
+        ids = list(range(n))  # one plain int object per id, whatever the edges carry
         try:
             for u, v in edges:
                 if u == v or not (0 <= u < n and 0 <= v < n):
                     _raise_first_defect(n, edges)
-                adj[u].append(v)
-                adj[v].append(u)
+                adj[u].append(ids[v])
+                adj[v].append(ids[u])
             self._freeze(adj)
         except (TypeError, ValueError):
             # an edge that is not a pair of ints; only the defect scan checks types
@@ -66,16 +71,16 @@ class Graph:
     @classmethod
     def _from_neighbour_lists(cls, adj: list) -> Graph:
         """The graph whose node v has the neighbours in `adj[v]`, a list or a
-        set of ids; `adj` is consumed. Not checked: each edge must be in both
-        ends' containers once, with int ids in range and no self-loop."""
+        set of ids; `adj` is consumed and its entries are stored as they are.
+        Not checked: each edge must be in both ends' containers once, with
+        plain int ids in range, one object per id, and no self-loop."""
         graph = cls.__new__(cls)
         graph._freeze(adj)
         return graph
 
     def _freeze(self, adj: list) -> None:
-        ids = list(range(len(adj)))  # one int object per id, stored for every end
         for v, a in enumerate(adj):  # in turn: containers and tuples never coexist in full
-            adj[v] = tuple(sorted(map(ids.__getitem__, a)))
+            adj[v] = tuple(sorted(a))
         self.n = n = len(adj)
         self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
         self.m = sum(map(len, self.adj)) // 2

@@ -8,7 +8,8 @@ The loader opens the file once and checks each line as it reads it, with a
 set of the edges read so far to catch a repeat, so the first offending line
 raises GraphFormatError: a bad line, a self-loop, an id out of range or a
 repeated edge. A line that passes is appended to both ends' neighbour lists,
-which become the Graph with no second check. A missing header or an edge
+through one list of ids so that the entries share one int object per node,
+and the lists become the Graph with no second check. A missing header or an edge
 count that differs from the header's raises it after the last line. Invalid
 UTF-8 raises GraphFormatError too, with no line number: the text is decoded
 in chunks, so the lines before the bad byte in its chunk are never read.
@@ -44,6 +45,7 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
                 if n is None:
                     n, m = _header(parts, lineno)
                     adj = [[] for _ in range(n)]
+                    ids = list(range(n))  # the entries share one int per id
                     continue
                 try:
                     u, v = map(int, parts)
@@ -53,8 +55,8 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
                 key = u * n + v  # one int per edge, unique where 0 <= u < v < n
                 if 0 <= u < v < n and key not in seen:
                     seen.add(key)
-                    adj[u].append(v)
-                    adj[v].append(u)
+                    adj[u].append(ids[v])
+                    adj[v].append(ids[u])
                 elif u == v:
                     raise GraphFormatError(f"self-loop ({u},{v})", line=lineno)
                 elif 0 <= u < v < n:

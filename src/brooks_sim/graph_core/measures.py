@@ -118,10 +118,15 @@ def is_simplicial(g: Graph, v: int, inside_twice: list[int] | None = None) -> bo
 
 def contains_delta_plus_one_clique(g: Graph, inside_twice: list[int] | None = None) -> bool:
     """Exact test: a K_{delta+1} forces some degree-delta node whose
-    neighborhood is a clique, and conversely (at delta 0, any node)."""
+    neighborhood is a clique, and conversely (at delta 0, any node).
+    Without the sums only the clique minima are tested, the degree-delta
+    nodes below all their neighbours: a K_{delta+1}'s members have no
+    neighbour outside it, so its smallest member is one."""
     d = g.delta
     if inside_twice is not None:
         # a node of degree below d sums less, except a degree-0 node at d = 1,
         # where an edge is a K_2 anyway
         return d * (d - 1) in inside_twice
-    return any(len(g.adj[v]) == d and is_simplicial(g, v) for v in range(g.n))
+    if d == 0:
+        return g.n > 0
+    return any(len(a) == d and a[0] > v and is_simplicial(g, v) for v, a in enumerate(g.adj))

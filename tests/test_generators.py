@@ -53,6 +53,32 @@ def test_adjacency_holds_one_int_object_per_node(family, delta, seed):
     _assert_one_int_object_per_node(generate_instance(family, delta, seed).graph)
 
 
+@pytest.mark.parametrize(
+    "family, delta, seed, params",
+    [("random_gnd", 16, seed, {"n": 4000}) for seed in range(3)]
+    + [("mixed", 64, seed, {}) for seed in range(2, 5)],
+)
+def test_ids_above_256_hold_one_int_object_per_node(family, delta, seed, params):
+    # ints above 256 are not cached: a pick drawn by the RNG, or a bridge end
+    # from a fresh range, is a second object for its id, which Graph keeps
+    g = generate_instance(family, delta, seed, **params).graph
+    assert g.n > 256
+    _assert_one_int_object_per_node(g)
+
+
+class _NodeId(int):
+    """An id type with `__index__` that is not a plain int."""
+
+
+def test_edge_list_ids_are_stored_as_one_plain_int_per_node():
+    n = 600
+    edges = [(v, (v + 1) % n) for v in range(n)] + [(v, v + 300) for v in range(0, 300, 7)]
+    for wrap in (lambda v: int(str(v)), _NodeId):
+        g = Graph(n, [(wrap(u), wrap(v)) for u, v in edges])
+        assert g == Graph(n, edges)
+        _assert_one_int_object_per_node(g)
+
+
 def test_loaded_graph_holds_one_int_object_per_node(tmp_path):
     g = generate_instance("mixed", 64, 0).graph
     path = tmp_path / "mixed.txt"
@@ -195,6 +221,17 @@ def test_mixed_components_and_bridges():
     for u, v in inst.meta["bridges"]:
         assert g.has_edge(u, v)
     assert g.delta == 16
+
+
+def test_mixed_components_must_count_the_kinds():
+    # components without kinds picks that many of the cycle; with kinds it
+    # must be their number, not be ignored
+    assert len(generate_instance("mixed", 16, 0).meta["components"]) == 5
+    kinds = ("random_gnd", "guarded_pair")
+    same = generate_instance("mixed", 16, 0, components=2, kinds=kinds).graph
+    assert same == generate_instance("mixed", 16, 0, kinds=kinds).graph
+    with pytest.raises(UnsupportedFamilyError, match="components 3 but 1 kinds"):
+        generate_instance("mixed", 16, 0, components=3, kinds=("random_gnd",))
 
 
 def test_mixed_rejects_unknown_kind():

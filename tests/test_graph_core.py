@@ -249,13 +249,31 @@ class TestDeltaPlusOneClique:
         assert not contains_delta_plus_one_clique(g)
 
     def _brute_force(self, g: Graph) -> bool:
+        # every k-subset of each connected component, which holds any clique
         k = g.delta + 1
-        if k > g.n:
-            return False
-        for subset in itertools.combinations(range(g.n), k):
-            if all(g.has_edge(u, v) for u, v in itertools.combinations(subset, 2)):
-                return True
+        seen: set[int] = set()
+        for start in range(g.n):
+            if start in seen:
+                continue
+            component, stack = [], [start]
+            seen.add(start)
+            while stack:
+                v = stack.pop()
+                component.append(v)
+                stack.extend(u for u in g.adj[v] if u not in seen)
+                seen.update(g.adj[v])
+            for subset in itertools.combinations(component, k):
+                if all(g.has_edge(u, v) for u, v in itertools.combinations(subset, 2)):
+                    return True
         return False
+
+    def _agrees(self, g: Graph) -> bool:
+        expected = self._brute_force(g)
+        assert contains_delta_plus_one_clique(g) == expected
+        # the pipeline's path: the common-neighbour pass's sums decide it
+        inside_twice = common_neighbour_pass(g, 1)[1]
+        assert contains_delta_plus_one_clique(g, inside_twice) == expected
+        return expected
 
     def test_agrees_with_exhaustive_enumeration(self):
         import random
@@ -270,12 +288,47 @@ class TestDeltaPlusOneClique:
                 for v in range(u + 1, n)
                 if rng.random() < p
             ]
-            g = Graph(n, edges)
-            expected = self._brute_force(g)
-            assert contains_delta_plus_one_clique(g) == expected, (n, edges)
-            # the pipeline's path: the common-neighbour pass's sums decide it
-            inside_twice = common_neighbour_pass(g, 1)[1]
-            assert contains_delta_plus_one_clique(g, inside_twice) == expected, (n, edges)
+            self._agrees(Graph(n, edges))
+
+    def test_agrees_with_exhaustive_enumeration_off_node_0(self):
+        # the scan tests only each clique's smallest member: disjoint unions,
+        # some behind 300 isolated nodes, relabelled at random after those,
+        # put a K_{delta+1} at random and high ids
+        rng = random.Random(13)
+        cliques = high = 0
+        for trial in range(300):
+            pad = rng.choice([0, 300])
+            edges, n = [], pad
+            for _ in range(rng.randrange(1, 4)):
+                k = rng.randrange(1, 9)
+                p = rng.choice([0.3, 0.7, 0.9, 1.0])
+                pairs = itertools.combinations(range(n, n + k), 2)
+                edges += [e for e in pairs if rng.random() < p]
+                n += k
+            label = list(range(n))
+            label[pad:] = rng.sample(label[pad:], n - pad)
+            g = Graph(n, [(label[u], label[v]) for u, v in edges])
+            if self._agrees(g) and g.delta > 0:
+                minima = [v for v in range(n) if g.degree(v) == g.delta and is_simplicial(g, v)]
+                cliques += minima[0] > 0
+                high += minima[0] > 256
+        assert cliques >= 60 and high >= 40
+
+    @pytest.mark.parametrize(
+        "n, edges, expected",
+        [
+            (0, [], False),
+            (1, [], True),
+            (400, [], True),
+            (2, [(0, 1)], True),
+            (400, [(399, 398), (300, 5)], True),
+        ],
+    )
+    def test_delta_0_and_1(self, n, edges, expected):
+        # at delta 0 a node is a K_1; at delta 1 an edge is a K_2
+        g = Graph(n, edges)
+        assert g.delta == min(len(edges), 1)
+        assert self._agrees(g) == expected
 
     def test_pass_sums_decide_the_simplicial_test(self):
         # N(v) with d nodes is a clique iff inside_twice[v] == d(d-1): on the
