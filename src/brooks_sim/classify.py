@@ -1,7 +1,7 @@
 """Almost-clique classification and the seven-set fine partition.
 
-An AC is easy (a simplicial node, by `graph_core.is_simplicial` on the
-pipeline's pass sums, or a non-edge), difficult (non-easy, has a special
+An AC is easy (a member whose neighbourhood is a clique, read from the
+common-neighbour pass sums, or a non-edge), difficult (non-easy, has a special
 neighbor, size >= delta - psi), nice (easy or contains a picked special),
 or ordinary (none of the above). A special is an outside node with >= phi
 neighbors in the AC, from the outsider counts `verify_acd` kept; both cuts
@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .acd import AlmostCliqueDecomposition
 from .errors import PartitionViolationError
-from .graph_core import Graph, is_simplicial
+from .graph_core import Graph, common_neighbour_pass
 from .thresholds import Thresholds
 
 NICE, ORDINARY, GUARDED, RUNAWAY = "nice", "ordinary", "guarded", "runaway"
@@ -88,25 +88,28 @@ def non_edges(g: Graph, clique: frozenset[int], cmask: int) -> Iterator[tuple[in
             missing ^= low
 
 
-def is_easy(
-    g: Graph, acd: AlmostCliqueDecomposition, idx: int, inside_twice: list[int] | None = None
-) -> bool:
+def is_easy(g: Graph, acd: AlmostCliqueDecomposition, idx: int, inside_twice: list[int]) -> bool:
+    """A non-edge, or a member of degree d whose pass sum `inside_twice` is d(d-1)."""
     clique = acd.cliques[idx]
-    has_non_edge = any(non_edges(g, clique, acd.clique_masks[idx]))
-    return has_non_edge or any(is_simplicial(g, v, inside_twice) for v in clique)
+    if any(non_edges(g, clique, acd.clique_masks[idx])):
+        return True
+    return any(inside_twice[v] == len(g.adj[v]) * (len(g.adj[v]) - 1) for v in clique)
 
 
 def classify_acs(
     g: Graph, acd: AlmostCliqueDecomposition, inside_twice: list[int] | None = None
 ) -> ACClassification:
-    difficult_min = Thresholds.of(acd.epsilon, g.delta).difficult_min
+    """Label every AC; without `inside_twice`, one common-neighbour pass runs here."""
+    bounds = Thresholds.of(acd.epsilon, g.delta)
+    if inside_twice is None:
+        inside_twice = common_neighbour_pass(g, bounds.similar_min)[1]
     t = len(acd.cliques)
     easy = tuple(is_easy(g, acd, i, inside_twice) for i in range(t))
     specials = tuple(find_special(g, acd, i) for i in range(t))
 
     # pass 1: difficult ACs pick their smallest-id special
     difficult = [
-        not easy[i] and bool(specials[i]) and len(acd.cliques[i]) >= difficult_min
+        not easy[i] and bool(specials[i]) and len(acd.cliques[i]) >= bounds.difficult_min
         for i in range(t)
     ]
     picked: list[int | None] = [min(specials[i]) if difficult[i] else None for i in range(t)]

@@ -35,13 +35,14 @@ from .classify import classify_acs, fine_partition
 from .errors import BrooksSimError
 from .graph_core import (
     FAMILIES,
+    common_neighbour_pass,
     generate_instance,
     load_graph_with_header,
     save_graph,
 )
 from .oracle_validate import validate_coloring
 from .phases import PIPELINE_PLAN, PipelineConfig, run_pipeline
-from .thresholds import DEFAULT_EPSILON
+from .thresholds import DEFAULT_EPSILON, Thresholds
 
 SCHEMA_VERSION = 1
 
@@ -165,8 +166,10 @@ def cmd_acd(args) -> int:
 def cmd_classify(args) -> int:
     g, header = _load(args.graph)
     epsilon = _epsilon_from(args, header)
-    acd = compute_acd(g, epsilon)
-    cls = classify_acs(g, acd)
+    # one pass serves the ACD and the easy-AC test, as in run_pipeline
+    common = common_neighbour_pass(g, Thresholds.of(epsilon, g.delta).similar_min)
+    acd = compute_acd(g, epsilon, common)
+    cls = classify_acs(g, acd, common[1])
     part = fine_partition(g, acd, cls)
     _dump_json(
         {

@@ -11,7 +11,6 @@ from .io import load_graph_with_header, save_graph
 from .measures import (
     common_neighbour_pass,
     contains_delta_plus_one_clique,
-    is_simplicial,
 )
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "common_neighbour_pass",
     "contains_delta_plus_one_clique",
     "generate_instance",
-    "is_simplicial",
     "load_graph_with_header",
     "mask_of",
     "save_graph",

@@ -24,14 +24,16 @@ class Graph:
     entries, so the masks are built in construction only where they are
     no larger than the tuples:
     `small_masks` is `masks_fit(n, m)`, n*n <= 128*m, the one home of that
-    rule. Elsewhere `masks` is a per-node cache that builds a node's mask
-    on its first read. Apart from the common-neighbour pass on a locally
-    dense graph, only the ACD and classification read it, for the nodes in
-    or next to an almost-clique, so such a graph keeps memory linear in its
-    edges plus those masks.
+    rule; past this build, only the common-neighbour pass, `PartialColoring`
+    and the `random_gnd` generator read it. Elsewhere `masks` is a per-node
+    cache that builds a node's mask on its first read. Apart from the
+    common-neighbour pass on a locally dense graph, only the ACD and
+    classification read it, for the nodes in or next to an almost-clique,
+    so such a graph keeps memory linear in its edges plus those masks.
     `Graph(n, edges)` raises GraphInvariantError for a node count that is
     not an int, or is a bool, and for the first edge, in input order, that
-    is not a pair of int ids, is out of range, a self-loop or a duplicate.
+    is not a pair of int ids, is out of range, a self-loop or a duplicate
+    (found as a node whose neighbour set is smaller than its tuple).
     The generators and the loader build valid neighbour lists and hand them
     to `_from_neighbour_lists`, unchecked; both paths end in `_freeze`.
     Immutable after construction, apart from that mask cache, whose entries
@@ -59,13 +61,8 @@ class Graph:
         except (TypeError, ValueError):
             # an edge that is not a pair of ints; only the defect scan checks types
             _raise_first_defect(n, edges)
-        # a repeated edge repeats a neighbour, which a set counts once; distinct
-        # powers of two sum to their OR, a repeated one carries and loses a bit
-        if self.small_masks:
-            repeated = any(mask.bit_count() < len(a) for mask, a in zip(self.masks, self.adj))
-        else:
-            repeated = any(len(set(a)) < len(a) for a in self.adj)
-        if repeated:
+        # a repeated edge repeats a neighbour, which a set counts once
+        if any(len(set(a)) < len(a) for a in self.adj):
             _raise_first_defect(n, edges)
 
     @classmethod

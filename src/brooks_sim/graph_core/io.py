@@ -87,11 +87,13 @@ def _header(parts: list[str], lineno: int) -> tuple[int, int]:
 
 def save_graph(g: Graph, path: str | os.PathLike, header: Mapping[str, str] | None = None) -> None:
     """Write canonical form: sorted edges, LF endings, optional hint comments.
-    A hint the loader would not read back unchanged raises BrooksSimError:
-    an empty key, whitespace or '=' in a key, a line break in a value, or a
-    value with whitespace at either end."""
+    A hint the loader would not read back unchanged raises BrooksSimError,
+    before the file is opened: a key or value that is not a str, an empty
+    key, whitespace or '=' in a key, a line break in a value, or a value
+    with whitespace at either end."""
     for key, value in (header or {}).items():
-        bad_key = key.split() != [key] or "=" in key
+        not_str = not (isinstance(key, str) and isinstance(value, str))
+        bad_key = not_str or key.split() != [key] or "=" in key
         if bad_key or value != value.strip() or "\n" in value or "\r" in value:
             raise BrooksSimError(f"hint {key!r}={value!r} would not read back", phase="config")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

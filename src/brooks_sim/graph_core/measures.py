@@ -1,14 +1,15 @@
-"""Structural measures: the common-neighbour pass, the simplicial test and
-the K_{delta+1} test built on it.
+"""Structural measures: the common-neighbour pass and the K_{delta+1} test.
 
 `common_neighbour_pass` counts |N(u) & N(v)| for every undirected edge and
 sums them per node: twice the edges inside N(v). The ACD reads each count
 for similarity and the sums for property (1); N(v) of d nodes is a clique
-iff its sum is d(d-1), which the simplicial and K_{delta+1} tests read.
+iff its sum is d(d-1), which the K_{delta+1} test and the easy-AC test of
+`classify` read. Without the sums, the K_{delta+1} test compares sorted
+neighbour tuples and reads neither masks nor sets.
 
-The pass and `is_simplicial` read the n-bit masks only where the graph
-keeps them (`Graph.small_masks`). Elsewhere the pass lists triangles and
-`is_simplicial` intersects sets, so a sparse graph never builds its masks.
+The pass reads the n-bit masks only where the graph keeps them
+(`Graph.small_masks`). Elsewhere it lists triangles, so a sparse graph
+never builds its masks.
 The listing holds each node's later neighbours as a tuple slice and
 builds one set at a time, for the node it is at, so its memory is of the
 order of the graph's rather than n sets (Latapy 2008). It pays per
@@ -101,27 +102,16 @@ def _triangle_pass(g: Graph, at_least: int) -> tuple[list[list[int]], list[int]]
     return close, inside_twice
 
 
-def is_simplicial(g: Graph, v: int, inside_twice: list[int] | None = None) -> bool:
-    """True iff N(v) induces a clique (in the whole graph); read from the
-    sums of `common_neighbour_pass` when given."""
-    if inside_twice is not None:
-        d = len(g.adj[v])
-        return inside_twice[v] == d * (d - 1)
-    if not g.small_masks:
-        # each neighbour u must see N[v] = N(v) + v, all of it but u itself
-        closed = {v, *g.adj[v]}
-        return all(len(closed.intersection(g.adj[u])) == len(closed) - 1 for u in g.adj[v])
-    masks = g.masks
-    nmask = masks[v]
-    return all((nmask & ~(1 << u)) & ~masks[u] == 0 for u in g.adj[v])
-
-
 def contains_delta_plus_one_clique(g: Graph, inside_twice: list[int] | None = None) -> bool:
     """Exact test: a K_{delta+1} forces some degree-delta node whose
     neighborhood is a clique, and conversely (at delta 0, any node).
     Without the sums only the clique minima are tested, the degree-delta
     nodes below all their neighbours: a K_{delta+1}'s members have no
-    neighbour outside it, so its smallest member is one."""
+    neighbour outside it, so its smallest member is one. With
+    closed = N[v] = (v, *adj[v]), sorted, N[v] is a K_{delta+1} iff each
+    neighbour u = closed[i] has exactly the others, adj[u] == closed minus
+    closed[i]: u sees all delta of them, and deg(u) <= delta leaves it no
+    other neighbour."""
     d = g.delta
     if inside_twice is not None:
         # a node of degree below d sums less, except a degree-0 node at d = 1,
@@ -129,4 +119,10 @@ def contains_delta_plus_one_clique(g: Graph, inside_twice: list[int] | None = No
         return d * (d - 1) in inside_twice
     if d == 0:
         return g.n > 0
-    return any(len(a) == d and a[0] > v and is_simplicial(g, v) for v, a in enumerate(g.adj))
+    adj = g.adj
+    for v, a in enumerate(adj):
+        if len(a) == d and v < a[0]:
+            closed = (v, *a)
+            if all(adj[u] == closed[:i] + closed[i + 1 :] for i, u in enumerate(a, 1)):
+                return True
+    return False

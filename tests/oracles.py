@@ -21,6 +21,9 @@ decides by construction:
 - `missing_pairs` counts the pairs N(v) lacks to be a delta-clique node by
   node, one mask AND per neighbour, as the reference for the sums of
   `graph_core.common_neighbour_pass` and property (1) of `verify_acd`;
+- `is_simplicial` tests "N(v) is a clique" pair by pair with `has_edge`,
+  the reference for the pass sums' d(d-1) rule and for the sorted-tuple
+  scan of `graph_core.contains_delta_plus_one_clique`;
 - `acd_cliques_all_bases` builds the almost-cliques of `compute_acd` with
   the augmentation counting every base for every candidate node;
 - `sequential_graph` is the edge-by-edge `Graph` constructor, with a set of
@@ -49,6 +52,7 @@ imported.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -252,6 +256,11 @@ def missing_pairs(g: Graph, v: int) -> int:
     nmask = g.masks[v]
     inside_twice = sum((g.masks[u] & nmask).bit_count() for u in g.adj[v])
     return d * (d - 1) // 2 - inside_twice // 2
+
+
+def is_simplicial(g: Graph, v: int) -> bool:
+    """N(v) induces a clique: every two neighbours of v are adjacent."""
+    return all(g.has_edge(x, y) for x, y in itertools.combinations(g.adj[v], 2))
 
 
 def acd_cliques_all_bases(g: Graph, epsilon: Fraction) -> tuple[frozenset[int], ...]:

@@ -10,11 +10,11 @@ from brooks_sim.classify import (
     find_special,
     fine_partition,
     is_easy,
-    is_simplicial,
 )
 from brooks_sim.errors import PartitionViolationError
 from brooks_sim.graph_core import Graph, common_neighbour_pass, generate_instance
 from brooks_sim.thresholds import C_SPARSE, Thresholds, ceil_phi, count_meets_phi, floor_psi
+from oracles import is_simplicial
 
 
 class TestThresholds:
@@ -131,14 +131,15 @@ class TestIsEasy:
     def test_clique_minus_edge_is_easy(self):
         inst = generate_instance("clique_minus_edge", 8, seed=0)
         acd = compute_acd(inst.graph, inst.epsilon)
-        assert is_easy(inst.graph, acd, 0)
+        assert is_easy(inst.graph, acd, 0, common_neighbour_pass(inst.graph, 1)[1])
 
     def test_matched_cliques_not_easy(self):
         inst = generate_instance("matched_cliques", 8, seed=0)
         g = inst.graph
         acd = compute_acd(g, Fraction(1, 8))
+        inside_twice = common_neighbour_pass(g, 1)[1]
         for idx in range(2):
-            assert not is_easy(g, acd, idx)
+            assert not is_easy(g, acd, idx, inside_twice)
         # exhaustive: no member is simplicial, no non-edge inside a side
         assert not any(is_simplicial(g, v) for v in range(g.n))
 
@@ -152,7 +153,7 @@ class TestIsEasy:
         idx = next(i for i, c in enumerate(acd.cliques) if len(c) >= k)
         assert not is_simplicial(g, 0)
         assert is_simplicial(g, 1)
-        assert is_easy(g, acd, idx)
+        assert is_easy(g, acd, idx, common_neighbour_pass(g, 1)[1])
 
 
 class TestClassify:

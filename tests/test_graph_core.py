@@ -19,7 +19,6 @@ from brooks_sim.graph_core import (
     common_neighbour_pass,
     contains_delta_plus_one_clique,
     generate_instance,
-    is_simplicial,
     load_graph_with_header,
     mask_of,
     save_graph,
@@ -31,6 +30,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     hidden_in_prism,
+    is_simplicial,
     measure_slack,
     missing_pairs,
     neighbour_masks,
@@ -61,7 +61,8 @@ class TestGraph:
         "edges, message",
         [
             ([(0, 1), (0, 2), (2, 3), (1, 0)], "duplicate edge (0,1)"),
-            # node 0's powers of two 2+2+4+8 carry twice, to the single bit 16
+            # node 0's powers of two 2+2+4+8 carry to the single bit 16, which
+            # a mask popcount would count as one neighbour, not four
             ([(0, 1), (1, 0), (0, 2), (0, 3)], "duplicate edge (0,1)"),
             ([(2, 3), (0, 1), (3, 2), (1, 0)], "duplicate edge (2,3)"),
         ],
@@ -341,10 +342,36 @@ class TestDeltaPlusOneClique:
             edges = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p]
             for g in (Graph(k, edges), hidden_in_prism(edges, k)):
                 inside_twice = common_neighbour_pass(g, 1)[1]
-                got = [is_simplicial(g, v, inside_twice) for v in range(g.n)]
+                degrees = [g.degree(v) for v in range(g.n)]
+                got = [inside_twice[v] == d * (d - 1) for v, d in enumerate(degrees)]
                 assert got == [is_simplicial(g, v) for v in range(g.n)], (k, edges)
             listed += _triangle_pass(g, 1) is not None
         assert listed >= 90
+
+    @pytest.mark.parametrize("delta", range(3, 13))
+    def test_near_misses_are_rejected(self, delta):
+        # K_{delta+1} minus an edge xy, with one pendant on x and one on y:
+        # every clique member has degree delta, so the sorted-tuple scan
+        # must compare the neighbours themselves, not only their number.
+        # Restoring xy (the pendants left isolated) makes it a K_{delta+1}.
+        k = delta + 1
+        for x, y in ((0, 1), (1, delta), (delta - 1, delta)):
+            clique = [e for e in itertools.combinations(range(k), 2) if e != (x, y)]
+            near = clique + [(x, k), (y, k + 1)]
+            for edges, expected in ((near, False), (clique + [(x, y)], True)):
+                shifted = [(257 + u, 257 + v) for u, v in edges]
+                small, high = Graph(k + 2, edges), Graph(k + 259, shifted)
+                assert small.small_masks and not high.small_masks
+                for g in (small, hidden_in_prism(edges, k + 2), high):
+                    assert g.delta == delta
+                    brute = any(
+                        g.degree(v) == delta and is_simplicial(g, v) for v in range(g.n)
+                    )
+                    assert brute == expected, (x, y)
+                    assert contains_delta_plus_one_clique(g) == expected, (x, y)
+                    inside_twice = common_neighbour_pass(g, 1)[1]
+                    assert contains_delta_plus_one_clique(g, inside_twice) == expected
+                assert self._brute_force(small) == self._brute_force(high) == expected
 
 
 class TestIO:
@@ -411,6 +438,10 @@ class TestIO:
             ("family", "a\rb"),
             ("note", " padded "),
             ("note", "end\t"),
+            # a key or value that is not a str
+            ("delta", 16),
+            (3, "x"),
+            ("k", None),
         ],
     )
     def test_save_rejects_hints_that_would_not_read_back(self, tmp_path, key, value):
