@@ -1,7 +1,7 @@
 """Delta-coloring by reduction to (deg+1)-list coloring instances, executed
 and validated inside a deterministic round-synchronous simulator."""
 
-from .acd import AlmostCliqueDecomposition, compute_acd, obs22_check, verify_acd
+from .acd import AlmostCliqueDecomposition, compute_acd, verify_acd
 from .classify import (
     ACClassification,
     FinePartition,
@@ -58,7 +58,6 @@ __all__ = [
     "fine_partition",
     "generate_instance",
     "is_easy",
-    "obs22_check",
     "run_pipeline",
     "run_protocol",
     "save_graph",

@@ -8,6 +8,10 @@ rest of the pipeline relies on are the four verified properties:
   (3) members have >= (1-4eps)*delta neighbors inside their own AC,
   (4) outsiders have <= (1-2eps)*delta neighbors inside any AC.
 
+(2) and (3) imply Observation 2.2 at the integer bounds of `Thresholds`: a
+member has at most floor(7eps*delta) - 1 non-neighbours in its AC and at most
+floor(4eps*delta) neighbours outside it, so it needs no check of its own.
+
 compute_acd builds a candidate via a similarity graph (two adjacent nodes are
 similar when they share (1-eps')*delta neighbors), then augments: any
 leftover node with (1-4eps)*delta neighbors in a base clique joins it. A
@@ -226,21 +230,3 @@ def verify_acd(
                 )
     return report
 
-
-def obs22_check(g: Graph, acd: AlmostCliqueDecomposition) -> PropertyReport:
-    """Anti-degree <= 7*eps*delta and outside degree <= 4*eps*delta per AC
-    member: its non-neighbours inside the AC and its neighbours outside it,
-    both from its count of neighbours inside."""
-    t = Thresholds.of(acd.epsilon, g.delta)
-    report = PropertyReport()
-    for idx, clique in enumerate(acd.cliques):
-        cmask = acd.clique_masks[idx]
-        for v in sorted(clique):
-            inside = (g.masks[v] & cmask).bit_count()
-            a = len(clique) - 1 - inside
-            e = len(g.adj[v]) - inside
-            if a > t.anti_max:
-                report.add("anti_degree", f"AC {idx} node {v}: a={a} > {t.anti_max}")
-            if e > t.outside_max:
-                report.add("outside_degree", f"AC {idx} node {v}: e={e} > {t.outside_max}")
-    return report

@@ -2,7 +2,9 @@
 
 Line 1: "n m". Then m lines "u v" with 0 <= u < v < n. Lines starting with
 '#' are ignored anywhere in the file; a `# key=value` line is a header hint.
-UTF-8, LF. Non-simple input is rejected with the offending line number.
+UTF-8, LF. Non-simple input is rejected with the offending line number, and
+so is a number save_graph would not write: a '+' sign, '_' separators or a
+non-ASCII digit, anywhere outside a comment line.
 
 The loader opens the file once and checks each line as it reads it, with a
 set of the edges read so far to catch a repeat, so the first offending line
@@ -42,12 +44,16 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
                         key, _, value = body.partition("=")
                         header[key.strip()] = value.strip()
                     continue
+                # int() takes these too; such a line fails as a non-integer one
+                plain = raw.isascii() and "+" not in raw and "_" not in raw
                 if n is None:
-                    n, m = _header(parts, lineno)
+                    n, m = _header(parts, plain, lineno)
                     adj = [[] for _ in range(n)]
                     ids = list(range(n))  # the entries share one int per id
                     continue
                 try:
+                    if not plain:
+                        raise ValueError
                     u, v = map(int, parts)
                 except ValueError:
                     bad = "expected edge 'u v'" if len(parts) != 2 else "non-integer edge"
@@ -73,10 +79,12 @@ def load_graph_with_header(path: str | os.PathLike) -> tuple[Graph, dict[str, st
     return Graph._from_neighbour_lists(adj), header
 
 
-def _header(parts: list[str], lineno: int) -> tuple[int, int]:
+def _header(parts: list[str], plain: bool, lineno: int) -> tuple[int, int]:
     if len(parts) != 2:
         raise GraphFormatError("expected header 'n m'", line=lineno)
     try:
+        if not plain:
+            raise ValueError
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphFormatError("non-integer header", line=lineno) from None

@@ -10,7 +10,8 @@ integer count, and for an integer c
 So `Thresholds` settles each bound once, in exact arithmetic, and every
 decision is an int comparison. psi and phi are settled on cubed integers:
 count >= phi <=> (2*count)^3 >= delta^2, and floor(psi) is the integer
-cube root.
+cube root. Observation 2.2's bounds follow from those of properties (2) and
+(3), so they have no field (see `acd`).
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ class Thresholds:
     inside_min: int  # property (3) and augmentation: (1-4eps)*delta neighbours in C
     outsider_max: int  # property (4): (1-2eps)*delta neighbours in C from outside
     missing_min: int  # property (1): binom(delta,2) - edges in N(v) >= C_SPARSE*eps^2*delta^2
-    anti_max: int  # Observation 2.2: anti-degree <= 7*eps*delta
-    outside_max: int  # Observation 2.2: outside degree <= 4*eps*delta
     special_min: int  # a special has >= phi neighbours in the AC
     difficult_min: int  # a difficult AC has >= delta - psi members
 
@@ -91,8 +90,6 @@ class Thresholds:
             inside_min=math.ceil((1 - 4 * eps) * delta),
             outsider_max=math.floor((1 - 2 * eps) * delta),
             missing_min=math.ceil(C_SPARSE * eps * eps * delta * delta),
-            anti_max=math.floor(7 * eps * delta),
-            outside_max=math.floor(4 * eps * delta),
             special_min=ceil_phi(delta),
             difficult_min=delta - floor_psi(delta),
         )

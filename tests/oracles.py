@@ -24,6 +24,10 @@ decides by construction:
 - `is_simplicial` tests "N(v) is a clique" pair by pair with `has_edge`,
   the reference for the pass sums' d(d-1) rule and for the sorted-tuple
   scan of `graph_core.contains_delta_plus_one_clique`;
+- `observation_22_violations` counts each AC member's anti-degree and
+  outside degree with sets and compares them with Observation 2.2's exact
+  bounds 7*eps*delta and 4*eps*delta, which `acd.verify_acd` leaves to its
+  properties (2) and (3);
 - `acd_cliques_all_bases` builds the almost-cliques of `compute_acd` with
   the augmentation counting every base for every candidate node;
 - `sequential_graph` is the edge-by-edge `Graph` constructor, with a set of
@@ -32,7 +36,11 @@ decides by construction:
 - `scan_graph_file` is the line-by-line graph file reader, with a set of
   seen edges, that `graph_core.load_graph_with_header` must match in graph,
   header hints and the message and line of the `GraphFormatError` it
-  raises; on invalid UTF-8 it lets the `UnicodeDecodeError` through;
+  raises, a line with a non-ASCII character, '+' or '_' failing as a
+  non-integer one; on invalid UTF-8 it lets the `UnicodeDecodeError` through;
+- `connected_graphs` lists one edge list per isomorphism class of the
+  connected graphs on n nodes, in the labelling `canonical_edges` gives
+  (degrees ascending, then the least sorted edge list);
 - `hidden_in_prism` hides a small graph in a large triangle-free one, so
   that the graph keeps no masks;
 - `rook_graph`, `circulant_graph` and `cycle_complement` build the
@@ -52,6 +60,7 @@ imported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -263,6 +272,21 @@ def is_simplicial(g: Graph, v: int) -> bool:
     return all(g.has_edge(x, y) for x, y in itertools.combinations(g.adj[v], 2))
 
 
+def observation_22_violations(g: Graph, acd) -> list[tuple[int, int, int, int]]:
+    """(AC index, node, anti-degree, outside degree) of every AC member
+    with more than 7*eps*delta non-neighbours in its AC or more than
+    4*eps*delta neighbours outside it."""
+    eps, delta = acd.epsilon, g.delta
+    bad = []
+    for idx, clique in enumerate(acd.cliques):
+        for v in sorted(clique):
+            nbrs = set(g.adj[v])
+            anti, outside = len(clique - {v} - nbrs), len(nbrs - clique)
+            if anti > 7 * eps * delta or outside > 4 * eps * delta:
+                bad.append((idx, v, anti, outside))
+    return bad
+
+
 def acd_cliques_all_bases(g: Graph, epsilon: Fraction) -> tuple[frozenset[int], ...]:
     """The almost-cliques `acd.compute_acd` builds before it verifies them,
     with its augmentation counted against every base for every node next
@@ -345,11 +369,16 @@ def scan_graph_file(path: str | os.PathLike) -> tuple[Graph, dict[str, str]]:
                     header[key.strip()] = value.strip()
                 continue
             parts = line.split()
+            # int() also takes '+', '_' and other scripts' digits, which
+            # save_graph never writes; such a line fails as a non-integer one
+            written = raw.isascii() and not {"+", "_"} & set(raw)
             if n is None:
                 if len(parts) != 2:
                     raise GraphFormatError("expected header 'n m'", line=lineno)
                 try:
                     n, m = int(parts[0]), int(parts[1])
+                    if not written:
+                        raise ValueError
                 except ValueError:
                     raise GraphFormatError("non-integer header", line=lineno) from None
                 if n < 0 or m < 0:
@@ -359,6 +388,8 @@ def scan_graph_file(path: str | os.PathLike) -> tuple[Graph, dict[str, str]]:
                 raise GraphFormatError("expected edge 'u v'", line=lineno)
             try:
                 u, v = int(parts[0]), int(parts[1])
+                if not written:
+                    raise ValueError
             except ValueError:
                 raise GraphFormatError("non-integer edge", line=lineno) from None
             if u == v:
@@ -391,6 +422,47 @@ def cycle_graph(k: int) -> Graph:
 
 def path_graph(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+Edges = tuple[tuple[int, int], ...]
+
+
+def canonical_edges(n: int, edges: Iterable[tuple[int, int]]) -> Edges:
+    """The least sorted edge list over the relabellings of the graph that
+    number its nodes by ascending degree. Isomorphic graphs have the same
+    one, since an isomorphism keeps degrees; only the orders within each
+    degree class are tried."""
+    edges = list(edges)
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    classes = [[v for v in range(n) if degree[v] == d] for d in sorted(set(degree))]
+    best = None
+    for orders in itertools.product(*map(itertools.permutations, classes)):
+        label = {v: i for i, v in enumerate(itertools.chain.from_iterable(orders))}
+        form = tuple(sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges))
+        if best is None or form < best:
+            best = form
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def connected_graphs(n: int) -> tuple[Edges, ...]:
+    """The `canonical_edges` of every connected graph on n >= 1 nodes, one
+    per isomorphism class, in ascending order. Removing a leaf of a spanning
+    tree leaves a connected graph on n - 1 nodes, so every class is a class
+    on n - 1 nodes plus a node joined to a nonempty set of its nodes."""
+    if n < 1:
+        raise ValueError(f"no connected graph on {n} nodes")
+    if n == 1:
+        return ((),)
+    found = set()
+    for edges in connected_graphs(n - 1):
+        for k in range(1, n):
+            for joined in itertools.combinations(range(n - 1), k):
+                found.add(canonical_edges(n, edges + tuple((u, n - 1) for u in joined)))
+    return tuple(sorted(found))
 
 
 def hidden_in_prism(edges: list[tuple[int, int]], k: int) -> Graph:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from brooks_sim.acd import compute_acd, obs22_check, verify_acd
+from brooks_sim.acd import compute_acd, verify_acd
 from brooks_sim.classify import classify_acs, fine_partition
 from brooks_sim.cli import main as cli_main
 from brooks_sim.errors import RetryExhausted
@@ -28,7 +28,7 @@ from brooks_sim.slackgen import (
     participant_set,
     run_slack_generation_with_metrics,
 )
-from oracles import is_k_colorable_fast, measure_slack
+from oracles import is_k_colorable_fast, measure_slack, observation_22_violations
 
 SWEEP_FAMILIES = (
     "clique_minus_edge",
@@ -64,7 +64,7 @@ def sweep():
             g = inst.graph
             # criterion 8 inputs: ACD contract, degree bounds, partition shape
             acd = compute_acd(g, inst.epsilon)
-            structural_ok = verify_acd(g, acd).ok and obs22_check(g, acd).ok
+            structural_ok = verify_acd(g, acd).ok and not observation_22_violations(g, acd)
             cls = classify_acs(g, acd)
             fine_partition(g, acd, cls)  # raises on any partition-shape violation
             config = PipelineConfig(epsilon=inst.epsilon, seed=seed, max_retries=MAX_RETRIES)

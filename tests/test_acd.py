@@ -11,7 +11,6 @@ from brooks_sim import classify as classify_module
 from brooks_sim.acd import (
     AlmostCliqueDecomposition,
     compute_acd,
-    obs22_check,
     verify_acd,
 )
 from brooks_sim.errors import AcdVerificationError, BrooksSimError
@@ -24,7 +23,7 @@ from brooks_sim.graph_core import (
 from brooks_sim.graph_core import graph as graph_module
 from brooks_sim.phases import PipelineConfig, run_pipeline
 from brooks_sim.thresholds import Thresholds
-from oracles import missing_pairs
+from oracles import missing_pairs, observation_22_violations
 
 
 def disjoint_cliques(k: int, count: int) -> Graph:
@@ -115,13 +114,13 @@ def test_obs22_disjoint_cliques_pass():
     edges += [(hub, hub + 1 + i) for i in range(8)]
     g = Graph(g0.n + 9, edges)
     acd = compute_acd(g, Fraction(1, 8))
-    report = obs22_check(g, acd)
-    assert report.ok
+    assert observation_22_violations(g, acd) == []
 
 
 def test_obs22_epsilon_tension_on_matched_cliques():
-    # e(u)=1 for every member; at eps=1/172 the 4*eps*delta bound is 0.186
-    # so the check fails, while eps=1/4 passes.
+    # e(u)=1 for every member; at eps=1/172 the 4*eps*delta bound is 0.186,
+    # so every member breaks it on a hand-built ACD that (3) would reject,
+    # while the verified ACD at eps=1/4 keeps it.
     g = generate_instance("matched_cliques", 8, seed=0).graph
     tight = AlmostCliqueDecomposition.build(
         Fraction(1, 172),
@@ -129,31 +128,32 @@ def test_obs22_epsilon_tension_on_matched_cliques():
         (frozenset(range(8)), frozenset(range(8, 16))),
         g.n,
     )
-    assert not obs22_check(g, tight).ok
+    assert observation_22_violations(g, tight) == [(v // 8, v, 0, 1) for v in range(16)]
+    assert "3_member_inside_degree" in verify_acd(g, tight).violations
     loose = compute_acd(g, Fraction(1, 4))
-    assert obs22_check(g, loose).ok
+    assert observation_22_violations(g, loose) == []
 
 
 def test_guarded_pair_obs22_at_family_epsilon():
     inst = generate_instance("guarded_pair", 16, seed=0)
     acd = compute_acd(inst.graph, Fraction(1, 8) if inst.epsilon > Fraction(1, 8) else inst.epsilon)
-    assert obs22_check(inst.graph, acd).ok
+    assert observation_22_violations(inst.graph, acd) == []
 
 
-def obs22_degrees(g, cliques):
+def member_degrees(g, cliques):
     """{v: (anti-degree, outside degree)} for every member of the given ACs,
-    read from obs22_check's messages. The hand-built ACD's negative epsilon
-    puts both bounds below 0, so every member breaks both."""
+    from its count of neighbours inside its AC as verify_acd's property (3)
+    messages give it. The hand-built ACD's negative epsilon puts the inside
+    bound above delta, so every member breaks it."""
     acd = AlmostCliqueDecomposition(Fraction(-1, 1000), frozenset(), tuple(cliques))
-    report = obs22_check(g, acd)
-    degrees: dict[int, dict[str, int]] = {}
-    pattern = re.compile(r"AC \d+ node (\d+): ([ae])=(\d+) > -\d+")
-    for prop in ("anti_degree", "outside_degree"):
-        for message in report.violations[prop]:
-            v, key, value = pattern.fullmatch(message).groups()
-            degrees.setdefault(int(v), {})[key] = int(value)
+    report = verify_acd(g, acd)
+    degrees: dict[int, tuple[int, int]] = {}
+    pattern = re.compile(r"AC (\d+) node (\d+): (\d+) inside neighbors < \d+")
+    for message in report.violations["3_member_inside_degree"]:
+        idx, v, inside = map(int, pattern.fullmatch(message).groups())
+        degrees[v] = (len(cliques[idx]) - 1 - inside, len(g.adj[v]) - inside)
     assert len(degrees) == sum(map(len, cliques))
-    return {v: (d["a"], d["e"]) for v, d in degrees.items()}
+    return degrees
 
 
 def test_anti_degree_matches_set_difference_on_guarded_instance():
@@ -161,7 +161,7 @@ def test_anti_degree_matches_set_difference_on_guarded_instance():
     inst = generate_instance("guarded_pair", 16, seed=3)
     g = inst.graph
     acd = compute_acd(g, inst.epsilon)
-    degrees = obs22_degrees(g, acd.cliques)
+    degrees = member_degrees(g, acd.cliques)
     for clique in acd.cliques:
         for v in sorted(clique):
             direct = len((set(clique) - {v}) - set(g.adj[v]))
@@ -173,13 +173,13 @@ def test_outside_and_anti_degree():
     inst = generate_instance("matched_cliques", 8, seed=0)
     g = inst.graph
     acd = compute_acd(g, Fraction(1, 8))
-    degrees = obs22_degrees(g, acd.cliques)
+    degrees = member_degrees(g, acd.cliques)
     for v in range(g.n):
         assert degrees[v] == (0, 1)  # (anti, outside)
     inst2 = generate_instance("clique_minus_edge", 8, seed=0)
     acd2 = compute_acd(inst2.graph, Fraction(1, 8))
     a, b = inst2.meta["missing_edge"]
-    assert obs22_degrees(inst2.graph, acd2.cliques)[a] == (1, 0)
+    assert member_degrees(inst2.graph, acd2.cliques)[a] == (1, 0)
 
 
 def test_compute_acd_zero_failures_over_mixed_seeds():

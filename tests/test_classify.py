@@ -1,9 +1,11 @@
+import dataclasses
+import math
 import operator
 from fractions import Fraction
 
 import pytest
 
-from brooks_sim.acd import compute_acd
+from brooks_sim.acd import AlmostCliqueDecomposition, compute_acd
 from brooks_sim.classify import (
     ACClassification,
     classify_acs,
@@ -69,9 +71,13 @@ class TestThresholds:
                     (ge, (1 - 4 * eps) * delta, t.inside_min),
                     (ge, max((1 - 4 * eps) * delta, 1), max(t.inside_min, 1)),
                     (gt, (1 - 2 * eps) * delta, t.outsider_max),
-                    (gt, 7 * eps * delta, t.anti_max),
-                    (gt, 4 * eps * delta, t.outside_max),
                 )
+                # Observation 2.2 follows from (2) and (3) at these bounds: a
+                # member has at most size_max - 1 - inside_min non-neighbours
+                # in its AC and delta - inside_min neighbours outside it
+                anti_max, outside_max = t.size_max - 1 - t.inside_min, delta - t.inside_min
+                assert anti_max <= math.floor(7 * eps * delta) - 1, (delta, eps)
+                assert outside_max == math.floor(4 * eps * delta), (delta, eps)
                 sparse_floor = C_SPARSE * eps * eps * delta
                 for c in range(2 * delta + 2):
                     for op, exact, bound in checks:
@@ -242,6 +248,49 @@ class TestFinePartition:
         with pytest.raises(PartitionViolationError) as err:
             fine_partition(inst.graph, acd, bad)
         assert err.value.phase == "classify"
+
+    @staticmethod
+    def matched_cliques_16():
+        inst = generate_instance("matched_cliques", 16, seed=0)
+        acd = compute_acd(inst.graph, inst.epsilon)
+        return inst.graph, acd, classify_acs(inst.graph, acd)
+
+    def test_fabricated_protector_and_escape_rejected(self):
+        g, acd, cls = self.matched_cliques_16()
+        bad = dataclasses.replace(cls, protectors=frozenset({3, 20}), escapes=frozenset({3, 20}))
+        with pytest.raises(PartitionViolationError) as err:
+            fine_partition(g, acd, bad)
+        assert str(err.value) == "node 3 is both protector and escape"
+        assert (err.value.node, err.value.phase) == (None, "classify")
+
+    @pytest.mark.parametrize("label", ["ordinary", "guarded", "runaway"])
+    def test_fabricated_non_nice_ac_with_a_non_edge_rejected(self, label):
+        inst = generate_instance("clique_minus_edge", 8, seed=0)
+        acd = compute_acd(inst.graph, inst.epsilon)
+        bad = dataclasses.replace(classify_acs(inst.graph, acd), labels=(label,))
+        with pytest.raises(PartitionViolationError) as err:
+            fine_partition(inst.graph, acd, bad)
+        assert str(err.value) == f"{label} AC 0 is not a clique"
+        assert (err.value.node, err.value.phase) == (None, "classify")
+
+    @pytest.mark.parametrize("sets", [0, 2])
+    def test_fabricated_acd_node_outside_one_set_rejected(self, sets):
+        # node 5 left out of every AC and the sparse set, or put in both
+        g, acd, cls = self.matched_cliques_16()
+        first, second = acd.cliques
+        sparse, cliques = (frozenset(), (first - {5}, second)) if sets == 0 else ({5}, acd.cliques)
+        bad = AlmostCliqueDecomposition(acd.epsilon, frozenset(sparse), cliques)
+        with pytest.raises(PartitionViolationError) as err:
+            fine_partition(g, bad, cls)
+        assert str(err.value) == f"node 5 appears in {sets} partition sets"
+        assert (err.value.node, err.value.phase) == (5, "classify")
+
+    def test_picked_special_of_a_non_difficult_ac_rejected(self):
+        _, _, cls = self.matched_cliques_16()
+        with pytest.raises(PartitionViolationError) as err:
+            cls.picked_special(1)
+        assert str(err.value) == "AC 1 is not difficult, no picked special"
+        assert (err.value.node, err.value.phase) == (None, "classify")
 
     def test_difficult_acs_are_cliques_without_picked_specials(self):
         # difficult ACs must be cliques without picked specials inside

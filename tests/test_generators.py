@@ -1,6 +1,6 @@
 import pytest
 
-from brooks_sim.acd import compute_acd, obs22_check, verify_acd
+from brooks_sim.acd import compute_acd, verify_acd
 from brooks_sim.classify import classify_acs, find_special
 from brooks_sim.errors import BrooksSimError, UnsupportedFamilyError
 from brooks_sim.graph_core import (
@@ -11,6 +11,7 @@ from brooks_sim.graph_core import (
     load_graph_with_header,
     save_graph,
 )
+from oracles import observation_22_violations
 
 CASES = [
     ("clique_minus_edge", 4),
@@ -276,7 +277,7 @@ def test_acd_contract_at_declared_epsilon(family, delta):
     assert inst.epsilon_min <= inst.epsilon <= inst.epsilon_max
     acd = compute_acd(inst.graph, inst.epsilon)
     assert verify_acd(inst.graph, acd).ok
-    assert obs22_check(inst.graph, acd).ok
+    assert observation_22_violations(inst.graph, acd) == []
 
 
 @pytest.mark.parametrize(

@@ -409,6 +409,39 @@ class TestIO:
             load_graph_with_header(path)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            # int() takes these, but save_graph never writes them
+            ("3 1\n+0 1\n", 2, "non-integer edge"),
+            ("3 1\n0 \u0661\n", 2, "non-integer edge"),
+            ("3 1\n0 1_0\n", 2, "non-integer edge"),
+            ("3 1\n0\u30001\n", 2, "non-integer edge"),
+            ("3 1\n0 1 \u00e9\n", 2, "expected edge 'u v'"),
+            ("1_0 0\n", 1, "non-integer header"),
+            ("+3 0\n", 1, "non-integer header"),
+            ("# note\n\u0663 0\n", 2, "non-integer header"),
+            ("+3\n", 1, "expected header 'n m'"),
+            # a '-' is left to the range and sign checks
+            ("3 1\n-1 2\n", 2, "violates 0 <= u < v < n"),
+            ("-3 0\n", 1, "negative n or m"),
+        ],
+    )
+    def test_rejects_numbers_save_graph_never_writes(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        for load in (load_graph_with_header, scan_graph_file):
+            with pytest.raises(GraphFormatError, match=re.escape(message)) as err:
+                load(path)
+            assert (err.value.line, err.value.phase) == (line, "input")
+
+    def test_non_ascii_comments_still_load(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# note=\u00e9t\u00e9 \u0661\n3 1\n# +_\n0 1\n", encoding="utf-8")
+        for load in (load_graph_with_header, scan_graph_file):
+            g, header = load(path)
+            assert (g, header) == (Graph(3, [(0, 1)]), {"note": "\u00e9t\u00e9 \u0661"})
+
     def test_rejects_u_ge_v(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n2 1\n")
